@@ -196,7 +196,12 @@ fn main() {
             "fig15" => exp::fig15(cfg),
             "cases" => exp::cases(cfg),
             "convergence" => exp::convergence(cfg),
-            "online" => exp::online(cfg),
+            "online" => {
+                if let Err(e) = exp::online(cfg) {
+                    eprintln!("error: {e}");
+                    std::process::exit(1);
+                }
+            }
             "ablation" => exp::ablation(cfg),
             "topology" => exp::topology(cfg),
             "sim" => exp::sim(cfg),

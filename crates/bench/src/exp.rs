@@ -1070,11 +1070,17 @@ pub fn convergence(cfg: ExpConfig) {
 /// The online protocol end to end: hourly re-optimization on GPR
 /// forecasts with warm starts, reporting realized cost, congestion, cache
 /// churn, and the regret against a truth-knowing oracle.
-pub fn online(cfg: ExpConfig) {
+///
+/// # Errors
+///
+/// [`HorizonError`](crate::HorizonError) when `cfg.hours` runs past the
+/// trace's evaluation horizon; nothing is solved then.
+pub fn online(cfg: ExpConfig) -> Result<(), crate::HorizonError> {
     use jcr_core::online::OnlineSimulator;
     let mut sc = Scenario::chunk_default();
     sc.n_videos = if cfg.full { 10 } else { 6 };
     sc.hours = cfg.hours.max(4);
+    sc.check_horizon()?;
     let n_edges = sc.topology().edge_nodes.len();
     let demand = sc.demand(n_edges);
     let mut sim = OnlineSimulator::new(Alternating::new());
@@ -1115,6 +1121,7 @@ pub fn online(cfg: ExpConfig) {
         ],
         &rows,
     );
+    Ok(())
 }
 
 /// Ablations of the design choices DESIGN.md calls out: the placement

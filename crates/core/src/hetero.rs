@@ -72,6 +72,9 @@ struct RnrOracle<'a> {
     /// Current least cost per request (starts at the origin's distance, or
     /// `w_max` when unreachable).
     best: Vec<f64>,
+    /// Per item, the indices of its requests in ascending order (the order
+    /// of `inst.requests`, which fixes the summation order of `gain`).
+    requests_of: Vec<Vec<usize>>,
     value: f64,
 }
 
@@ -94,10 +97,15 @@ impl<'a> RnrOracle<'a> {
                 None => w_max,
             })
             .collect();
+        let mut requests_of = vec![Vec::new(); inst.num_items()];
+        for (k, r) in inst.requests.iter().enumerate() {
+            requests_of[r.item].push(k);
+        }
         RnrOracle {
             inst,
             ground,
             best,
+            requests_of,
             value: 0.0,
         }
     }
@@ -111,12 +119,10 @@ impl Oracle for RnrOracle<'_> {
     fn gain(&self, element: usize) -> f64 {
         let (v, i) = self.ground.decode(element);
         let ap = self.inst.all_pairs();
-        self.inst
-            .requests
+        self.requests_of[i]
             .iter()
-            .enumerate()
-            .filter(|(_, r)| r.item == i)
-            .map(|(k, r)| {
+            .map(|&k| {
+                let r = &self.inst.requests[k];
                 let d = ap.dist(v, r.node);
                 if d.is_finite() {
                     r.rate * (self.best[k] - d).max(0.0)
@@ -130,13 +136,12 @@ impl Oracle for RnrOracle<'_> {
     fn insert(&mut self, element: usize) {
         let (v, i) = self.ground.decode(element);
         let ap = self.inst.all_pairs();
-        for (k, r) in self.inst.requests.iter().enumerate() {
-            if r.item == i {
-                let d = ap.dist(v, r.node);
-                if d.is_finite() && d < self.best[k] {
-                    self.value += r.rate * (self.best[k] - d);
-                    self.best[k] = d;
-                }
+        for &k in &self.requests_of[i] {
+            let r = &self.inst.requests[k];
+            let d = ap.dist(v, r.node);
+            if d.is_finite() && d < self.best[k] {
+                self.value += r.rate * (self.best[k] - d);
+                self.best[k] = d;
             }
         }
     }
@@ -311,6 +316,84 @@ mod tests {
                 "element {e}: gain {gain} vs delta {}",
                 after - before
             );
+        }
+    }
+
+    /// The full-scan `F̃_RNR` oracle the per-item request index replaced:
+    /// every call filters all requests by item.
+    struct FilterRnrOracle<'a>(RnrOracle<'a>);
+
+    impl Oracle for FilterRnrOracle<'_> {
+        fn ground_size(&self) -> usize {
+            self.0.ground_size()
+        }
+
+        fn gain(&self, element: usize) -> f64 {
+            let o = &self.0;
+            let (v, i) = o.ground.decode(element);
+            let ap = o.inst.all_pairs();
+            o.inst
+                .requests
+                .iter()
+                .enumerate()
+                .filter(|(_, r)| r.item == i)
+                .map(|(k, r)| {
+                    let d = ap.dist(v, r.node);
+                    if d.is_finite() {
+                        r.rate * (o.best[k] - d).max(0.0)
+                    } else {
+                        0.0
+                    }
+                })
+                .sum()
+        }
+
+        fn insert(&mut self, element: usize) {
+            let o = &mut self.0;
+            let (v, i) = o.ground.decode(element);
+            let ap = o.inst.all_pairs();
+            for (k, r) in o.inst.requests.iter().enumerate() {
+                if r.item == i {
+                    let d = ap.dist(v, r.node);
+                    if d.is_finite() && d < o.best[k] {
+                        o.value += r.rate * (o.best[k] - d);
+                        o.best[k] = d;
+                    }
+                }
+            }
+        }
+
+        fn value(&self) -> f64 {
+            self.0.value
+        }
+    }
+
+    #[test]
+    fn indexed_rnr_oracle_matches_the_full_scan_bit_for_bit() {
+        use jcr_ctx::rng::{Rng, SeedableRng, StdRng};
+        for seed in 0..8u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let n_items = rng.gen_range(3..12);
+            let sizes = (0..n_items).map(|_| rng.gen_range(1.0..5.0)).collect();
+            let topo = Topology::generate_custom(12, 20, 4, seed).unwrap();
+            let inst = InstanceBuilder::new(topo)
+                .item_sizes(sizes)
+                .cache_capacity(rng.gen_range(2.0..9.0))
+                .zipf_demand(rng.gen_range(0.5..1.2), 100.0, seed)
+                .build()
+                .unwrap();
+            let ground = Ground::new(&inst);
+            let indexed = lazy_greedy(
+                &mut RnrOracle::new(&inst, &ground),
+                &mut ground.knapsack(&inst),
+            );
+            let full = lazy_greedy(
+                &mut FilterRnrOracle(RnrOracle::new(&inst, &ground)),
+                &mut ground.knapsack(&inst),
+            );
+            assert!(!indexed.selected.is_empty(), "seed {seed}");
+            assert_eq!(indexed.selected, full.selected, "seed {seed}");
+            assert_eq!(indexed.value.to_bits(), full.value.to_bits(), "seed {seed}");
         }
     }
 

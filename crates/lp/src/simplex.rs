@@ -16,7 +16,11 @@
 //! partial pivoting, product-form eta updates between refactorizations,
 //! and sparse ftran/btran. Pricing is **Devex** (reference-framework
 //! weights reset per phase) with a Bland anti-cycling fallback, and the
-//! ratio test is Harris two-pass. Warm starts restore a
+//! ratio test is Harris two-pass. Pricing and the Devex update are
+//! **hypersparse**: a row-wise index of `A` lets each pass visit only the
+//! columns that a nonzero of the dual (or pivot-row) vector touches,
+//! since every other column's dot product is exactly zero. Warm starts
+//! restore a
 //! [`Basis`](crate::Basis) snapshot and let phase 1 repair whatever
 //! feasibility the new data broke.
 
@@ -90,6 +94,11 @@ const RESIDUAL_FAIL: f64 = 1e-5;
 /// Devex weights above this trigger a reference-framework reset (all
 /// weights back to one) — the standard growth guard.
 const DEVEX_RESET: f64 = 1e12;
+/// A pricing or Devex pass scans every column instead of collecting the
+/// touched ones when the touched rows hold more than this share of the
+/// nonzeros (slacks included): marking would then cost about as much as
+/// the scan it saves.
+const DENSE_SHARE: f64 = 0.3;
 
 /// Eta-file nonzero budget as a function of the basis dimension: when the
 /// product-form file outgrows it, the basis is refactorized early even if
@@ -228,6 +237,37 @@ pub struct Simplex {
     /// Dense m-length buffer reused by the ftran/btran entry points.
     rhs_buf: Vec<f64>,
     pivots_since_refactor: usize,
+    /// Row-wise index of the structural columns: per row, the ascending
+    /// ids of the columns with a nonzero there.
+    rows: Vec<Vec<u32>>,
+    /// Structural nonzeros (the total length of `rows`).
+    nnz: usize,
+    /// Structural columns with a nonzero phase-2 cost, rebuilt per phase.
+    cost_cols: Vec<u32>,
+    /// Columns the current pricing or Devex pass visits (see
+    /// [`Simplex::collect_candidates`]).
+    cand: Vec<u32>,
+    /// Whether `cand` currently lists every column in ascending order.
+    cand_all: bool,
+    /// Per-column dedup flag used while collecting `cand` (all `false`
+    /// between collections).
+    marked: Vec<bool>,
+    #[cfg(test)]
+    hooks: TestHooks,
+}
+
+/// Test-only overrides and probes of the pivot loop.
+#[cfg(test)]
+#[derive(Debug, Default)]
+struct TestHooks {
+    /// Scan every column in every pricing and Devex pass.
+    force_dense: bool,
+    /// Replaces [`STALL_LIMIT`], to force Bland stretches.
+    stall_limit: Option<usize>,
+    /// Passes that visited a touched-column list.
+    sparse_passes: usize,
+    /// Pricing passes under the Bland fallback.
+    bland_passes: usize,
 }
 
 impl Simplex {
@@ -247,6 +287,11 @@ impl Simplex {
         lo.extend_from_slice(&model.row_lower);
         up.extend_from_slice(&model.row_upper);
         let cols = model.cols.clone();
+        let mut rows = vec![Vec::new(); m];
+        let mut nnz = 0;
+        for (j, col) in cols.iter().enumerate() {
+            nnz += index_column(&mut rows, col, j);
+        }
 
         let mut s = Simplex {
             m,
@@ -265,6 +310,14 @@ impl Simplex {
             devex: Vec::new(),
             rhs_buf: vec![0.0; m],
             pivots_since_refactor: 0,
+            rows,
+            nnz,
+            cost_cols: Vec::new(),
+            cand: Vec::new(),
+            cand_all: false,
+            marked: Vec::new(),
+            #[cfg(test)]
+            hooks: TestHooks::default(),
         };
         s.reset_cold();
         s
@@ -285,6 +338,7 @@ impl Simplex {
         self.c.insert(j_internal, obj);
         self.lo.insert(j_internal, model.lower[var]);
         self.up.insert(j_internal, model.upper[var]);
+        self.nnz += index_column(&mut self.rows, &model.cols[var], j_internal);
         self.cols.push(model.cols[var].clone());
         let st = initial_status(model.lower[var], model.upper[var]);
         self.status.insert(j_internal, st);
@@ -507,6 +561,64 @@ impl Simplex {
         let mut acc = 0.0;
         self.for_col(j, |r, v| acc += y[r] * v);
         acc
+    }
+
+    /// Fills `cand` with every column whose [`Simplex::dot_col`] against
+    /// `v` can be nonzero: the structural columns with a nonzero in a row
+    /// where `v[r] != 0`, that row's slack, and (with `with_cost`) the
+    /// structural columns of nonzero cost. Any other column's dot product
+    /// is exactly `+0.0`, so its reduced cost is its own cost and the
+    /// Devex update leaves its weight alone. The order is arbitrary; when
+    /// the touched rows hold more than [`DENSE_SHARE`] of the nonzeros,
+    /// `cand` is every column instead.
+    fn collect_candidates(&mut self, v: &[f64], with_cost: bool) {
+        let ncols = self.n_struct + self.m;
+        let mut touched = if with_cost { self.cost_cols.len() } else { 0 };
+        for (r, &vr) in v.iter().enumerate() {
+            if vr != 0.0 {
+                touched += self.rows[r].len() + 1;
+            }
+        }
+        let dense = touched as f64 > DENSE_SHARE * (self.nnz + self.m) as f64;
+        #[cfg(test)]
+        let dense = dense || self.hooks.force_dense;
+        #[cfg(test)]
+        if !dense {
+            self.hooks.sparse_passes += 1;
+        }
+        if dense {
+            if !(self.cand_all && self.cand.len() == ncols) {
+                self.cand.clear();
+                self.cand.extend(0..ncols as u32);
+                self.cand_all = true;
+            }
+            return;
+        }
+        self.cand_all = false;
+        self.cand.clear();
+        self.marked.resize(ncols, false);
+        let mut mark = |j: u32, cand: &mut Vec<u32>| {
+            if !self.marked[j as usize] {
+                self.marked[j as usize] = true;
+                cand.push(j);
+            }
+        };
+        for (r, &vr) in v.iter().enumerate() {
+            if vr != 0.0 {
+                for &j in &self.rows[r] {
+                    mark(j, &mut self.cand);
+                }
+                mark((self.n_struct + r) as u32, &mut self.cand);
+            }
+        }
+        if with_cost {
+            for &j in &self.cost_cols {
+                mark(j, &mut self.cand);
+            }
+        }
+        for &j in &self.cand {
+            self.marked[j as usize] = false;
+        }
     }
 
     fn set_nonbasic_values(&mut self) {
@@ -768,6 +880,11 @@ impl Simplex {
         let ncols = self.n_struct + self.m;
         self.devex.clear();
         self.devex.resize(ncols, 1.0);
+        self.cost_cols.clear();
+        if phase == Phase::Two {
+            self.cost_cols
+                .extend((0..self.n_struct as u32).filter(|&j| self.c[j as usize] != 0.0));
+        }
         let scratch = ctx.scratch();
         let mut cb = scratch.take_f64(self.m, 0.0);
         let mut y = scratch.take_f64(self.m, 0.0);
@@ -808,12 +925,24 @@ impl Simplex {
             self.btran_into(cb, y);
             ctx.metric_value(BTRAN_FILL, fill_count(y));
 
-            let bland = stall >= STALL_LIMIT;
+            #[cfg(not(test))]
+            let stall_limit = STALL_LIMIT;
+            #[cfg(test)]
+            let stall_limit = self.hooks.stall_limit.unwrap_or(STALL_LIMIT);
+            let bland = stall >= stall_limit;
+            #[cfg(test)]
+            {
+                self.hooks.bland_passes += usize::from(bland);
+            }
             // Devex pricing: pick the entering column maximizing
-            // `d² / w` over the eligible nonbasic columns (plain Bland
-            // smallest-index under the anti-cycling fallback).
+            // `d² / w` over the eligible nonbasic columns, ties to the
+            // smallest index (plain Bland smallest-index under the
+            // anti-cycling fallback, where every score is zero). The
+            // rule does not depend on the order of `cand`.
+            self.collect_candidates(y, phase == Phase::Two);
             let mut enter: Option<(usize, f64, i8)> = None; // (col, score, dir)
-            for j in 0..ncols {
+            for &j in &self.cand {
+                let j = j as usize;
                 if self.status[j] == ColStatus::Basic {
                     continue;
                 }
@@ -831,12 +960,8 @@ impl Simplex {
                     ColStatus::Basic => unreachable!(),
                 };
                 if eligible {
-                    if bland {
-                        enter = Some((j, 0.0, dir));
-                        break;
-                    }
-                    let score = d * d / self.devex[j];
-                    if enter.is_none_or(|(_, best, _)| score > best) {
+                    let score = if bland { 0.0 } else { d * d / self.devex[j] };
+                    if enter.is_none_or(|(bj, best, _)| score > best || (score == best && j < bj)) {
                         enter = Some((j, score, dir));
                     }
                 }
@@ -939,7 +1064,9 @@ impl Simplex {
                     cb.fill(0.0);
                     cb[r] = 1.0;
                     self.btran_into(cb, rho);
-                    for j in 0..ncols {
+                    self.collect_candidates(rho, false);
+                    for &j in &self.cand {
+                        let j = j as usize;
                         if self.status[j] == ColStatus::Basic || j == q {
                             continue;
                         }
@@ -1044,6 +1171,20 @@ impl Simplex {
             certificate: jcr_ctx::cert::Certificate::new("lp"),
         }
     }
+}
+
+/// Appends structural column `j` to the row-wise index; returns the
+/// number of nonzeros indexed.
+fn index_column(rows: &mut [Vec<u32>], col: &[(usize, f64)], j: usize) -> usize {
+    let j = u32::try_from(j).expect("column count fits in u32");
+    let mut nnz = 0;
+    for &(r, v) in col {
+        if v != 0.0 {
+            rows[r].push(j);
+            nnz += 1;
+        }
+    }
+    nnz
 }
 
 fn initial_status(lo: f64, up: f64) -> ColStatus {
@@ -1297,6 +1438,219 @@ mod tests {
         assert!(
             warm_pivots <= cold_pivots,
             "warm start pivoted more ({warm_pivots}) than cold ({cold_pivots})"
+        );
+    }
+
+    /// Shape of a random LP for the pricing bit-identity test.
+    struct Shape {
+        n: usize,
+        m: usize,
+        /// Nonzeros per column (`m` gives a dense matrix).
+        per_col: usize,
+        /// Column entries in ascending row order, or shuffled.
+        sorted: bool,
+        maximize: bool,
+        /// Share of free variables (the rest are boxed, lower- or
+        /// upper-bounded).
+        free: f64,
+        /// Stall limit override that forces Bland stretches.
+        stall_limit: Option<usize>,
+        /// Column-generation rounds: columns added (and costs edited)
+        /// between warm re-solves.
+        cg_rounds: usize,
+    }
+
+    type Outcome = (Result<(Vec<u64>, u64, Vec<u64>), LpError>, u64);
+
+    fn random_column(
+        rng: &mut jcr_ctx::rng::StdRng,
+        shape: &Shape,
+        rows: &[crate::ConId],
+    ) -> Vec<(crate::ConId, f64)> {
+        use jcr_ctx::rng::Rng;
+        let mut picked: Vec<usize> = Vec::new();
+        while picked.len() < shape.per_col.min(shape.m) {
+            let r = rng.gen_range(0..shape.m);
+            if !picked.contains(&r) {
+                picked.push(r);
+            }
+        }
+        if shape.sorted {
+            picked.sort_unstable();
+        }
+        picked
+            .into_iter()
+            .map(|r| {
+                // Small integers make ties and degenerate vertices common;
+                // the odd real breaks the symmetry elsewhere.
+                let a = match rng.gen_range(0..4) {
+                    0 => -1.0,
+                    1 => 2.0,
+                    2 => rng.gen_range(-1.5..2.5),
+                    _ => 1.0,
+                };
+                (rows[r], a)
+            })
+            .collect()
+    }
+
+    /// Bounds and cost of a random variable. A one-sided bound gets a
+    /// cost pushing toward it and a free variable a zero cost, so every
+    /// instance is bounded.
+    fn random_var(rng: &mut jcr_ctx::rng::StdRng, shape: &Shape) -> (f64, f64, f64) {
+        use jcr_ctx::rng::Rng;
+        let sign = if shape.maximize { -1.0 } else { 1.0 };
+        if rng.gen_bool(shape.free) {
+            return (f64::NEG_INFINITY, f64::INFINITY, 0.0);
+        }
+        match rng.gen_range(0..4) {
+            // Narrow boxes invite bound flips.
+            0 => (0.0, rng.gen_range(0.1..0.6), rng.gen_range(-3.0..1.0)),
+            1 => (-1.0, f64::INFINITY, sign * rng.gen_range(0.0..2.0)),
+            2 => (f64::NEG_INFINITY, 2.0, -sign * rng.gen_range(0.0..2.0)),
+            _ => (0.0, rng.gen_range(1.0..4.0), rng.gen_range(-2.0..2.0)),
+        }
+    }
+
+    /// Builds the seeded LP of `shape` and solves it, then runs the
+    /// column-generation rounds, recording every solve's outcome and
+    /// pivot count. `force_dense` makes every pass scan all columns.
+    fn solve_shape(seed: u64, shape: &Shape, force_dense: bool) -> (Vec<Outcome>, [usize; 2]) {
+        use super::Simplex;
+        use jcr_ctx::rng::{Rng, SeedableRng};
+        use jcr_ctx::{Counter, SolverContext};
+        let mut rng = jcr_ctx::rng::StdRng::seed_from_u64(seed);
+        let sense = if shape.maximize {
+            Sense::Maximize
+        } else {
+            Sense::Minimize
+        };
+        let mut model = Model::new(sense);
+        // Rows around the activity of a reference point keep most
+        // instances feasible; a third are equalities (degenerate).
+        let cols: Vec<_> = (0..shape.n).map(|_| random_var(&mut rng, shape)).collect();
+        let x0: Vec<f64> = cols
+            .iter()
+            .map(|&(lo, up, _)| match (lo.is_finite(), up.is_finite()) {
+                (true, true) => {
+                    if rng.gen_bool(0.5) {
+                        lo
+                    } else {
+                        up
+                    }
+                }
+                (true, false) => lo,
+                (false, true) => up,
+                (false, false) => 0.0,
+            })
+            .collect();
+        let rows: Vec<_> = (0..shape.m)
+            .map(|_| model.add_row(f64::NEG_INFINITY, f64::INFINITY, &[]))
+            .collect();
+        let entries: Vec<_> = (0..shape.n)
+            .map(|_| random_column(&mut rng, shape, &rows))
+            .collect();
+        let mut act = vec![0.0; shape.m];
+        for (j, col) in entries.iter().enumerate() {
+            let (lo, up, c) = cols[j];
+            model.add_var_with_column(lo, up, c, col);
+            for &(r, a) in col {
+                act[r.index()] += a * x0[j];
+            }
+        }
+        for (r, &a) in act.iter().enumerate() {
+            let (lo, up) = match rng.gen_range(0..3) {
+                0 => (a, a),
+                1 => (f64::NEG_INFINITY, a + rng.gen_range(0.0..1.0)),
+                _ => (a - rng.gen_range(0.0..1.0), a + rng.gen_range(0.0..2.0)),
+            };
+            model.row_lower[r] = lo;
+            model.row_upper[r] = up;
+        }
+
+        let mut simplex = Simplex::new(&model);
+        simplex.hooks.force_dense = force_dense;
+        simplex.hooks.stall_limit = shape.stall_limit;
+        let mut outcomes = Vec::new();
+        for round in 0..=shape.cg_rounds {
+            if round > 0 {
+                for _ in 0..rng.gen_range(1..6) {
+                    let (lo, up, c) = random_var(&mut rng, shape);
+                    let col = random_column(&mut rng, shape, &rows);
+                    let var = model.add_var_with_column(lo, up, c, &col);
+                    simplex.add_column(&model, var.index());
+                }
+                let j = rng.gen_range(0..model.num_vars());
+                model.set_obj(crate::VarId::from_index(j), 0.0);
+            }
+            let ctx = SolverContext::new();
+            let result = simplex.resolve_with_context(&model, &ctx).map(|s| {
+                (
+                    s.x.iter().map(|v| v.to_bits()).collect(),
+                    s.objective.to_bits(),
+                    s.duals.iter().map(|v| v.to_bits()).collect(),
+                )
+            });
+            let failed = result.is_err();
+            outcomes.push((result, ctx.stats().counter(Counter::SimplexPivots)));
+            if failed {
+                break;
+            }
+        }
+        (
+            outcomes,
+            [simplex.hooks.sparse_passes, simplex.hooks.bland_passes],
+        )
+    }
+
+    #[test]
+    fn touched_column_pricing_is_bit_identical_to_a_full_scan() {
+        let shapes = [
+            // Hypersparse: wide and few nonzeros per column.
+            (1, 400, 60, 2, true, false, 0.0, None, 0),
+            (2, 400, 60, 3, false, true, 0.0, None, 0),
+            (3, 300, 50, 2, false, false, 0.15, None, 0),
+            (4, 300, 50, 2, true, true, 0.1, Some(2), 0),
+            (5, 200, 40, 3, false, false, 0.0, None, 4),
+            (6, 200, 40, 2, true, true, 0.05, Some(3), 3),
+            // Dense: every column touches every row.
+            (7, 30, 12, 12, false, false, 0.0, None, 0),
+            (8, 30, 12, 12, true, true, 0.1, Some(1), 2),
+        ];
+        let mut optimal = 0;
+        let mut solves = 0;
+        for (shape_seed, n, m, per_col, sorted, maximize, free, stall_limit, cg_rounds) in shapes {
+            let shape = Shape {
+                n,
+                m,
+                per_col,
+                sorted,
+                maximize,
+                free,
+                stall_limit,
+                cg_rounds,
+            };
+            let mut passes = [0; 2];
+            for seed in 0..12 {
+                let seed = shape_seed * 1000 + seed;
+                let (touched, [sparse, bland]) = solve_shape(seed, &shape, false);
+                let (full, _) = solve_shape(seed, &shape, true);
+                assert_eq!(touched, full, "shape {shape_seed}, seed {seed}");
+                passes[0] += sparse;
+                passes[1] += bland;
+                solves += touched.len();
+                optimal += touched.iter().filter(|(r, _)| r.is_ok()).count();
+            }
+            if per_col < m {
+                assert!(passes[0] > 0, "shape {shape_seed} never priced sparsely");
+            }
+            if stall_limit.is_some() {
+                assert!(passes[1] > 0, "shape {shape_seed} never fell back to Bland");
+            }
+        }
+        assert!(
+            2 * optimal > solves,
+            "only {optimal} of {solves} solves optimal"
         );
     }
 
