@@ -135,7 +135,8 @@ pub fn solve_msufp_with_context(
     // Line 2: per-destination path decomposition, then allocation of each
     // destination's path flows to its commodities.
     let dest_paths = decompose_single_source_with_context(g, &mcf.flow, source, &agg_demands, ctx)?;
-    let mut per_commodity = allocate_paths_to_commodities(demands, &agg_demands, dest_paths);
+    let holders = holders_by_dest(demands, &agg_demands);
+    let mut per_commodity = allocate_paths_to_commodities(demands, holders, dest_paths);
 
     // Line 3: round demands per Eq. (11) via class offsets t_i:
     // t_i = −⌊K·log2(λ_i/λ_max)⌋ for λ_i < λ_max, and t_i = 1 for
@@ -165,10 +166,7 @@ pub fn solve_msufp_with_context(
     // Lines 5–7: partition by (t_i + j) ≡ 0 (mod K) and Skutella-round
     // each class.
     let mut paths: Vec<Option<Path>> = vec![None; demands.len()];
-    for j in 0..u64::from(k) {
-        let members: Vec<usize> = (0..demands.len())
-            .filter(|&i| (t_of[i] + j) % u64::from(k) == 0)
-            .collect();
+    for members in class_members(&t_of, k) {
         if members.is_empty() {
             continue;
         }
@@ -193,19 +191,11 @@ pub fn solve_msufp_with_context(
         }
     }
 
-    // Line 8: route the original demands on the selected paths. Every
-    // commodity belongs to exactly one class (t_i + j ≡ 0 (mod K) has a
-    // unique j ∈ [0, K)), but surface a numerical error rather than
-    // panicking if float trouble in t_i ever breaks that.
+    // Line 8: route the original demands on the selected paths.
     let paths: Vec<Path> = paths
         .into_iter()
-        .enumerate()
-        .map(|(i, p)| {
-            p.ok_or_else(|| {
-                FlowError::Numerical(format!("commodity {i} missed by the K-class partition"))
-            })
-        })
-        .collect::<Result<_, _>>()?;
+        .map(|p| p.expect("every commodity is in exactly one class"))
+        .collect();
     let mut link_loads = vec![0.0; g.edge_count()];
     let mut total = 0.0;
     for (p, d) in paths.iter().zip(demands) {
@@ -222,22 +212,40 @@ pub fn solve_msufp_with_context(
     })
 }
 
-/// Splits per-destination path flows among that destination's commodities
+/// The commodities of each class `j ∈ 0..K` (those with
+/// `(t_i + j) ≡ 0 (mod K)`), in ascending order, bucketed in one pass.
+fn class_members(t_of: &[u64], k: u32) -> Vec<Vec<usize>> {
+    let k = u64::from(k);
+    let mut classes = vec![Vec::new(); k as usize];
+    for (i, &t) in t_of.iter().enumerate() {
+        classes[((k - t % k) % k) as usize].push(i);
+    }
+    classes
+}
+
+/// The commodities of each aggregated destination, in input order.
+fn holders_by_dest(demands: &[Demand], agg_demands: &[(NodeId, f64)]) -> Vec<Vec<usize>> {
+    let n = agg_demands.last().map_or(0, |&(v, _)| v.index() + 1);
+    let mut slot_of = vec![usize::MAX; n];
+    for (slot, &(v, _)) in agg_demands.iter().enumerate() {
+        slot_of[v.index()] = slot;
+    }
+    let mut holders = vec![Vec::new(); agg_demands.len()];
+    for (i, d) in demands.iter().enumerate() {
+        holders[slot_of[d.dest.index()]].push(i);
+    }
+    holders
+}
+
+/// Splits each destination's path flows among its commodities `holders`
 /// (in input order), preserving total amounts.
 fn allocate_paths_to_commodities(
     demands: &[Demand],
-    agg_demands: &[(NodeId, f64)],
+    holders: Vec<Vec<usize>>,
     dest_paths: Vec<Vec<PathFlow>>,
 ) -> Vec<Vec<PathFlow>> {
     let mut result: Vec<Vec<PathFlow>> = vec![Vec::new(); demands.len()];
-    for (slot, &(dest, _)) in agg_demands.iter().enumerate() {
-        let holders: Vec<usize> = demands
-            .iter()
-            .enumerate()
-            .filter(|(_, d)| d.dest == dest)
-            .map(|(i, _)| i)
-            .collect();
-        let mut paths = dest_paths[slot].clone();
+    for (holders, paths) in holders.into_iter().zip(dest_paths) {
         let mut path_idx = 0;
         let mut path_left = paths.first().map_or(0.0, |p| p.amount);
         for &ci in &holders {
@@ -259,7 +267,6 @@ fn allocate_paths_to_commodities(
                 path_left -= take;
             }
         }
-        paths.clear();
     }
     result
 }
@@ -319,6 +326,74 @@ mod tests {
             leaves.push(l);
         }
         (g, s, leaves, cost, cap)
+    }
+
+    #[test]
+    fn bucketed_classes_and_holders_match_a_scan() {
+        use jcr_ctx::rng::{Rng, SeedableRng, StdRng};
+        let (g, s, leaves, cost, cap) = fan();
+        let mut rng = StdRng::seed_from_u64(7);
+        for k in [1u32, 2, 7, 1000] {
+            for _ in 0..5 {
+                let n = rng.gen_range(1..60);
+                let t_of: Vec<u64> = (0..n).map(|_| rng.gen_range(0..3000)).collect();
+                let scanned: Vec<Vec<usize>> = (0..u64::from(k))
+                    .map(|j| {
+                        (0..n)
+                            .filter(|&i| (t_of[i] + j).is_multiple_of(u64::from(k)))
+                            .collect()
+                    })
+                    .collect();
+                assert_eq!(class_members(&t_of, k), scanned, "K={k}");
+
+                // Per-commodity paths: demands on random leaves, split by
+                // bucketed and by scanned destination holders.
+                let demands: Vec<Demand> = (0..n.min(8))
+                    .map(|_| Demand {
+                        dest: leaves[rng.gen_range(0..leaves.len())],
+                        demand: rng.gen_range(0.05..0.5),
+                    })
+                    .collect();
+                let mut agg_demands: Vec<(NodeId, f64)> = Vec::new();
+                for &l in &leaves {
+                    let total: f64 = demands
+                        .iter()
+                        .filter(|d| d.dest == l)
+                        .map(|d| d.demand)
+                        .sum();
+                    if total > 0.0 {
+                        agg_demands.push((l, total));
+                    }
+                }
+                let ctx = SolverContext::new();
+                let mcf = single_source_min_cost_flow_with_context(
+                    &g,
+                    &cost,
+                    &cap,
+                    s,
+                    &agg_demands,
+                    &ctx,
+                )
+                .unwrap();
+                let dest_paths =
+                    decompose_single_source_with_context(&g, &mcf.flow, s, &agg_demands, &ctx)
+                        .unwrap();
+                let scanned_holders: Vec<Vec<usize>> = agg_demands
+                    .iter()
+                    .map(|&(v, _)| {
+                        (0..demands.len())
+                            .filter(|&i| demands[i].dest == v)
+                            .collect()
+                    })
+                    .collect();
+                let holders = holders_by_dest(&demands, &agg_demands);
+                assert_eq!(holders, scanned_holders);
+                assert_eq!(
+                    allocate_paths_to_commodities(&demands, holders, dest_paths.clone()),
+                    allocate_paths_to_commodities(&demands, scanned_holders, dest_paths)
+                );
+            }
+        }
     }
 
     #[test]

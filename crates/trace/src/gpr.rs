@@ -79,6 +79,35 @@ impl std::fmt::Display for GprError {
 
 impl std::error::Error for GprError {}
 
+/// The hyperparameter grid [`Gpr::fit_grid`] and [`rolling_forecast`]
+/// search, in search order: RBF length scale, then periodic length
+/// scale, then noise variance.
+const GRID: [Kernel; 12] = [
+    grid_kernel(10.0, 0.6, 0.01),
+    grid_kernel(10.0, 0.6, 0.1),
+    grid_kernel(10.0, 1.2, 0.01),
+    grid_kernel(10.0, 1.2, 0.1),
+    grid_kernel(40.0, 0.6, 0.01),
+    grid_kernel(40.0, 0.6, 0.1),
+    grid_kernel(40.0, 1.2, 0.01),
+    grid_kernel(40.0, 1.2, 0.1),
+    grid_kernel(150.0, 0.6, 0.01),
+    grid_kernel(150.0, 0.6, 0.1),
+    grid_kernel(150.0, 1.2, 0.01),
+    grid_kernel(150.0, 1.2, 0.1),
+];
+
+const fn grid_kernel(rbf_len: f64, per_len: f64, noise_var: f64) -> Kernel {
+    Kernel {
+        rbf_var: 0.5,
+        rbf_len,
+        per_var: 0.5,
+        per_len,
+        period: 24.0,
+        noise_var,
+    }
+}
+
 impl Gpr {
     /// Fits a GP with fixed hyperparameters to observations
     /// `(times[i], values[i])`.
@@ -87,49 +116,7 @@ impl Gpr {
     ///
     /// [`GprError`] on degenerate inputs.
     pub fn fit(kernel: Kernel, times: &[f64], values: &[f64]) -> Result<Self, GprError> {
-        let n = times.len();
-        if n < 2 || values.len() != n {
-            return Err(GprError::TooFewObservations);
-        }
-        let y_mean = values.iter().sum::<f64>() / n as f64;
-        let var = values.iter().map(|v| (v - y_mean).powi(2)).sum::<f64>() / n as f64;
-        let y_std = var.sqrt().max(1e-12);
-        let y: Vec<f64> = values.iter().map(|v| (v - y_mean) / y_std).collect();
-
-        // K + σ_n² I, lower-triangular Cholesky.
-        let mut k = vec![0.0; n * n];
-        for i in 0..n {
-            for j in 0..=i {
-                let mut v = kernel.eval(times[i], times[j]);
-                if i == j {
-                    v += kernel.noise_var + 1e-10;
-                }
-                k[i * n + j] = v;
-                k[j * n + i] = v;
-            }
-        }
-        let l = cholesky(&mut k, n).ok_or(GprError::NotPositiveDefinite)?;
-        // alpha = L⁻ᵀ L⁻¹ y.
-        let mut alpha = y.clone();
-        forward_solve(&l, n, &mut alpha);
-        let mut log_det = 0.0;
-        for i in 0..n {
-            log_det += l[i * n + i].ln();
-        }
-        // log ML before back substitution: −½‖L⁻¹y‖² − Σ log L_ii − n/2·log 2π.
-        let log_marginal = -0.5 * alpha.iter().map(|a| a * a).sum::<f64>()
-            - log_det
-            - 0.5 * n as f64 * (2.0 * std::f64::consts::PI).ln();
-        backward_solve(&l, n, &mut alpha);
-
-        Ok(Gpr {
-            kernel,
-            times: times.to_vec(),
-            alpha,
-            y_mean,
-            y_std,
-            log_marginal,
-        })
+        Gpr::fit_best(&[kernel], times, values)
     }
 
     /// Fits with a small grid search over hyperparameters, keeping the
@@ -138,32 +125,69 @@ impl Gpr {
     ///
     /// # Errors
     ///
-    /// [`GprError`] if every candidate fails.
+    /// [`GprError::TooFewObservations`] on fewer than two observations;
+    /// [`GprError::NotPositiveDefinite`] if every candidate fails.
     pub fn fit_grid(times: &[f64], values: &[f64]) -> Result<Self, GprError> {
+        Gpr::fit_best(&GRID, times, values)
+    }
+
+    /// The maximum log-marginal-likelihood fit over `kernels`; the first
+    /// of equal maxima wins.
+    fn fit_best(kernels: &[Kernel], times: &[f64], values: &[f64]) -> Result<Self, GprError> {
+        let n = times.len();
+        if n < 2 || values.len() != n {
+            return Err(GprError::TooFewObservations);
+        }
         let mut best: Option<Gpr> = None;
-        for &rbf_len in &[10.0, 40.0, 150.0] {
-            for &per_len in &[0.6, 1.2] {
-                for &noise_var in &[0.01, 0.1] {
-                    let kernel = Kernel {
-                        rbf_var: 0.5,
-                        rbf_len,
-                        per_var: 0.5,
-                        per_len,
-                        period: 24.0,
-                        noise_var,
-                    };
-                    if let Ok(model) = Gpr::fit(kernel, times, values) {
-                        if best
-                            .as_ref()
-                            .is_none_or(|b| model.log_marginal > b.log_marginal)
-                        {
-                            best = Some(model);
-                        }
-                    }
+        for kernel in kernels {
+            let mut l = kernel_matrix(kernel, times);
+            if cholesky(&mut l, n) {
+                if let Some(model) = Gpr::from_factor(*kernel, times, values, &l, best.as_ref()) {
+                    best = Some(model);
                 }
             }
         }
         best.ok_or(GprError::NotPositiveDefinite)
+    }
+
+    /// Fits `values` at `times` given the Cholesky factor `l` of
+    /// `kernel`'s matrix over `times`, unless `incumbent` has at least
+    /// the same log marginal likelihood; the back substitution runs only
+    /// for a model that wins.
+    fn from_factor(
+        kernel: Kernel,
+        times: &[f64],
+        values: &[f64],
+        l: &[f64],
+        incumbent: Option<&Gpr>,
+    ) -> Option<Self> {
+        let n = times.len();
+        let y_mean = values.iter().sum::<f64>() / n as f64;
+        let var = values.iter().map(|v| (v - y_mean).powi(2)).sum::<f64>() / n as f64;
+        let y_std = var.sqrt().max(1e-12);
+        // alpha = L⁻ᵀ L⁻¹ y.
+        let mut alpha: Vec<f64> = values.iter().map(|v| (v - y_mean) / y_std).collect();
+        forward_solve(l, n, &mut alpha);
+        let mut log_det = 0.0;
+        for i in 0..n {
+            log_det += l[i * n + i].ln();
+        }
+        // log ML before back substitution: −½‖L⁻¹y‖² − Σ log L_ii − n/2·log 2π.
+        let log_marginal = -0.5 * alpha.iter().map(|a| a * a).sum::<f64>()
+            - log_det
+            - 0.5 * n as f64 * (2.0 * std::f64::consts::PI).ln();
+        if !incumbent.is_none_or(|b| log_marginal > b.log_marginal) {
+            return None;
+        }
+        backward_solve(l, n, &mut alpha);
+        Some(Gpr {
+            kernel,
+            times: times.to_vec(),
+            alpha,
+            y_mean,
+            y_std,
+            log_marginal,
+        })
     }
 
     /// Posterior-mean prediction at time `t`.
@@ -188,26 +212,43 @@ impl Gpr {
     }
 }
 
-/// In-place lower Cholesky; returns the factor on success.
-fn cholesky(a: &mut [f64], n: usize) -> Option<Vec<f64>> {
-    let mut l = vec![0.0; n * n];
+/// The lower triangle of `K + (σ_n² + 10⁻¹⁰) I` over `times`, row-major
+/// `n × n`; the upper triangle stays zero.
+fn kernel_matrix(kernel: &Kernel, times: &[f64]) -> Vec<f64> {
+    let n = times.len();
+    let mut k = vec![0.0; n * n];
+    for i in 0..n {
+        for j in 0..=i {
+            let mut v = kernel.eval(times[i], times[j]);
+            if i == j {
+                v += kernel.noise_var + 1e-10;
+            }
+            k[i * n + j] = v;
+        }
+    }
+    k
+}
+
+/// Overwrites the lower triangle of `a` with its Cholesky factor `L`;
+/// `false` if `a` is not positive definite.
+fn cholesky(a: &mut [f64], n: usize) -> bool {
     for i in 0..n {
         for j in 0..=i {
             let mut sum = a[i * n + j];
             for k in 0..j {
-                sum -= l[i * n + k] * l[j * n + k];
+                sum -= a[i * n + k] * a[j * n + k];
             }
             if i == j {
                 if sum <= 0.0 {
-                    return None;
+                    return false;
                 }
-                l[i * n + j] = sum.sqrt();
+                a[i * n + j] = sum.sqrt();
             } else {
-                l[i * n + j] = sum / l[j * n + j];
+                a[i * n + j] = sum / a[j * n + j];
             }
         }
     }
-    Some(l)
+    true
 }
 
 /// Solves `L x = b` in place.
@@ -232,41 +273,104 @@ fn backward_solve(l: &[f64], n: usize, b: &mut [f64]) {
     }
 }
 
+/// One refit of one series: fit on `series[start..end]`.
+struct Refit {
+    series: usize,
+    start: usize,
+    end: usize,
+}
+
 /// Rolling next-hour prediction over an evaluation window, refitting every
-/// `refit_every` hours (the paper refits every 5 hours, footnote 6).
+/// `refit_every` hours (the paper refits every 5 hours, footnote 6), for
+/// every series at once.
 ///
-/// `series` holds training history followed by `eval_hours` evaluation
-/// points; returns one prediction per evaluation hour. The model only ever
-/// sees observations strictly before the hour it predicts. `window` caps
-/// the history length used for fitting (most recent points).
+/// Each series holds training history followed by `eval_hours` evaluation
+/// points; returns one prediction per evaluation hour per series. The
+/// model only ever sees observations strictly before the hour it
+/// predicts. `window` caps the history length used for fitting (most
+/// recent points). Each refit is [`Gpr::fit_grid`] on its window, with
+/// the same result bit for bit.
+///
+/// The kernel depends only on the lag between two time stamps, and window
+/// times are consecutive integers, so the kernel matrix of every window of
+/// length `n` equals the one over `0..n`. The loop therefore runs kernel
+/// by kernel, factors that matrix once, and scores every refit of that
+/// length against it; only one factor is alive at a time.
 ///
 /// # Errors
 ///
-/// Propagates [`GprError`] from fitting.
+/// The [`GprError`] of the first failing refit, in series then hour order.
+///
+/// # Panics
+///
+/// Panics if `refit_every` is zero or a series is not longer than
+/// `eval_hours`.
 pub fn rolling_forecast(
-    series: &[f64],
+    series: &[&[f64]],
     eval_hours: usize,
     refit_every: usize,
     window: usize,
-) -> Result<Vec<f64>, GprError> {
-    assert!(eval_hours < series.len(), "series too short");
+) -> Result<Vec<Vec<f64>>, GprError> {
     assert!(refit_every >= 1);
-    let train_len = series.len() - eval_hours;
-    let mut predictions = Vec::with_capacity(eval_hours);
-    let mut model: Option<Gpr> = None;
-    for h in 0..eval_hours {
-        if h % refit_every == 0 {
+    let mut refits = Vec::new();
+    for (si, s) in series.iter().enumerate() {
+        assert!(eval_hours < s.len(), "series too short");
+        let train_len = s.len() - eval_hours;
+        for h in (0..eval_hours).step_by(refit_every) {
             let end = train_len + h;
-            let start = end.saturating_sub(window);
-            let times: Vec<f64> = (start..end).map(|t| t as f64).collect();
-            let values = &series[start..end];
-            model = Some(Gpr::fit_grid(&times, values)?);
+            refits.push(Refit {
+                series: si,
+                start: end.saturating_sub(window),
+                end,
+            });
         }
-        let t = (train_len + h) as f64;
-        // `refit_every >= 1` (asserted above) makes the first iteration
-        // (`h == 0`) fit, so a model is always present from then on.
-        let fitted = model.as_ref().expect("first iteration fits a model");
-        predictions.push(fitted.predict(t).max(0.0));
+    }
+
+    let mut best: Vec<Option<Gpr>> = vec![None; refits.len()];
+    for kernel in &GRID {
+        // `kernel`'s factor over `0..factor_len`; `None` if not positive
+        // definite. Every refit has at least two points, so 0 means none yet.
+        let mut factor_len = 0;
+        let mut factor: Option<Vec<f64>> = None;
+        for (r, slot) in refits.iter().zip(&mut best) {
+            let n = r.end - r.start;
+            if n < 2 {
+                continue;
+            }
+            if n != factor_len {
+                // Drop the old factor before building the new one.
+                drop(factor.take());
+                let lags: Vec<f64> = (0..n).map(|t| t as f64).collect();
+                let mut l = kernel_matrix(kernel, &lags);
+                factor = cholesky(&mut l, n).then_some(l);
+                factor_len = n;
+            }
+            let Some(l) = &factor else {
+                continue;
+            };
+            let times: Vec<f64> = (r.start..r.end).map(|t| t as f64).collect();
+            let values = &series[r.series][r.start..r.end];
+            if let Some(model) = Gpr::from_factor(*kernel, &times, values, l, slot.as_ref()) {
+                *slot = Some(model);
+            }
+        }
+    }
+
+    let mut predictions: Vec<Vec<f64>> = series
+        .iter()
+        .map(|_| Vec::with_capacity(eval_hours))
+        .collect();
+    for (r, slot) in refits.iter().zip(&best) {
+        if r.end - r.start < 2 {
+            return Err(GprError::TooFewObservations);
+        }
+        let model = slot.as_ref().ok_or(GprError::NotPositiveDefinite)?;
+        let out = &mut predictions[r.series];
+        let train_len = series[r.series].len() - eval_hours;
+        let until = (out.len() + refit_every).min(eval_hours);
+        for h in out.len()..until {
+            out.push(model.predict((train_len + h) as f64).max(0.0));
+        }
     }
     Ok(predictions)
 }
@@ -348,6 +452,108 @@ mod tests {
         );
     }
 
+    /// The per-series loop `rolling_forecast` replaced: a fresh
+    /// [`Gpr::fit_grid`] on every refit's window.
+    fn reference_forecast(
+        series: &[f64],
+        eval_hours: usize,
+        refit_every: usize,
+        window: usize,
+    ) -> Result<Vec<f64>, GprError> {
+        let train_len = series.len() - eval_hours;
+        let mut predictions = Vec::with_capacity(eval_hours);
+        let mut model: Option<Gpr> = None;
+        for h in 0..eval_hours {
+            if h % refit_every == 0 {
+                let end = train_len + h;
+                let start = end.saturating_sub(window);
+                let times: Vec<f64> = (start..end).map(|t| t as f64).collect();
+                model = Some(Gpr::fit_grid(&times, &series[start..end])?);
+            }
+            let fitted = model.as_ref().expect("hour 0 fits");
+            predictions.push(fitted.predict((train_len + h) as f64).max(0.0));
+        }
+        Ok(predictions)
+    }
+
+    /// Noisy diurnal series of the given lengths, one phase per series.
+    fn periodic_series(lengths: &[usize], seed: u64) -> Vec<Vec<f64>> {
+        use crate::standard_normal;
+        use jcr_ctx::rng::SeedableRng;
+        let mut rng = jcr_ctx::rng::StdRng::seed_from_u64(seed);
+        lengths
+            .iter()
+            .enumerate()
+            .map(|(i, &n)| {
+                (0..n)
+                    .map(|t| {
+                        let phase = 2.0 * std::f64::consts::PI * (t + 5 * i) as f64 / 24.0;
+                        50.0 * (i + 1) as f64 + 20.0 * phase.sin() + 3.0 * standard_normal(&mut rng)
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// Asserts the shared-factor forecast equals the per-series reference
+    /// bit for bit, errors included.
+    fn assert_matches_reference(
+        series: &[Vec<f64>],
+        eval_hours: usize,
+        refit_every: usize,
+        window: usize,
+    ) {
+        let slices: Vec<&[f64]> = series.iter().map(Vec::as_slice).collect();
+        let bits = |p: Vec<Vec<f64>>| -> Vec<Vec<u64>> {
+            p.into_iter()
+                .map(|s| s.into_iter().map(f64::to_bits).collect())
+                .collect()
+        };
+        let shared = rolling_forecast(&slices, eval_hours, refit_every, window).map(bits);
+        let reference = series
+            .iter()
+            .map(|s| reference_forecast(s, eval_hours, refit_every, window))
+            .collect::<Result<Vec<_>, _>>()
+            .map(bits);
+        assert_eq!(
+            shared, reference,
+            "eval {eval_hours}, refit {refit_every}, window {window}"
+        );
+    }
+
+    #[test]
+    fn shared_factor_forecast_matches_per_series_fits() {
+        let equal = periodic_series(&[60, 60, 60], 3);
+        let unequal = periodic_series(&[60, 47, 75], 4);
+        // Full window: every refit fits the same length.
+        assert_matches_reference(&equal, 12, 5, 24);
+        // Window longer than the history: the length grows every refit.
+        assert_matches_reference(&equal, 12, 5, 100);
+        // Refit every hour and every 7 (12 is a multiple of neither 5 nor 7).
+        assert_matches_reference(&equal, 12, 1, 24);
+        assert_matches_reference(&unequal, 12, 7, 24);
+        // Unequal lengths: some series fill the window, others do not.
+        assert_matches_reference(&unequal, 12, 5, 40);
+        assert_matches_reference(&unequal, 12, 1, 100);
+    }
+
+    #[test]
+    fn shared_factor_forecast_reports_too_few_observations() {
+        // Series 1 has one training hour: its first refit sees one point.
+        let series = periodic_series(&[30, 13], 5);
+        assert_matches_reference(&series, 12, 5, 24);
+        let slices: Vec<&[f64]> = series.iter().map(Vec::as_slice).collect();
+        assert_eq!(
+            rolling_forecast(&slices, 12, 5, 24),
+            Err(GprError::TooFewObservations)
+        );
+        // A one-hour window is too short for every series.
+        assert_eq!(
+            rolling_forecast(&slices[..1], 12, 5, 1),
+            Err(GprError::TooFewObservations)
+        );
+    }
+
     #[test]
     fn rolling_forecast_beats_naive_on_periodic_signal() {
         // Periodic signal with mild noise: GPR should out-predict the
@@ -364,7 +570,7 @@ mod tests {
                     + 2.0 * standard_normal(&mut rng)
             })
             .collect();
-        let preds = rolling_forecast(&series, eval, 5, 96).unwrap();
+        let preds = rolling_forecast(&[&series], eval, 5, 96).unwrap().remove(0);
         let truth = &series[n - eval..];
         let rmse_gpr: f64 = (preds
             .iter()

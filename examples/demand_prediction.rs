@@ -24,19 +24,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut rng = StdRng::seed_from_u64(17);
     let shares = random_edge_shares(vids.len(), n_edges, &mut rng);
 
+    // Forecast each video's views for every hour from its last 168 hours
+    // of history, refitting every hour.
+    let series: Vec<&[f64]> = (0..vids.len())
+        .map(|vi| trace.history_until(vi, hours))
+        .collect();
+    let forecasts = gpr::rolling_forecast(&series, hours, 1, 168)?;
+
     println!("hour  decided-on    true cost  predicted-decision cost  regret");
     for h in 0..hours {
-        // Forecast each video's views for hour h from its history.
-        let mut pred = Vec::new();
-        let mut truth = Vec::new();
-        for vi in 0..vids.len() {
-            let history = trace.history_until(vi, h);
-            let window = &history[history.len().saturating_sub(168)..];
-            let times: Vec<f64> = (0..window.len()).map(|t| t as f64).collect();
-            let model = gpr::Gpr::fit_grid(&times, window)?;
-            pred.push(model.predict(window.len() as f64).max(0.0));
-            truth.push(trace.eval_views(vi, h));
-        }
+        let pred: Vec<f64> = forecasts.iter().map(|f| f[h]).collect();
+        let truth: Vec<f64> = (0..vids.len()).map(|vi| trace.eval_views(vi, h)).collect();
         // Demand matrices (floored so both instances share a request set).
         let expand = |views: &[f64]| -> Vec<Vec<f64>> {
             views
