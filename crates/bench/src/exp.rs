@@ -7,6 +7,7 @@ use std::time::Instant;
 
 use jcr_ctx::rng::SeedableRng;
 use jcr_ctx::rng::StdRng;
+use jcr_ctx::SolverContext;
 
 use jcr_core::prelude::*;
 use jcr_core::{alg2, fcfr, hetero, rnr};
@@ -546,7 +547,9 @@ fn run_fig6_point(level: Level, fraction: f64, k: u32, cfg: ExpConfig) -> (f64, 
             let rates = demand.true_rates(h, n_edges);
             let inst = build_instance(&s, &rates);
             let storer = inst.cache_nodes()[0];
-            if let Ok(sol) = alg2::solve_binary_caches(&inst, &[storer], k) {
+            if let Ok(sol) =
+                alg2::solve_binary_caches_with_context(&inst, &[storer], k, &SolverContext::new())
+            {
                 costs.push(sol.solution.cost(&inst));
                 congs.push(sol.solution.congestion(&inst));
                 splits.push(sol.splittable_cost);
@@ -741,7 +744,9 @@ pub fn prop48_gadget(eps: f64) -> (f64, f64, f64) {
     let opt_cost = rnr::route_to_nearest_replica(&inst, &opt)
         .expect("servable")
         .cost(&inst);
-    let driver = Alternating::new().solve(&inst).expect("gadget solvable");
+    let driver = Alternating::new()
+        .solve_with_context(&inst, &SolverContext::new())
+        .expect("gadget solvable");
     (ne_cost, opt_cost, driver.solution.cost(&inst))
 }
 
@@ -911,20 +916,22 @@ pub fn cases(cfg: ExpConfig) {
             .link_capacity_fraction(0.05)
             .build()
             .expect("builder scenarios are feasible by construction");
-        let fcfr_cost = fcfr::solve_fcfr(&inst).map(|s| s.cost).unwrap_or(f64::NAN);
+        let fcfr_cost = fcfr::solve_fcfr_with_context(&inst, &SolverContext::new())
+            .map(|s| s.cost)
+            .unwrap_or(f64::NAN);
         let icfr = Alternating {
             integral_routing: false,
             seed,
             ..Alternating::default()
         }
-        .solve(&inst)
+        .solve_with_context(&inst, &SolverContext::new())
         .map(|r| (r.solution.cost(&inst), r.solution.congestion(&inst)))
         .unwrap_or((f64::NAN, f64::NAN));
         let icir = Alternating {
             seed,
             ..Alternating::default()
         }
-        .solve(&inst)
+        .solve_with_context(&inst, &SolverContext::new())
         .map(|r| (r.solution.cost(&inst), r.solution.congestion(&inst)))
         .unwrap_or((f64::NAN, f64::NAN));
         rows.push(vec![
@@ -944,11 +951,11 @@ pub fn cases(cfg: ExpConfig) {
         let n_edges = sc.topology().edge_nodes.len();
         let demand = sc.demand(n_edges);
         let inst = build_instance(&sc, &demand.true_rates(0, n_edges));
-        let fcfr_cost = fcfr::solve_fcfr_cg(&inst)
+        let fcfr_cost = fcfr::solve_fcfr_cg_with_context(&inst, &SolverContext::new())
             .map(|s| s.cost)
             .unwrap_or(f64::NAN);
         let icir = Alternating::default()
-            .solve(&inst)
+            .solve_with_context(&inst, &SolverContext::new())
             .map(|r| (r.solution.cost(&inst), r.solution.congestion(&inst)))
             .unwrap_or((f64::NAN, f64::NAN));
         rows.push(vec![
@@ -1047,7 +1054,7 @@ pub fn convergence(cfg: ExpConfig) {
             seed: run as u64,
             ..Alternating::default()
         }
-        .solve(&inst)
+        .solve_with_context(&inst, &SolverContext::new())
         .expect("default scenario is feasible");
         max_iters_seen = max_iters_seen.max(result.iterations);
         for (t, (congestion, cost)) in result.history.iter().enumerate() {
@@ -1096,7 +1103,7 @@ pub fn online(cfg: ExpConfig) -> Result<(), crate::HorizonError> {
             .collect();
         let outcome = sim.step(&inst_pred, &flat_true).expect("feasible hour");
         let oracle = Alternating::new()
-            .solve(&inst_true)
+            .solve_with_context(&inst_true, &SolverContext::new())
             .expect("feasible hour")
             .solution
             .cost(&inst_true);
@@ -1175,7 +1182,7 @@ pub fn ablation(cfg: ExpConfig) {
             let inst = build_instance(&sc, &demand.true_rates(0, n_edges));
             let mut solver = base_cfg.clone();
             solver.seed = run as u64;
-            if let Ok(result) = solver.solve(&inst) {
+            if let Ok(result) = solver.solve_with_context(&inst, &SolverContext::new()) {
                 costs.push(result.solution.cost(&inst));
                 congs.push(result.solution.congestion(&inst));
                 iters.push(result.iterations as f64);
@@ -1282,7 +1289,10 @@ pub fn sim(cfg: ExpConfig) {
         ..Simulator::default()
     };
 
-    let optimized = Alternating::new().solve(&inst).expect("feasible").solution;
+    let optimized = Alternating::new()
+        .solve_with_context(&inst, &SolverContext::new())
+        .expect("feasible")
+        .solution;
     let fluid_cost = optimized.cost(&inst);
     let mut rows = Vec::new();
     {
@@ -1353,7 +1363,7 @@ pub fn gap(cfg: ExpConfig) {
             seed,
             ..Alternating::default()
         })
-        .solve(&inst) else {
+        .solve_with_context(&inst, &SolverContext::new()) else {
             continue;
         };
         let opt = exact.cost(&inst);
@@ -1529,7 +1539,7 @@ fn timing_table(base: Scenario, title: &str, cfg: ExpConfig) {
             if chunk_level {
                 let i = inst_unlim.clone();
                 Box::new(move || {
-                    let _ = Algorithm1::new().solve(&i);
+                    let _ = Algorithm1::new().solve_with_context(&i, &SolverContext::new());
                 })
             } else {
                 let i = inst_unlim.clone();
@@ -1541,25 +1551,31 @@ fn timing_table(base: Scenario, title: &str, cfg: ExpConfig) {
         ("c_uv = inf", "[3] k shortest paths", {
             let i = inst_unlim.clone();
             Box::new(move || {
-                let _ = IoannidisYeh::k_shortest(10).solve(&i);
+                let _ = IoannidisYeh::k_shortest(10).solve_with_context(&i, &SolverContext::new());
             })
         }),
         ("c_uv = inf", "[38] shortest path", {
             let i = inst_unlim.clone();
             Box::new(move || {
-                let _ = ShortestPathPlacement.solve(&i);
+                let _ = ShortestPathPlacement.solve_with_context(&i, &SolverContext::new());
             })
         }),
         ("c_v = 0/|C|", "Alg2 (K=1000)", {
             let i = inst.clone();
             Box::new(move || {
-                let _ = alg2::solve_binary_caches(&i, &[storer], 1000);
+                let _ = alg2::solve_binary_caches_with_context(
+                    &i,
+                    &[storer],
+                    1000,
+                    &SolverContext::new(),
+                );
             })
         }),
         ("c_v = 0/|C|", "[33] (K=2)", {
             let i = inst.clone();
             Box::new(move || {
-                let _ = alg2::solve_binary_caches(&i, &[storer], 2);
+                let _ =
+                    alg2::solve_binary_caches_with_context(&i, &[storer], 2, &SolverContext::new());
             })
         }),
         ("c_v = 0/|C|", "[3] RNR", {
@@ -1571,25 +1587,25 @@ fn timing_table(base: Scenario, title: &str, cfg: ExpConfig) {
         ("general", "alternating", {
             let i = inst.clone();
             Box::new(move || {
-                let _ = Alternating::new().solve(&i);
+                let _ = Alternating::new().solve_with_context(&i, &SolverContext::new());
             })
         }),
         ("general", "[38] SP", {
             let i = inst.clone();
             Box::new(move || {
-                let _ = ShortestPathPlacement.solve(&i);
+                let _ = ShortestPathPlacement.solve_with_context(&i, &SolverContext::new());
             })
         }),
         ("general", "[3] SP + RNR", {
             let i = inst.clone();
             Box::new(move || {
-                let _ = IoannidisYeh::sp_rnr().solve(&i);
+                let _ = IoannidisYeh::sp_rnr().solve_with_context(&i, &SolverContext::new());
             })
         }),
         ("general", "[3] k-SP + RNR", {
             let i = inst.clone();
             Box::new(move || {
-                let _ = IoannidisYeh::ksp_rnr(10).solve(&i);
+                let _ = IoannidisYeh::ksp_rnr(10).solve_with_context(&i, &SolverContext::new());
             })
         }),
     ];

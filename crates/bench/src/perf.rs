@@ -31,6 +31,7 @@ use jcr_graph::{shortest, DiGraph, NodeId};
 use jcr_lp::{Model, Sense};
 
 use jcr_core::prelude::*;
+use jcr_core::state::fnv1a;
 
 use crate::exp::{default_factory, evaluate_in, Algo, ExpConfig};
 use crate::json::Json;
@@ -85,23 +86,21 @@ pub struct BenchReport {
     pub phases: Vec<PhaseReport>,
 }
 
-/// Accumulates f64 bit patterns into an order-sensitive FNV-1a hash.
-struct Checksum(u64);
+/// Collects f64 bit patterns for an order-sensitive [`fnv1a`] hash of
+/// their little-endian bytes.
+struct Checksum(Vec<u8>);
 
 impl Checksum {
     fn new() -> Self {
-        Checksum(0xcbf2_9ce4_8422_2325)
+        Checksum(Vec::new())
     }
 
     fn push(&mut self, v: f64) {
-        for byte in v.to_bits().to_le_bytes() {
-            self.0 ^= u64::from(byte);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
+        self.0.extend_from_slice(&v.to_bits().to_le_bytes());
     }
 
     fn hex(&self) -> String {
-        format!("{:016x}", self.0)
+        format!("{:016x}", fnv1a(&self.0))
     }
 }
 
@@ -291,8 +290,9 @@ fn column_generation_phase(cfg: ExpConfig, workers: usize) -> (PhaseReport, ObsS
         .collect();
     let (wall_serial, wall_parallel, checksum, counters, obs) =
         run_pair(workers, "column_generation", |ctx| {
-            let sol = min_cost_multicommodity_with_context(&g, &cost, &cap, &commodities, ctx)
-                .expect("the ring guarantees feasibility");
+            let (sol, _) =
+                min_cost_multicommodity_with_context(&g, &cost, &cap, &commodities, &[], ctx)
+                    .expect("the ring guarantees feasibility");
             let mut h = Checksum::new();
             h.push(sol.cost);
             for flows in &sol.path_flows {
@@ -451,7 +451,7 @@ fn stress_phase(cfg: ExpConfig, workers: usize) -> (PhaseReport, ObsSnapshot) {
                 &inst.graph,
                 &inst.link_cost,
                 0,
-                jcr_graph::oracle::default_row_capacity().max(edge_nodes.len() + 1),
+                jcr_graph::oracle::DEFAULT_ROW_CAPACITY.max(edge_nodes.len() + 1),
                 Some(ctx),
             );
             assert!(!oracle.is_dense(), "stress phase must stay on-demand");
@@ -749,8 +749,8 @@ fn online_warm_phase(cfg: ExpConfig, workers: usize) -> (PhaseReport, ObsSnapsho
             for hour in 0..hours {
                 let inst = online_warm_instance(seed, hour, cfg.full);
                 let mark = pivots(ctx);
-                let (out, _, _) = solver
-                    .solve_from_with_carry(&inst, Placement::empty(&inst), None, &[], ctx)
+                let out = solver
+                    .solve_with_context(&inst, ctx)
                     .expect("cold online_warm hour solves");
                 if hour > 0 {
                     cold_steady += pivots(ctx) - mark;
@@ -761,8 +761,7 @@ fn online_warm_phase(cfg: ExpConfig, workers: usize) -> (PhaseReport, ObsSnapsho
             // Warm leg: thread placement, basis, and column pool hour over
             // hour exactly as `OnlineSimulator` commits them.
             let mut warm_steady = 0u64;
-            let mut basis: Option<jcr_lp::Basis> = None;
-            let mut pool: Vec<(usize, Vec<NodeId>)> = Vec::new();
+            let mut warm = Warm::default();
             let mut prev: Option<Placement> = None;
             for hour in 0..hours {
                 let inst = online_warm_instance(seed, hour, cfg.full);
@@ -770,14 +769,13 @@ fn online_warm_phase(cfg: ExpConfig, workers: usize) -> (PhaseReport, ObsSnapsho
                     .filter(|p: &Placement| p.dims_match(&inst) && p.is_feasible(&inst))
                     .unwrap_or_else(|| Placement::empty(&inst));
                 let mark = pivots(ctx);
-                let (out, b, p) = solver
-                    .solve_from_with_carry(&inst, initial, basis.as_ref(), &pool, ctx)
+                let (out, next) = solver
+                    .solve_warm(&inst, initial, &warm, ctx)
                     .expect("warm online_warm hour solves");
                 if hour > 0 {
                     warm_steady += pivots(ctx) - mark;
                 }
-                basis = b;
-                pool = p;
+                warm = next;
                 prev = Some(out.solution.placement.clone());
                 h.push(out.solution.cost(&inst));
             }

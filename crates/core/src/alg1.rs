@@ -34,6 +34,7 @@ use crate::routing::Solution;
 /// ```
 /// use jcr_core::alg1::Algorithm1;
 /// use jcr_core::instance::InstanceBuilder;
+/// use jcr_ctx::SolverContext;
 /// use jcr_topo::{Topology, TopologyKind};
 ///
 /// let topo = Topology::generate(TopologyKind::Abovenet, 1).unwrap();
@@ -43,7 +44,9 @@ use crate::routing::Solution;
 ///     .zipf_demand(0.8, 100.0, 3)
 ///     .build()
 ///     .unwrap();
-/// let solution = Algorithm1::new().solve(&inst).unwrap();
+/// let solution = Algorithm1::new()
+///     .solve_with_context(&inst, &SolverContext::new())
+///     .unwrap();
 /// assert!(solution.placement.is_feasible(&inst));
 /// assert!(solution.routing.serves_all(&inst));
 /// ```
@@ -59,48 +62,23 @@ impl Algorithm1 {
     }
 
     /// Runs Algorithm 1 on an instance (link capacities are ignored, as in
-    /// the paper's uncapacitated special case).
+    /// the paper's uncapacitated special case). The reduced LP obeys the
+    /// context's simplex budget and the pipage rounding feeds the rounding
+    /// counter. The solution is verified against an independent
+    /// certificate (link capacities not enforced) before it is returned.
     ///
     /// # Errors
     ///
     /// [`JcrError::Infeasible`] if some request cannot reach any replica
     /// (requires an origin); LP errors are propagated as
-    /// [`JcrError::Numerical`].
-    pub fn solve(&self, inst: &Instance) -> Result<Solution, JcrError> {
-        self.solve_with_context(inst, &jcr_ctx::SolverContext::new())
-    }
-
-    /// [`Algorithm1::solve`] under an explicit [`jcr_ctx::SolverContext`]:
-    /// the reduced LP obeys the context's simplex budget and the pipage
-    /// rounding feeds the rounding counter.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Algorithm1::solve`], plus [`JcrError::BudgetExceeded`]
-    /// when the budget trips.
+    /// [`JcrError::Numerical`]; [`JcrError::BudgetExceeded`] when the
+    /// budget trips; [`JcrError::NumericalBreakdown`] when the
+    /// certificate fails to verify.
     pub fn solve_with_context(
         &self,
         inst: &Instance,
         ctx: &jcr_ctx::SolverContext,
     ) -> Result<Solution, JcrError> {
-        self.solve_certified(inst, ctx).map(|(sol, _)| sol)
-    }
-
-    /// [`Algorithm1::solve_with_context`], additionally returning the
-    /// independent [`Certificate`](jcr_ctx::cert::Certificate) the
-    /// solution was verified against (link capacities are not enforced —
-    /// this is the paper's uncapacitated case).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Algorithm1::solve_with_context`], plus
-    /// [`JcrError::NumericalBreakdown`] when the certificate fails to
-    /// verify.
-    pub fn solve_certified(
-        &self,
-        inst: &Instance,
-        ctx: &jcr_ctx::SolverContext,
-    ) -> Result<(Solution, jcr_ctx::cert::Certificate), JcrError> {
         let placement = self.place_with_context(inst, ctx)?;
         let routing =
             rnr::route_to_nearest_replica(inst, &placement).ok_or(JcrError::Infeasible)?;
@@ -110,19 +88,10 @@ impl Algorithm1 {
         if !certificate.verified() {
             return Err(JcrError::NumericalBreakdown(certificate.failure_summary()));
         }
-        Ok((solution, certificate))
+        Ok(solution)
     }
 
     /// The content-placement part only (lines 1–3 of Algorithm 1).
-    ///
-    /// # Errors
-    ///
-    /// See [`Algorithm1::solve`].
-    pub fn place(&self, inst: &Instance) -> Result<Placement, JcrError> {
-        self.place_with_context(inst, &jcr_ctx::SolverContext::new())
-    }
-
-    /// [`Algorithm1::place`] under an explicit [`jcr_ctx::SolverContext`].
     ///
     /// # Errors
     ///
@@ -281,6 +250,7 @@ pub fn f_rnr(inst: &Instance, placement: &Placement) -> f64 {
 mod tests {
     use super::*;
     use crate::instance::{InstanceBuilder, Request};
+    use jcr_ctx::SolverContext;
     use jcr_graph::DiGraph;
     use jcr_topo::{Topology, TopologyKind};
 
@@ -295,8 +265,9 @@ mod tests {
 
     #[test]
     fn produces_feasible_solution_beating_origin_only() {
+        let ctx = SolverContext::new();
         let inst = default_inst(3);
-        let sol = Algorithm1::new().solve(&inst).unwrap();
+        let sol = Algorithm1::new().solve_with_context(&inst, &ctx).unwrap();
         assert!(sol.placement.is_feasible(&inst));
         assert!(sol.routing.serves_all(&inst));
         assert!(sol.routing.sources_valid(&inst, &sol.placement));
@@ -310,6 +281,7 @@ mod tests {
 
     #[test]
     fn fills_caches_when_items_scarce() {
+        let ctx = SolverContext::new();
         // More capacity than items: every edge node should store the most
         // popular items up to the catalog size.
         let inst = InstanceBuilder::new(Topology::generate(TopologyKind::Abovenet, 5).unwrap())
@@ -318,7 +290,7 @@ mod tests {
             .zipf_demand(1.0, 100.0, 1)
             .build()
             .unwrap();
-        let sol = Algorithm1::new().solve(&inst).unwrap();
+        let sol = Algorithm1::new().solve_with_context(&inst, &ctx).unwrap();
         // Every requested item is cached at the requester itself → zero cost.
         assert!(sol.cost(&inst) < 1e-6);
     }
@@ -353,6 +325,7 @@ mod tests {
 
     #[test]
     fn achieves_1_minus_1_over_e_on_small_instances() {
+        let ctx = SolverContext::new();
         for seed in 0..6 {
             let inst = InstanceBuilder::new(Topology::generate_custom(8, 10, 2, seed).unwrap())
                 .items(4)
@@ -360,7 +333,7 @@ mod tests {
                 .zipf_demand(0.9, 60.0, seed)
                 .build()
                 .unwrap();
-            let sol = Algorithm1::new().solve(&inst).unwrap();
+            let sol = Algorithm1::new().solve_with_context(&inst, &ctx).unwrap();
             let achieved = f_rnr(&inst, &sol.placement);
             let opt = brute_force_opt(&inst);
             let bound = (1.0 - 1.0 / std::f64::consts::E) * opt;
@@ -373,6 +346,7 @@ mod tests {
 
     #[test]
     fn empty_catalog_or_requests() {
+        let ctx = SolverContext::new();
         let topo = Topology::generate(TopologyKind::Abovenet, 1).unwrap();
         let n_edges = topo.edge_nodes.len();
         let inst = InstanceBuilder::new(topo)
@@ -380,13 +354,14 @@ mod tests {
             .demand_matrix(vec![vec![0.0; n_edges]])
             .build()
             .unwrap();
-        let sol = Algorithm1::new().solve(&inst).unwrap();
+        let sol = Algorithm1::new().solve_with_context(&inst, &ctx).unwrap();
         assert!(sol.placement.is_empty());
         assert_eq!(sol.routing.per_request.len(), 0);
     }
 
     #[test]
     fn respects_integral_capacity_floor() {
+        let ctx = SolverContext::new();
         // Fractional cache capacity 1.5 floors to 1 item per node.
         let inst = InstanceBuilder::new(Topology::generate(TopologyKind::Abovenet, 8).unwrap())
             .items(5)
@@ -394,7 +369,7 @@ mod tests {
             .zipf_demand(0.7, 80.0, 2)
             .build()
             .unwrap();
-        let sol = Algorithm1::new().solve(&inst).unwrap();
+        let sol = Algorithm1::new().solve_with_context(&inst, &ctx).unwrap();
         for v in inst.cache_nodes() {
             assert!(sol.placement.occupancy(&inst, v) <= 1.0 + 1e-9);
         }
@@ -402,6 +377,7 @@ mod tests {
 
     #[test]
     fn works_without_origin() {
+        let ctx = SolverContext::new();
         // Two nodes, one cache; requests served only from the cache.
         let mut g = DiGraph::new();
         let a = g.add_node();
@@ -422,7 +398,7 @@ mod tests {
             None,
         )
         .unwrap();
-        let sol = Algorithm1::new().solve(&inst).unwrap();
+        let sol = Algorithm1::new().solve_with_context(&inst, &ctx).unwrap();
         assert!(sol.placement.has(a, 0));
         assert!((sol.cost(&inst) - 6.0).abs() < 1e-9);
     }

@@ -37,28 +37,15 @@ pub fn binary_placement(inst: &Instance, storers: &[NodeId]) -> Placement {
 /// Solves the binary-cache-capacity case with Algorithm 2 using `k`
 /// demand-rounding classes (`k = 2` recovers the state-of-the-art MSUFP
 /// algorithm of \[33\]; larger `k` trades a little demand-rounding error for
-/// much less congestion — Theorem 4.7).
+/// much less congestion — Theorem 4.7). The splittable min-cost flow obeys
+/// the context's `MinCostFlow` budget and the decomposition feeds the path
+/// counter.
 ///
 /// # Errors
 ///
 /// [`JcrError::Infeasible`] if even splittable routing cannot satisfy the
-/// demands within the link capacities.
-pub fn solve_binary_caches(
-    inst: &Instance,
-    storers: &[NodeId],
-    k: u32,
-) -> Result<BinaryCacheSolution, JcrError> {
-    solve_binary_caches_with_context(inst, storers, k, &jcr_ctx::SolverContext::new())
-}
-
-/// [`solve_binary_caches`] under an explicit [`jcr_ctx::SolverContext`]:
-/// the splittable min-cost flow obeys the context's `MinCostFlow` budget
-/// and the decomposition feeds the path counter.
-///
-/// # Errors
-///
-/// Same as [`solve_binary_caches`], plus [`JcrError::BudgetExceeded`]
-/// when a budget trips.
+/// demands within the link capacities; [`JcrError::BudgetExceeded`] when
+/// a budget trips.
 pub fn solve_binary_caches_with_context(
     inst: &Instance,
     storers: &[NodeId],
@@ -108,6 +95,7 @@ pub fn rnr_binary(inst: &Instance, storers: &[NodeId]) -> Result<Solution, JcrEr
 mod tests {
     use super::*;
     use crate::instance::InstanceBuilder;
+    use jcr_ctx::SolverContext;
     use jcr_topo::{Topology, TopologyKind};
 
     fn capped_inst(fraction: f64) -> Instance {
@@ -124,7 +112,8 @@ mod tests {
     fn solves_and_serves_all() {
         let inst = capped_inst(0.05);
         let storer = inst.cache_nodes()[0];
-        let sol = solve_binary_caches(&inst, &[storer], 4).unwrap();
+        let sol =
+            solve_binary_caches_with_context(&inst, &[storer], 4, &SolverContext::new()).unwrap();
         assert!(sol.solution.routing.serves_all(&inst));
         assert!(sol.solution.routing.is_integral());
         // Theorem 4.7(i): never above the optimal cost, which is lower
@@ -148,7 +137,8 @@ mod tests {
         let inst = capped_inst(0.05);
         let storer = inst.cache_nodes()[1];
         for k in [1u32, 2, 8] {
-            let sol = solve_binary_caches(&inst, &[storer], k).unwrap();
+            let sol = solve_binary_caches_with_context(&inst, &[storer], k, &SolverContext::new())
+                .unwrap();
             assert!(
                 sol.solution.cost(&inst) <= sol.splittable_cost * 1.01 + 1e-6,
                 "K={k}: {} vs splittable {}",
@@ -168,7 +158,8 @@ mod tests {
         let storer = inst.cache_nodes()[0];
         let lambda_max = inst.requests.iter().map(|r| r.rate).fold(0.0, f64::max);
         for k in [1u32, 2, 8, 64] {
-            let sol = solve_binary_caches(&inst, &[storer], k).unwrap();
+            let sol = solve_binary_caches_with_context(&inst, &[storer], k, &SolverContext::new())
+                .unwrap();
             let factor = 2f64.powf(1.0 / k as f64);
             let additive = factor / (2.0 * (factor - 1.0)) * lambda_max;
             let loads = sol.solution.routing.link_loads(&inst);
@@ -187,7 +178,8 @@ mod tests {
         let inst = capped_inst(0.01);
         let storer = inst.cache_nodes()[0];
         let rnr = rnr_binary(&inst, &[storer]).unwrap();
-        let alg2 = solve_binary_caches(&inst, &[storer], 8).unwrap();
+        let alg2 =
+            solve_binary_caches_with_context(&inst, &[storer], 8, &SolverContext::new()).unwrap();
         // RNR is (weakly) cheaper but (weakly) more congested.
         assert!(rnr.cost(&inst) <= alg2.solution.cost(&inst) + 1e-6);
         assert!(rnr.congestion(&inst) + 1e-9 >= alg2.solution.congestion(&inst));

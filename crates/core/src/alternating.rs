@@ -81,6 +81,22 @@ impl Default for Alternating {
     }
 }
 
+/// Warm-start state carried from one alternating solve into the next
+/// (e.g. from one online hour to the following); [`Warm::default`] means
+/// cold. Both parts are best effort: a basis that no longer fits the
+/// placement LP falls back to a cold solve, and stale columns are
+/// revalidated and dropped, so warm state changes pivot and column counts,
+/// never validity.
+#[derive(Clone, Debug, Default)]
+pub struct Warm {
+    /// Simplex basis of the last placement LP solved.
+    pub basis: Option<jcr_lp::Basis>,
+    /// Active CG column pool of the accepted routing, as
+    /// `(request index, auxiliary-graph node sequence)` pairs (see
+    /// [`multicommodity::min_cost_multicommodity_with_context`]).
+    pub columns: Vec<(usize, Vec<jcr_graph::NodeId>)>,
+}
+
 /// Outcome of the alternating optimization.
 #[derive(Clone, Debug)]
 pub struct AlternatingSolution {
@@ -105,120 +121,57 @@ impl Alternating {
     }
 
     /// Runs the alternating optimization from the empty-cache,
-    /// origin-routing initial solution.
+    /// origin-routing initial solution, cold. The context's deadline and
+    /// `Phase::Alternating` iteration cap bound the outer loop, and the
+    /// inner LP/flow solvers inherit its budgets and record their
+    /// statistics.
     ///
     /// # Errors
     ///
     /// [`JcrError::Infeasible`] if even the origin-only routing cannot
-    /// satisfy the demands within the link capacities.
-    pub fn solve(&self, inst: &Instance) -> Result<AlternatingSolution, JcrError> {
-        self.solve_from(inst, Placement::empty(inst))
-    }
-
-    /// [`Alternating::solve`] under an explicit [`SolverContext`]: the
-    /// context's deadline and `Phase::Alternating` iteration cap bound the
-    /// outer loop, and the inner LP/flow solvers inherit its budgets and
-    /// record their statistics.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Alternating::solve`], plus [`JcrError::BudgetExceeded`]
-    /// when a budget trips — carrying the best feasible incumbent found so
-    /// far whenever at least one iterate completed.
+    /// satisfy the demands within the link capacities;
+    /// [`JcrError::BudgetExceeded`] when a budget trips — carrying the best
+    /// feasible incumbent found so far whenever at least one iterate
+    /// completed.
     pub fn solve_with_context(
         &self,
         inst: &Instance,
         ctx: &SolverContext,
     ) -> Result<AlternatingSolution, JcrError> {
-        self.solve_from_with_context(inst, Placement::empty(inst), ctx)
-    }
-
-    /// Runs the alternating optimization from a given initial placement —
-    /// the warm start used by hourly re-optimization
-    /// ([`crate::online`]), where the previous hour's placement seeds the
-    /// next hour's search.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Alternating::solve`]; the initial placement must be
-    /// capacity-feasible.
-    pub fn solve_from(
-        &self,
-        inst: &Instance,
-        initial: Placement,
-    ) -> Result<AlternatingSolution, JcrError> {
-        self.solve_from_with_context(inst, initial, &SolverContext::new())
-    }
-
-    /// [`Alternating::solve_from`] under an explicit [`SolverContext`].
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Alternating::solve_with_context`].
-    pub fn solve_from_with_context(
-        &self,
-        inst: &Instance,
-        initial: Placement,
-        ctx: &SolverContext,
-    ) -> Result<AlternatingSolution, JcrError> {
-        self.solve_from_with_basis(inst, initial, None, ctx)
+        self.solve_warm(inst, Placement::empty(inst), &Warm::default(), ctx)
             .map(|(solution, _)| solution)
     }
 
-    /// [`Alternating::solve_from_with_context`] with LP warm-start
-    /// plumbing: `warm` seeds the first placement LP from a prior basis
-    /// snapshot (e.g. the previous online hour's), and the returned
-    /// snapshot — from the last placement LP this run solved — feeds the
-    /// next call. Within the run, each alternating iteration's placement
-    /// LP warm-starts from the previous iteration's basis; incompatible
-    /// snapshots (the segment structure moved with the routing) silently
-    /// fall back to a cold solve, so the optimization trajectory is
-    /// unaffected — only the simplex pivot counts change.
+    /// Runs the alternating optimization from a given initial placement
+    /// with carried [`Warm`] state — the warm start used by hourly
+    /// re-optimization ([`crate::online`]), where the previous hour's
+    /// placement, LP basis and CG columns seed the next hour's search.
+    ///
+    /// `warm.basis` seeds the first placement LP; within the run, each
+    /// alternating iteration's placement LP warm-starts from the previous
+    /// iteration's basis. Incompatible snapshots (the segment structure
+    /// moved with the routing) silently fall back to a cold solve, so the
+    /// optimization trajectory is unaffected — only the simplex pivot
+    /// counts change. `warm.columns` warms the *initial* routing solve
+    /// only; iteration-internal routing re-solves stay unseeded, so with
+    /// empty columns the trajectory is exactly the cold one.
+    ///
+    /// Returns the solution and the state for the next call: the basis of
+    /// the last placement LP this run solved (the carried one if it solved
+    /// none) and the active column pool of the accepted routing.
     ///
     /// # Errors
     ///
-    /// Same as [`Alternating::solve_from_with_context`].
-    pub fn solve_from_with_basis(
+    /// Same as [`Alternating::solve_with_context`]; the initial placement
+    /// must be capacity-feasible. Stale carried columns are dropped by
+    /// revalidation, never an error.
+    pub fn solve_warm(
         &self,
         inst: &Instance,
         initial: Placement,
-        warm: Option<&jcr_lp::Basis>,
+        warm: &Warm,
         ctx: &SolverContext,
-    ) -> Result<(AlternatingSolution, Option<jcr_lp::Basis>), JcrError> {
-        self.solve_from_with_carry(inst, initial, warm, &[], ctx)
-            .map(|(solution, basis, _)| (solution, basis))
-    }
-
-    /// [`Alternating::solve_from_with_basis`] with full state carryover:
-    /// `seed_columns` is a CG column pool from a previous, near-identical
-    /// solve (`(request index, auxiliary-graph node sequence)` pairs, see
-    /// [`multicommodity::min_cost_multicommodity_seeded`]), used to warm
-    /// the *initial* routing solve; iteration-internal routing re-solves
-    /// stay unseeded so the optimization trajectory with empty seeds is
-    /// bit-identical to [`Alternating::solve_from_with_basis`]. Returns
-    /// the active column pool of the accepted routing for the next hour
-    /// to carry.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Alternating::solve_from_with_context`]; stale seed
-    /// columns are dropped by revalidation, never an error.
-    #[allow(clippy::type_complexity)]
-    pub fn solve_from_with_carry(
-        &self,
-        inst: &Instance,
-        initial: Placement,
-        warm: Option<&jcr_lp::Basis>,
-        seed_columns: &[(usize, Vec<jcr_graph::NodeId>)],
-        ctx: &SolverContext,
-    ) -> Result<
-        (
-            AlternatingSolution,
-            Option<jcr_lp::Basis>,
-            Vec<(usize, Vec<jcr_graph::NodeId>)>,
-        ),
-        JcrError,
-    > {
+    ) -> Result<(AlternatingSolution, Warm), JcrError> {
         let _span = ctx.span("alt.solve");
         let method = self.placement.unwrap_or(if inst.homogeneous() {
             PlacementMethod::PipageLp
@@ -226,7 +179,7 @@ impl Alternating {
             PlacementMethod::Greedy
         });
         let mut rng = StdRng::seed_from_u64(self.seed ^ 0x616c_7465_726e);
-        let mut lp_basis: Option<jcr_lp::Basis> = warm.cloned();
+        let mut lp_basis: Option<jcr_lp::Basis> = warm.basis.clone();
 
         // Warm the all-pairs cache through the context so the per-source
         // Dijkstra runs fan out over the pool (and are counted) instead of
@@ -239,7 +192,7 @@ impl Alternating {
         let mut best_placement = initial;
         let (mut best_routing, mut best_pool) = {
             let _r = ctx.span("alt.routing");
-            self.route(inst, &best_placement, seed_columns, &mut rng, ctx)?
+            self.route(inst, &best_placement, &warm.columns, &mut rng, ctx)?
         };
         let mut best_key = solution_key(inst, &best_routing);
         let mut history = vec![best_key];
@@ -325,8 +278,10 @@ impl Alternating {
                 iterations,
                 certificate,
             },
-            lp_basis,
-            best_pool,
+            Warm {
+                basis: lp_basis,
+                columns: best_pool,
+            },
         ))
     }
 
@@ -336,21 +291,7 @@ impl Alternating {
     /// # Errors
     ///
     /// [`JcrError::Infeasible`] if the demands cannot be routed (even
-    /// fractionally) within the link capacities.
-    pub fn route_given_placement(
-        &self,
-        inst: &Instance,
-        placement: &Placement,
-    ) -> Result<Routing, JcrError> {
-        self.route_given_placement_with_context(inst, placement, &SolverContext::new())
-    }
-
-    /// [`Alternating::route_given_placement`] under an explicit
-    /// [`SolverContext`].
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Alternating::route_given_placement`], plus
+    /// fractionally) within the link capacities;
     /// [`JcrError::BudgetExceeded`] when a budget trips.
     pub fn route_given_placement_with_context(
         &self,
@@ -410,7 +351,7 @@ impl Alternating {
                 Vec::new(),
             ));
         }
-        let (mcf, pool) = multicommodity::min_cost_multicommodity_seeded(
+        let (mcf, pool) = multicommodity::min_cost_multicommodity_with_context(
             &aux.graph,
             &aux.cost,
             &aux.cap,
@@ -522,8 +463,9 @@ mod tests {
 
     #[test]
     fn improves_over_origin_only_and_converges() {
+        let ctx = SolverContext::new();
         let inst = chunk_inst(7);
-        let result = Alternating::new().solve(&inst).unwrap();
+        let result = Alternating::new().solve_with_context(&inst, &ctx).unwrap();
         let sol = &result.solution;
         assert!(sol.placement.is_feasible(&inst));
         assert!(sol.routing.serves_all(&inst));
@@ -545,19 +487,20 @@ mod tests {
 
     #[test]
     fn fractional_routing_never_costlier_than_integral() {
+        let ctx = SolverContext::new();
         let inst = chunk_inst(9);
         let integral = Alternating {
             seed: 1,
             ..Alternating::default()
         }
-        .solve(&inst)
+        .solve_with_context(&inst, &ctx)
         .unwrap();
         let fractional = Alternating {
             integral_routing: false,
             seed: 1,
             ..Alternating::default()
         }
-        .solve(&inst)
+        .solve_with_context(&inst, &ctx)
         .unwrap();
         // IC-FR lower-bounds IC-IR when both use the same placements; with
         // independent runs we only assert the robust direction: fractional
@@ -569,6 +512,7 @@ mod tests {
 
     #[test]
     fn hetero_uses_greedy_automatically() {
+        let ctx = SolverContext::new();
         let inst = InstanceBuilder::new(Topology::generate(TopologyKind::Abovenet, 11).unwrap())
             .item_sizes(vec![4.5, 6.1, 7.5, 3.9, 8.5])
             .cache_capacity(12.0)
@@ -576,36 +520,38 @@ mod tests {
             .link_capacity_fraction(0.05)
             .build()
             .unwrap();
-        let result = Alternating::new().solve(&inst).unwrap();
+        let result = Alternating::new().solve_with_context(&inst, &ctx).unwrap();
         assert!(result.solution.placement.is_feasible(&inst));
         assert!(result.solution.routing.serves_all(&inst));
     }
 
     #[test]
     fn greedy_routing_method_also_works() {
+        let ctx = SolverContext::new();
         let inst = chunk_inst(21);
         let result = Alternating {
             routing: RoutingMethod::GreedySequential,
             ..Alternating::default()
         }
-        .solve(&inst)
+        .solve_with_context(&inst, &ctx)
         .unwrap();
         let sol = &result.solution;
         assert!(sol.routing.serves_all(&inst));
         assert!(sol.routing.is_integral());
         assert!(sol.routing.sources_valid(&inst, &sol.placement));
         // Both heuristics should land in the same ballpark.
-        let lp_based = Alternating::new().solve(&inst).unwrap();
+        let lp_based = Alternating::new().solve_with_context(&inst, &ctx).unwrap();
         let (g, l) = (sol.cost(&inst), lp_based.solution.cost(&inst));
         assert!(g < 3.0 * l && l < 3.0 * g, "greedy {g} vs LP-rounding {l}");
     }
 
     #[test]
     fn respects_capacity_better_than_rnr() {
+        let ctx = SolverContext::new();
         // Tight capacities: RNR piles load on cheap links; alternating
         // keeps congestion low.
         let inst = chunk_inst(13);
-        let result = Alternating::new().solve(&inst).unwrap();
+        let result = Alternating::new().solve_with_context(&inst, &ctx).unwrap();
         let alt_congestion = result.solution.congestion(&inst);
         // Compare against RNR with the same placement.
         let rnr_routing = rnr::route_to_nearest_replica(&inst, &result.solution.placement).unwrap();

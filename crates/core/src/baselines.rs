@@ -73,23 +73,13 @@ impl IoannidisYeh {
         }
     }
 
-    /// Runs the baseline.
+    /// Runs the baseline. The candidate-path Dijkstras are counted and the
+    /// placement LPs obey the context's simplex budget.
     ///
     /// # Errors
     ///
     /// [`JcrError::Infeasible`] if a requester is unreachable from the
-    /// origin; LP failures are propagated.
-    pub fn solve(&self, inst: &Instance) -> Result<Solution, JcrError> {
-        self.solve_with_context(inst, &jcr_ctx::SolverContext::new())
-    }
-
-    /// [`IoannidisYeh::solve`] under an explicit
-    /// [`jcr_ctx::SolverContext`]: the candidate-path Dijkstras are
-    /// counted and the placement LPs obey the context's simplex budget.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`IoannidisYeh::solve`], plus [`JcrError::BudgetExceeded`]
+    /// origin; LP failures are propagated; [`JcrError::BudgetExceeded`]
     /// when the budget trips.
     pub fn solve_with_context(
         &self,
@@ -137,7 +127,7 @@ impl IoannidisYeh {
                 placement = crate::hetero::greedy_placement_given_routing(inst, &routing);
             } else {
                 let routing = routing_from_chosen(inst, &candidates, &chosen);
-                placement = placement_opt::optimize_placement_impl(
+                placement = placement_opt::optimize_placement_with_context(
                     inst,
                     &routing,
                     !inst.homogeneous(),
@@ -194,21 +184,6 @@ pub struct ShortestPathPlacement;
 
 impl ShortestPathPlacement {
     /// Runs the baseline.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`IoannidisYeh::solve`].
-    pub fn solve(&self, inst: &Instance) -> Result<Solution, JcrError> {
-        IoannidisYeh {
-            k: 1,
-            routing: CandidateRouting::OnPath,
-            refine_rounds: 1,
-        }
-        .solve(inst)
-    }
-
-    /// [`ShortestPathPlacement::solve`] under an explicit
-    /// [`jcr_ctx::SolverContext`].
     ///
     /// # Errors
     ///
@@ -292,6 +267,7 @@ mod tests {
     use super::*;
     use crate::alg1::Algorithm1;
     use crate::instance::InstanceBuilder;
+    use jcr_ctx::SolverContext;
     use jcr_topo::{Topology, TopologyKind};
 
     fn inst(seed: u64) -> Instance {
@@ -308,7 +284,9 @@ mod tests {
     #[test]
     fn sp_baseline_feasible_on_homogeneous() {
         let inst = inst(23);
-        let sol = ShortestPathPlacement.solve(&inst).unwrap();
+        let sol = ShortestPathPlacement
+            .solve_with_context(&inst, &SolverContext::new())
+            .unwrap();
         assert!(sol.placement.is_feasible(&inst));
         assert!(sol.routing.serves_all(&inst));
         assert!(sol.routing.sources_valid(&inst, &sol.placement));
@@ -330,18 +308,25 @@ mod tests {
 
     #[test]
     fn alg1_beats_candidate_baselines_on_cost() {
+        let ctx = SolverContext::new();
         // The paper's headline comparison (Fig. 5): Algorithm 1 optimizes
         // over all paths, the baselines only over origin-anchored ones.
         let mut alg1_wins = 0;
         let trials = 3;
         for seed in 40..40 + trials {
             let inst = inst(seed);
-            let ours = Algorithm1::new().solve(&inst).unwrap().cost(&inst);
-            let ksp = IoannidisYeh::k_shortest(10)
-                .solve(&inst)
+            let ours = Algorithm1::new()
+                .solve_with_context(&inst, &ctx)
                 .unwrap()
                 .cost(&inst);
-            let sp = ShortestPathPlacement.solve(&inst).unwrap().cost(&inst);
+            let ksp = IoannidisYeh::k_shortest(10)
+                .solve_with_context(&inst, &ctx)
+                .unwrap()
+                .cost(&inst);
+            let sp = ShortestPathPlacement
+                .solve_with_context(&inst, &ctx)
+                .unwrap()
+                .cost(&inst);
             assert!(ours <= ksp + 1e-6, "seed {seed}: ours {ours} > ksp {ksp}");
             if ours < ksp - 1e-6 && ours < sp - 1e-6 {
                 alg1_wins += 1;
@@ -355,13 +340,14 @@ mod tests {
 
     #[test]
     fn more_candidates_never_hurt() {
+        let ctx = SolverContext::new();
         let inst = inst(29);
         let c1 = IoannidisYeh::k_shortest(1)
-            .solve(&inst)
+            .solve_with_context(&inst, &ctx)
             .unwrap()
             .cost(&inst);
         let c10 = IoannidisYeh::k_shortest(10)
-            .solve(&inst)
+            .solve_with_context(&inst, &ctx)
             .unwrap()
             .cost(&inst);
         assert!(c10 <= c1 + 1e-6, "k=10 ({c10}) worse than k=1 ({c1})");
@@ -380,7 +366,9 @@ mod tests {
                     .zipf_demand(0.8, 300.0, seed)
                     .build()
                     .unwrap();
-            let sol = IoannidisYeh::k_shortest(10).solve(&inst).unwrap();
+            let sol = IoannidisYeh::k_shortest(10)
+                .solve_with_context(&inst, &SolverContext::new())
+                .unwrap();
             if sol.placement.max_occupancy_ratio(&inst) > 1.0 + 1e-9 {
                 any_overflow = true;
             }
@@ -394,7 +382,9 @@ mod tests {
     #[test]
     fn rnr_variants_route_to_nearest() {
         let inst = inst(31);
-        let sol = IoannidisYeh::sp_rnr().solve(&inst).unwrap();
+        let sol = IoannidisYeh::sp_rnr()
+            .solve_with_context(&inst, &SolverContext::new())
+            .unwrap();
         // Every path must be a least-cost path from its source.
         let ap = inst.all_pairs();
         for (r, flows) in inst.requests.iter().zip(&sol.routing.per_request) {

@@ -141,6 +141,7 @@ mod tests {
     use crate::alternating::Alternating;
     use crate::instance::InstanceBuilder;
     use crate::placement::Placement;
+    use jcr_ctx::SolverContext;
     use jcr_topo::{Topology, TopologyKind};
 
     fn inst() -> Instance {
@@ -155,24 +156,27 @@ mod tests {
 
     #[test]
     fn alg1_solution_certifies() {
+        let ctx = SolverContext::new();
         let inst = inst();
-        let sol = Algorithm1::new().solve(&inst).unwrap();
+        let sol = Algorithm1::new().solve_with_context(&inst, &ctx).unwrap();
         let cert = certify_solution(&inst, &sol, false);
         assert!(cert.verified(), "{}", cert.failure_summary());
     }
 
     #[test]
     fn alternating_solution_certifies() {
+        let ctx = SolverContext::new();
         let inst = inst();
-        let alt = Alternating::new().solve(&inst).unwrap();
+        let alt = Alternating::new().solve_with_context(&inst, &ctx).unwrap();
         let cert = certify_solution(&inst, &alt.solution, false);
         assert!(cert.verified(), "{}", cert.failure_summary());
     }
 
     #[test]
     fn tampered_service_fails() {
+        let ctx = SolverContext::new();
         let inst = inst();
-        let mut sol = Algorithm1::new().solve(&inst).unwrap();
+        let mut sol = Algorithm1::new().solve_with_context(&inst, &ctx).unwrap();
         sol.routing.per_request[0][0].amount *= 0.5;
         let cert = certify_solution(&inst, &sol, false);
         assert!(!cert.verified());
@@ -181,8 +185,9 @@ mod tests {
 
     #[test]
     fn tampered_placement_fails_capacity() {
+        let ctx = SolverContext::new();
         let inst = inst();
-        let mut sol = Algorithm1::new().solve(&inst).unwrap();
+        let mut sol = Algorithm1::new().solve_with_context(&inst, &ctx).unwrap();
         let v = inst.cache_nodes()[0];
         for i in 0..inst.num_items() {
             sol.placement.set(v, i, true); // 6 items in a 2-item cache
@@ -195,8 +200,9 @@ mod tests {
 
     #[test]
     fn invalid_source_fails_paths() {
+        let ctx = SolverContext::new();
         let inst = inst();
-        let sol = Algorithm1::new().solve(&inst).unwrap();
+        let sol = Algorithm1::new().solve_with_context(&inst, &ctx).unwrap();
         // Strip the placement: cached sources become invalid while the
         // routing still points at them.
         let stripped = Solution {
@@ -233,8 +239,9 @@ mod tests {
 
     #[test]
     fn link_cap_enforcement_is_opt_in() {
+        let ctx = SolverContext::new();
         let inst = inst();
-        let mut sol = Algorithm1::new().solve(&inst).unwrap();
+        let mut sol = Algorithm1::new().solve_with_context(&inst, &ctx).unwrap();
         // Inflate one flow far past every link capacity.
         if let Some(pf) = sol
             .routing

@@ -215,6 +215,7 @@ mod tests {
     use super::*;
     use crate::alternating::Alternating;
     use crate::instance::{InstanceBuilder, Request};
+    use jcr_ctx::SolverContext;
     use jcr_graph::DiGraph;
     use jcr_topo::Topology;
 
@@ -279,7 +280,7 @@ mod tests {
                 seed,
                 ..Alternating::default()
             }
-            .solve(&inst)
+            .solve_with_context(&inst, &SolverContext::new())
             .unwrap();
             // Exact is a true lower bound among capacity-feasible IC-IR
             // solutions; the alternating heuristic can only undercut by

@@ -3,10 +3,10 @@
 //!
 //! Two solvers are provided:
 //!
-//! * [`solve_fcfr`] builds the LP (1) in full — `O(|R||E|)` flow variables
-//!   and `O(|R||V|)` conservation rows — exact but only practical on
-//!   moderate instances;
-//! * [`solve_fcfr_cg`] solves the same LP by **column generation** over
+//! * [`solve_fcfr_with_context`] builds the LP (1) in full — `O(|R||E|)`
+//!   flow variables and `O(|R||V|)` conservation rows — exact but only
+//!   practical on moderate instances;
+//! * [`solve_fcfr_cg_with_context`] solves the same LP by **column generation** over
 //!   source-anchored paths: the master holds the placement variables `x`,
 //!   link-capacity rows, per-request demand rows, and the linking rows
 //!   `Σ_{p from v} f_p ≤ λ_{(i,s)} x_{vi}` (constraint (1e)); pricing runs
@@ -32,23 +32,14 @@ pub struct FcfrSolution {
 }
 
 /// Solves optimization (1) under fractional caching and fractional
-/// routing.
+/// routing. The LP obeys the context's simplex budget and records its
+/// statistics.
 ///
 /// # Errors
 ///
 /// [`JcrError::Infeasible`] when the demands cannot be met within link
-/// capacities; LP failures are propagated.
-pub fn solve_fcfr(inst: &Instance) -> Result<FcfrSolution, JcrError> {
-    solve_fcfr_with_context(inst, &SolverContext::new())
-}
-
-/// [`solve_fcfr`] under an explicit [`SolverContext`]: the LP obeys the
-/// context's simplex budget and records its statistics.
-///
-/// # Errors
-///
-/// Same as [`solve_fcfr`], plus [`JcrError::BudgetExceeded`] when the
-/// budget trips.
+/// capacities; LP failures are propagated; [`JcrError::BudgetExceeded`]
+/// when the budget trips.
 pub fn solve_fcfr_with_context(
     inst: &Instance,
     ctx: &SolverContext,
@@ -159,26 +150,17 @@ pub fn solve_fcfr_with_context(
 }
 
 /// Solves FC-FR by column generation over source-anchored paths — same
-/// optimum as [`solve_fcfr`], practical at the paper's full evaluation
-/// scale.
+/// optimum as [`solve_fcfr_with_context`], practical at the paper's full
+/// evaluation scale. The context's deadline and
+/// `Phase::ColumnGeneration` iteration cap bound the pricing loop,
+/// generated columns and Dijkstra runs are counted, and the master LP
+/// solves inherit the context's simplex budget.
 ///
 /// # Errors
 ///
 /// [`JcrError::Infeasible`] when the demands cannot be met within link
-/// capacities; LP failures are propagated.
-pub fn solve_fcfr_cg(inst: &Instance) -> Result<FcfrSolution, JcrError> {
-    solve_fcfr_cg_with_context(inst, &SolverContext::new())
-}
-
-/// [`solve_fcfr_cg`] under an explicit [`SolverContext`]: the context's
-/// deadline and `Phase::ColumnGeneration` iteration cap bound the pricing
-/// loop, generated columns and Dijkstra runs are counted, and the master
-/// LP solves inherit the context's simplex budget.
-///
-/// # Errors
-///
-/// Same as [`solve_fcfr_cg`], plus [`JcrError::BudgetExceeded`] when a
-/// budget trips.
+/// capacities; LP failures are propagated; [`JcrError::BudgetExceeded`]
+/// when a budget trips.
 pub fn solve_fcfr_cg_with_context(
     inst: &Instance,
     ctx: &SolverContext,
@@ -337,10 +319,14 @@ mod tests {
 
     #[test]
     fn lower_bounds_alg1_uncapacitated() {
+        let ctx = SolverContext::new();
         for seed in 0..4 {
             let inst = small_inst(seed, false);
-            let fcfr = solve_fcfr(&inst).unwrap();
-            let ic_ir = Algorithm1::new().solve(&inst).unwrap().cost(&inst);
+            let fcfr = solve_fcfr_with_context(&inst, &ctx).unwrap();
+            let ic_ir = Algorithm1::new()
+                .solve_with_context(&inst, &ctx)
+                .unwrap()
+                .cost(&inst);
             assert!(
                 fcfr.cost <= ic_ir + 1e-6,
                 "seed {seed}: FC-FR {} must lower-bound IC-IR {ic_ir}",
@@ -351,16 +337,17 @@ mod tests {
 
     #[test]
     fn lower_bounds_alternating_capacitated() {
+        let ctx = SolverContext::new();
         let inst = small_inst(1, true);
-        let fcfr = solve_fcfr(&inst).unwrap();
-        let alt = Alternating::new().solve(&inst).unwrap();
+        let fcfr = solve_fcfr_with_context(&inst, &ctx).unwrap();
+        let alt = Alternating::new().solve_with_context(&inst, &ctx).unwrap();
         assert!(fcfr.cost <= alt.solution.cost(&inst) + 1e-6);
     }
 
     #[test]
     fn fractional_placement_within_capacity() {
         let inst = small_inst(2, true);
-        let fcfr = solve_fcfr(&inst).unwrap();
+        let fcfr = solve_fcfr_with_context(&inst, &SolverContext::new()).unwrap();
         for (k, v) in inst.cache_nodes().iter().enumerate() {
             let mass: f64 = fcfr.x[k]
                 .iter()
@@ -373,10 +360,11 @@ mod tests {
 
     #[test]
     fn column_generation_matches_exact_lp() {
+        let ctx = SolverContext::new();
         for seed in 0..4 {
             let inst = small_inst(seed, true);
-            let exact = solve_fcfr(&inst).unwrap();
-            let cg = solve_fcfr_cg(&inst).unwrap();
+            let exact = solve_fcfr_with_context(&inst, &ctx).unwrap();
+            let cg = solve_fcfr_cg_with_context(&inst, &ctx).unwrap();
             assert!(
                 (exact.cost - cg.cost).abs() < 1e-4 * (1.0 + exact.cost),
                 "seed {seed}: exact {} vs CG {}",
@@ -386,15 +374,15 @@ mod tests {
         }
         // Uncapacitated too.
         let inst = small_inst(1, false);
-        let exact = solve_fcfr(&inst).unwrap();
-        let cg = solve_fcfr_cg(&inst).unwrap();
+        let exact = solve_fcfr_with_context(&inst, &ctx).unwrap();
+        let cg = solve_fcfr_cg_with_context(&inst, &ctx).unwrap();
         assert!((exact.cost - cg.cost).abs() < 1e-4 * (1.0 + exact.cost));
     }
 
     #[test]
     fn column_generation_placement_feasible() {
         let inst = small_inst(3, true);
-        let cg = solve_fcfr_cg(&inst).unwrap();
+        let cg = solve_fcfr_cg_with_context(&inst, &SolverContext::new()).unwrap();
         for (k, v) in inst.cache_nodes().iter().enumerate() {
             let mass: f64 = cg.x[k]
                 .iter()
@@ -414,7 +402,7 @@ mod tests {
             .zipf_demand(0.9, 60.0, 3)
             .build()
             .unwrap();
-        let fcfr = solve_fcfr(&inst).unwrap();
+        let fcfr = solve_fcfr_with_context(&inst, &SolverContext::new()).unwrap();
         assert!(fcfr.cost.abs() < 1e-6);
     }
 }

@@ -258,6 +258,7 @@ mod tests {
     use crate::instance::InstanceBuilder;
     use crate::placement_opt::f_given_routing;
     use crate::rnr;
+    use jcr_ctx::SolverContext;
     use jcr_topo::{Topology, TopologyKind};
 
     fn file_level_inst(seed: u64) -> Instance {
@@ -416,7 +417,9 @@ mod tests {
             .build()
             .unwrap();
         let greedy = greedy_placement_rnr(&inst);
-        let alg1 = crate::alg1::Algorithm1::new().place(&inst).unwrap();
+        let alg1 = crate::alg1::Algorithm1::new()
+            .place_with_context(&inst, &SolverContext::new())
+            .unwrap();
         let fg = f_rnr(&inst, &greedy);
         let fa = f_rnr(&inst, &alg1);
         assert!(fg > 0.0 && fa > 0.0);

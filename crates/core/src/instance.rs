@@ -138,8 +138,7 @@ impl Instance {
     /// Forces the distance oracle's dense-mode threshold for this
     /// instance: `0` means every row is computed on demand (no |V|²
     /// block), `usize::MAX` forces the dense block. Clears any cached
-    /// all-pairs structure. Prefer this over the `JCR_ORACLE_DENSE_MAX`
-    /// environment variable in tests that run in parallel.
+    /// all-pairs structure.
     pub fn with_oracle_dense_max(mut self, dense_max: usize) -> Self {
         self.oracle_dense_max = Some(dense_max);
         self.all_pairs = OnceLock::new();
@@ -248,8 +247,8 @@ impl Instance {
         }
         let dense_max = self
             .oracle_dense_max
-            .unwrap_or_else(jcr_graph::oracle::default_dense_max);
-        let row_capacity = jcr_graph::oracle::default_row_capacity();
+            .unwrap_or(jcr_graph::oracle::DEFAULT_DENSE_MAX);
+        let row_capacity = jcr_graph::oracle::DEFAULT_ROW_CAPACITY;
         let mut report = None;
         self.all_pairs.get_or_init(|| {
             let (oracle, r) = DistanceOracle::carry_with_config(
@@ -286,8 +285,8 @@ impl Instance {
         };
         let dense_max = self
             .oracle_dense_max
-            .unwrap_or_else(jcr_graph::oracle::default_dense_max);
-        let row_capacity = jcr_graph::oracle::default_row_capacity();
+            .unwrap_or(jcr_graph::oracle::DEFAULT_DENSE_MAX);
+        let row_capacity = jcr_graph::oracle::DEFAULT_ROW_CAPACITY;
         let oracle = DistanceOracle::with_config(
             &self.graph,
             &self.link_cost,

@@ -61,9 +61,9 @@ pub mod validate;
 /// Convenient re-exports of the main entry points.
 pub mod prelude {
     pub use crate::alg1::Algorithm1;
-    pub use crate::alg2::{solve_binary_caches, BinaryCacheSolution};
+    pub use crate::alg2::{solve_binary_caches_with_context, BinaryCacheSolution};
     pub use crate::alternating::{
-        Alternating, AlternatingSolution, PlacementMethod, RoutingMethod,
+        Alternating, AlternatingSolution, PlacementMethod, RoutingMethod, Warm,
     };
     pub use crate::baselines::{CandidateRouting, IoannidisYeh, ShortestPathPlacement};
     pub use crate::certify::certify_solution;

@@ -58,7 +58,7 @@ use std::time::{Duration, Instant};
 use jcr_ctx::{Budget, Phase, Probe, SolverContext};
 use jcr_graph::{DistanceOracle, EdgeId, NodeId, Path};
 
-use crate::alternating::Alternating;
+use crate::alternating::{Alternating, Warm};
 use crate::error::JcrError;
 use crate::instance::Instance;
 use crate::placement::Placement;
@@ -67,11 +67,6 @@ use crate::rnr;
 use crate::routing::{Routing, Solution};
 use crate::state::{ColumnRecord, FlowRecord, SolverState};
 use crate::validate::validate_solution;
-
-/// A carried column-generation column: the commodity it priced for and
-/// its auxiliary-graph node sequence (see
-/// [`jcr_flow::multicommodity::min_cost_multicommodity_seeded`]).
-pub type CarriedColumn = (usize, Vec<NodeId>);
 
 /// The degradation-ladder rung that served an hour (see the module docs).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -213,18 +208,16 @@ pub struct OnlineSimulator {
     /// caches).
     pub warm_start: bool,
     previous: Option<Solution>,
-    /// Simplex basis of the previous hour's last placement LP, threaded
-    /// into the next hour's solve. Best effort: an hour whose LP shape
-    /// drifted (topology delta, different segment structure) falls back to
-    /// a cold solve on its own. Only [`OnlineSimulator::commit`] updates
-    /// this, so a failed hour keeps the last good basis and retries
+    /// Warm-start state of the last committed hour, threaded into the
+    /// next hour's solve ([`Alternating::solve_warm`]): the simplex basis
+    /// of its last placement LP and its active CG columns. Best effort: an
+    /// hour whose LP shape drifted (topology delta, different segment
+    /// structure) falls back to a cold solve on its own, and stale columns
+    /// (endpoints moved, edges gone) are revalidated and dropped per hour
+    /// by the flow layer. Only [`OnlineSimulator::commit`] updates this,
+    /// so a failed hour keeps the last good state and retries
     /// bit-identically.
-    lp_basis: Option<jcr_lp::Basis>,
-    /// Active CG columns of the last committed hour, re-priced into the
-    /// next hour's first master ([`Alternating::solve_from_with_carry`]).
-    /// Stale columns (endpoints moved, edges gone) are revalidated and
-    /// dropped per hour by the flow layer, so this is only ever a seed.
-    column_pool: Vec<CarriedColumn>,
+    warm: Warm,
     /// Resident-row clone of the last committed hour's distance oracle,
     /// offered to the next hour's instance via
     /// [`Instance::adopt_all_pairs_from`]. Speed-only state: carried rows
@@ -282,8 +275,7 @@ impl OnlineSimulator {
             solver,
             warm_start: true,
             previous: None,
-            lp_basis: None,
-            column_pool: Vec::new(),
+            warm: Warm::default(),
             prev_oracle: None,
             seed_placement: None,
             dims: None,
@@ -316,21 +308,14 @@ impl OnlineSimulator {
         self.offer_oracle(decision_inst, &ctx);
         let solver = self.hour_solver();
         let initial = self.initial_placement(decision_inst);
-        let (result, basis, pool) = solver.solve_from_with_carry(
-            decision_inst,
-            initial,
-            self.lp_basis.as_ref(),
-            &self.column_pool,
-            &ctx,
-        )?;
+        let (result, warm) = solver.solve_warm(decision_inst, initial, &self.warm, &ctx)?;
         Ok(self.commit(
             decision_inst,
             true_rates,
             result.solution,
             Rung::Full,
             None,
-            basis,
-            pool,
+            warm,
         ))
     }
 
@@ -375,18 +360,12 @@ impl OnlineSimulator {
         self.offer_oracle(decision_inst, &ctx);
         let attempt = {
             let _s = ctx.span("online.rung.full");
-            solver.solve_from_with_carry(
-                decision_inst,
-                initial.clone(),
-                self.lp_basis.as_ref(),
-                &self.column_pool,
-                &ctx,
-            )
+            solver.solve_warm(decision_inst, initial.clone(), &self.warm, &ctx)
         };
         let mut full_incumbent = None;
         let mut budget_tripped = false;
         match attempt {
-            Ok((result, basis, pool)) => {
+            Ok((result, warm)) => {
                 if let Some((solution, repair)) = accept(decision_inst, result.solution) {
                     emit(Rung::Full, "served", polish_note(&repair));
                     return Ok(self.commit(
@@ -395,8 +374,7 @@ impl OnlineSimulator {
                         solution,
                         Rung::Full,
                         repair,
-                        basis,
-                        pool,
+                        warm,
                     ));
                 }
                 emit(Rung::Full, "failed", "candidate failed validation");
@@ -420,16 +398,15 @@ impl OnlineSimulator {
             let ctx = rung_context(cfg, budget);
             let attempt = {
                 let _s = ctx.span("online.rung.cold-restore");
-                solver.solve_from_with_carry(
+                solver.solve_warm(
                     decision_inst,
                     Placement::empty(decision_inst),
-                    None,
-                    &[],
+                    &Warm::default(),
                     &ctx,
                 )
             };
             match attempt {
-                Ok((result, basis, pool)) => {
+                Ok((result, warm)) => {
                     if let Some((solution, repair)) = accept(decision_inst, result.solution) {
                         emit(Rung::ColdRestore, "served", polish_note(&repair));
                         return Ok(self.commit(
@@ -438,8 +415,7 @@ impl OnlineSimulator {
                             solution,
                             Rung::ColdRestore,
                             repair,
-                            basis,
-                            pool,
+                            warm,
                         ));
                     }
                     emit(Rung::ColdRestore, "failed", "candidate failed validation");
@@ -461,8 +437,7 @@ impl OnlineSimulator {
                     solution,
                     Rung::Incumbent,
                     repair,
-                    None,
-                    Vec::new(),
+                    Warm::default(),
                 ));
             }
             emit(Rung::Incumbent, "failed", "incumbent failed validation");
@@ -479,16 +454,10 @@ impl OnlineSimulator {
         let ctx = rung_context(cfg, budget);
         let attempt = {
             let _s = ctx.span("online.rung.retry-halved");
-            halved.solve_from_with_carry(
-                decision_inst,
-                initial.clone(),
-                self.lp_basis.as_ref(),
-                &self.column_pool,
-                &ctx,
-            )
+            halved.solve_warm(decision_inst, initial.clone(), &self.warm, &ctx)
         };
         match attempt {
-            Ok((result, basis, pool)) => {
+            Ok((result, warm)) => {
                 if let Some((solution, repair)) = accept(decision_inst, result.solution) {
                     emit(Rung::RetryHalved, "served", polish_note(&repair));
                     return Ok(self.commit(
@@ -497,8 +466,7 @@ impl OnlineSimulator {
                         solution,
                         Rung::RetryHalved,
                         repair,
-                        basis,
-                        pool,
+                        warm,
                     ));
                 }
                 emit(Rung::RetryHalved, "failed", "candidate failed validation");
@@ -514,8 +482,7 @@ impl OnlineSimulator {
                             solution,
                             Rung::RetryHalved,
                             repair,
-                            None,
-                            Vec::new(),
+                            Warm::default(),
                         ));
                     }
                 }
@@ -544,8 +511,7 @@ impl OnlineSimulator {
                         solution,
                         Rung::RoutingOnly,
                         repair,
-                        None,
-                        Vec::new(),
+                        Warm::default(),
                     ));
                 }
                 emit(Rung::RoutingOnly, "failed", "candidate failed validation");
@@ -582,8 +548,7 @@ impl OnlineSimulator {
                     repaired,
                     Rung::CarryForward,
                     Some(stats),
-                    None,
-                    Vec::new(),
+                    Warm::default(),
                 ));
             }
         }
@@ -637,9 +602,10 @@ impl OnlineSimulator {
             n_requests,
             placement,
             routing,
-            basis: self.lp_basis.as_ref().map(jcr_lp::Basis::to_bytes),
+            basis: self.warm.basis.as_ref().map(jcr_lp::Basis::to_bytes),
             columns: self
-                .column_pool
+                .warm
+                .columns
                 .iter()
                 .map(|(k, nodes)| ColumnRecord {
                     commodity: *k as u32,
@@ -708,7 +674,7 @@ impl OnlineSimulator {
             (None, None) => {}
         }
 
-        sim.lp_basis = state.basis.as_deref().and_then(|bytes| {
+        sim.warm.basis = state.basis.as_deref().and_then(|bytes| {
             let decoded = jcr_lp::Basis::from_bytes(bytes);
             report.basis = match decoded {
                 Some(_) => ComponentStatus::Restored,
@@ -725,7 +691,7 @@ impl OnlineSimulator {
                     && col.nodes.len() >= 2
                     && col.nodes.iter().all(|&v| (v as usize) < max_node);
                 if in_range {
-                    sim.column_pool.push((
+                    sim.warm.columns.push((
                         col.commodity as usize,
                         col.nodes.iter().map(|&v| NodeId::new(v as usize)).collect(),
                     ));
@@ -774,8 +740,8 @@ impl OnlineSimulator {
     fn carrying_state(&self) -> bool {
         self.previous.is_some()
             || self.seed_placement.is_some()
-            || self.lp_basis.is_some()
-            || !self.column_pool.is_empty()
+            || self.warm.basis.is_some()
+            || !self.warm.columns.is_empty()
     }
 
     /// Offers the previous hour's oracle rows to this hour's instance
@@ -792,13 +758,13 @@ impl OnlineSimulator {
     /// Commits a served hour: computes the outcome metrics and only then
     /// advances the carried state. All mutation of `self` funnels through
     /// here, so failure paths cannot leave the simulator inconsistent.
-    /// `lp_basis` replaces the carried LP basis when the serving rung
-    /// produced one; rungs that solved no placement LP pass `None` and
-    /// keep the last good basis (still restorable next hour). `pool` is
-    /// the hour's active CG columns (empty for rungs that ran no column
-    /// generation — the next hour then starts unseeded, which is exactly
-    /// what an uninterrupted run would do after the same rung).
-    #[allow(clippy::too_many_arguments)]
+    /// `warm.basis` replaces the carried LP basis when the serving rung
+    /// produced one; rungs that solved no placement LP pass
+    /// [`Warm::default`] and keep the last good basis (still restorable
+    /// next hour). `warm.columns` is the hour's active CG columns (empty
+    /// for rungs that ran no column generation — the next hour then
+    /// starts unseeded, which is exactly what an uninterrupted run would
+    /// do after the same rung).
     fn commit(
         &mut self,
         decision_inst: &Instance,
@@ -806,8 +772,7 @@ impl OnlineSimulator {
         solution: Solution,
         rung: Rung,
         repair: Option<RepairStats>,
-        lp_basis: Option<jcr_lp::Basis>,
-        pool: Vec<CarriedColumn>,
+        warm: Warm,
     ) -> HourOutcome {
         let decided_cost = solution.cost(decision_inst);
         let (realized_cost, realized_congestion) =
@@ -819,10 +784,10 @@ impl OnlineSimulator {
             _ => solution.placement.len(),
         };
         let certificate = crate::certify::certify_solution(decision_inst, &solution, false);
-        if lp_basis.is_some() {
-            self.lp_basis = lp_basis;
+        if warm.basis.is_some() {
+            self.warm.basis = warm.basis;
         }
-        self.column_pool = pool;
+        self.warm.columns = warm.columns;
         if let Some(oracle) = decision_inst.cloned_oracle() {
             self.prev_oracle = Some(oracle);
         }
@@ -1211,7 +1176,7 @@ mod tests {
         state.basis = Some(vec![0xFF; 5]);
         let (restored, report) = OnlineSimulator::restore(Alternating::new(), &state);
         assert!(matches!(report.basis, ComponentStatus::Degraded(_)));
-        assert!(restored.lp_basis.is_none());
+        assert!(restored.warm.basis.is_none());
 
         // A column referencing a node beyond the auxiliary graph.
         let mut state = good.clone();

@@ -124,54 +124,19 @@ pub fn cost_given_routing(inst: &Instance, routing: &Routing, placement: &Placem
 
 /// Maximizes `F_{r,f}(x)` with the LP-on-(15) + pipage-rounding scheme —
 /// the `(1 − 1/e)`-approximate placement step of the alternating
-/// optimization (equal-sized items).
+/// optimization (equal-sized items). The LP obeys the context's simplex
+/// budget and the pipage pass feeds the rounding counter.
+///
+/// `size_oblivious_rounding` runs the pipage rounding *size-obliviously*
+/// under heterogeneous item sizes — reproducing the infeasible placements
+/// of the baselines \[3\], \[38\] that the paper documents in Fig. 5
+/// (their rounding swaps equal fractions of different-sized items).
 ///
 /// # Errors
 ///
-/// Propagates LP failures as [`JcrError`].
-pub fn optimize_placement(inst: &Instance, routing: &Routing) -> Result<Placement, JcrError> {
-    optimize_placement_with(inst, routing, false)
-}
-
-/// [`optimize_placement`] under an explicit [`jcr_ctx::SolverContext`]:
-/// the LP obeys the context's simplex budget and the pipage pass feeds the
-/// rounding counter.
-///
-/// # Errors
-///
-/// Same as [`optimize_placement`], plus [`JcrError::BudgetExceeded`] when
-/// the budget trips.
+/// Propagates LP failures as [`JcrError`], including
+/// [`JcrError::BudgetExceeded`] when the budget trips.
 pub fn optimize_placement_with_context(
-    inst: &Instance,
-    routing: &Routing,
-    ctx: &jcr_ctx::SolverContext,
-) -> Result<Placement, JcrError> {
-    optimize_placement_impl(inst, routing, false, ctx)
-}
-
-/// Like [`optimize_placement`], optionally running the pipage rounding
-/// *size-obliviously* under heterogeneous item sizes — reproducing the
-/// infeasible placements of the baselines \[3\], \[38\] that the paper
-/// documents in Fig. 5 (their rounding swaps equal fractions of
-/// different-sized items).
-///
-/// # Errors
-///
-/// Propagates LP failures as [`JcrError`].
-pub fn optimize_placement_with(
-    inst: &Instance,
-    routing: &Routing,
-    size_oblivious_rounding: bool,
-) -> Result<Placement, JcrError> {
-    optimize_placement_impl(
-        inst,
-        routing,
-        size_oblivious_rounding,
-        &jcr_ctx::SolverContext::new(),
-    )
-}
-
-pub(crate) fn optimize_placement_impl(
     inst: &Instance,
     routing: &Routing,
     size_oblivious_rounding: bool,
@@ -180,7 +145,7 @@ pub(crate) fn optimize_placement_impl(
     optimize_placement_warm(inst, routing, size_oblivious_rounding, ctx, None).map(|(p, _)| p)
 }
 
-/// [`optimize_placement_impl`] with LP warm-start plumbing: `warm` is a
+/// [`optimize_placement_with_context`] with LP warm-start plumbing: `warm` is a
 /// basis snapshot from a previous placement LP (e.g. the prior alternating
 /// iteration or the prior online hour), and the returned snapshot feeds
 /// the next call. Restoring is best effort — a snapshot whose dimensions
@@ -317,6 +282,7 @@ mod tests {
     use super::*;
     use crate::instance::InstanceBuilder;
     use crate::rnr;
+    use jcr_ctx::SolverContext;
     use jcr_topo::{Topology, TopologyKind};
 
     fn inst() -> Instance {
@@ -376,9 +342,10 @@ mod tests {
 
     #[test]
     fn optimized_placement_feasible_and_useful() {
+        let ctx = SolverContext::new();
         let inst = inst();
         let routing = origin_routing(&inst);
-        let placement = optimize_placement(&inst, &routing).unwrap();
+        let placement = optimize_placement_with_context(&inst, &routing, false, &ctx).unwrap();
         assert!(placement.is_feasible(&inst));
         let f = f_given_routing(&inst, &routing, &placement);
         assert!(f > 0.0, "placement should save something");
@@ -388,10 +355,11 @@ mod tests {
 
     #[test]
     fn near_optimal_against_sampled_placements() {
+        let ctx = SolverContext::new();
         use jcr_ctx::rng::{Rng, SeedableRng};
         let inst = inst();
         let routing = origin_routing(&inst);
-        let placement = optimize_placement(&inst, &routing).unwrap();
+        let placement = optimize_placement_with_context(&inst, &routing, false, &ctx).unwrap();
         let f_opt = f_given_routing(&inst, &routing, &placement);
         let mut rng = jcr_ctx::rng::StdRng::seed_from_u64(77);
         for _ in 0..20 {
@@ -414,6 +382,7 @@ mod tests {
     /// and verify the LP + pipage pipeline's (1 − 1/e) guarantee.
     #[test]
     fn one_minus_one_over_e_against_brute_force() {
+        let ctx = SolverContext::new();
         for seed in 0..4 {
             let inst =
                 InstanceBuilder::new(jcr_topo::Topology::generate_custom(7, 9, 2, seed).unwrap())
@@ -423,7 +392,7 @@ mod tests {
                     .build()
                     .unwrap();
             let routing = origin_routing(&inst);
-            let ours = optimize_placement(&inst, &routing).unwrap();
+            let ours = optimize_placement_with_context(&inst, &routing, false, &ctx).unwrap();
             let f_ours = f_given_routing(&inst, &routing, &ours);
 
             // Brute force over feasible placements.
@@ -459,6 +428,7 @@ mod tests {
 
     #[test]
     fn size_oblivious_rounding_can_overflow() {
+        let ctx = SolverContext::new();
         // Heterogeneous sizes: the literature's rounding swaps equal
         // fractions regardless of size; the honest LP stage is size-aware
         // but the rounding may overflow caches (Fig. 5's observation).
@@ -469,7 +439,7 @@ mod tests {
             .build()
             .unwrap();
         let routing = origin_routing(&inst);
-        let p = optimize_placement_with(&inst, &routing, true).unwrap();
+        let p = optimize_placement_with_context(&inst, &routing, true, &ctx).unwrap();
         // Not asserting overflow always happens — but occupancy must be
         // well-defined and the placement non-trivial.
         assert!(!p.is_empty());

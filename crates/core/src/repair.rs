@@ -267,6 +267,7 @@ mod tests {
     use super::*;
     use crate::alternating::Alternating;
     use crate::instance::InstanceBuilder;
+    use jcr_ctx::SolverContext;
     use jcr_topo::{Topology, TopologyKind};
 
     fn capped_inst(seed: u64) -> Instance {
@@ -301,7 +302,10 @@ mod tests {
     #[test]
     fn clean_solutions_pass_through_unchanged() {
         let inst = capped_inst(3);
-        let sol = Alternating::new().solve(&inst).unwrap().solution;
+        let sol = Alternating::new()
+            .solve_with_context(&inst, &SolverContext::new())
+            .unwrap()
+            .solution;
         assert!(validate_solution(&inst, &sol).is_empty());
         let (repaired, stats) = repair_solution(&inst, &sol);
         assert_eq!(repaired, sol);
@@ -312,7 +316,10 @@ mod tests {
     #[test]
     fn reroutes_around_a_failed_link() {
         let inst = capped_inst(11);
-        let sol = Alternating::new().solve(&inst).unwrap().solution;
+        let sol = Alternating::new()
+            .solve_with_context(&inst, &SolverContext::new())
+            .unwrap()
+            .solution;
         // Fail the most loaded link the solution uses whose loss keeps the
         // instance servable (the origin can still reach every requester
         // over alive links) — the same guard the fault injector applies.
@@ -349,7 +356,10 @@ mod tests {
     #[test]
     fn evicts_overflow_and_fixes_sources() {
         let inst = capped_inst(5);
-        let mut sol = Alternating::new().solve(&inst).unwrap().solution;
+        let mut sol = Alternating::new()
+            .solve_with_context(&inst, &SolverContext::new())
+            .unwrap()
+            .solution;
         // Overfill one cache; the eviction invalidates any path sourced at
         // the evicted replicas, which the repair must then re-route.
         let v = inst.cache_nodes()[0];
@@ -385,7 +395,10 @@ mod tests {
         // The current instance lost all cache capacity: every cached copy
         // must be evicted and all traffic re-routed to the origin.
         let old = capped_inst(9);
-        let sol = Alternating::new().solve(&old).unwrap().solution;
+        let sol = Alternating::new()
+            .solve_with_context(&old, &SolverContext::new())
+            .unwrap()
+            .solution;
         assert!(!sol.placement.is_empty(), "solver should cache something");
         let no_caches = crate::instance::Instance::new(
             old.graph.clone(),
@@ -409,7 +422,10 @@ mod tests {
         // checked repair must surface a typed error instead of a silently
         // invalid solution.
         let inst = capped_inst(4);
-        let sol = Alternating::new().solve(&inst).unwrap().solution;
+        let sol = Alternating::new()
+            .solve_with_context(&inst, &SolverContext::new())
+            .unwrap()
+            .solution;
         let dead = crate::instance::Instance::new(
             inst.graph.clone(),
             inst.link_cost.clone(),
@@ -439,7 +455,10 @@ mod tests {
             .link_capacity_fraction(0.5)
             .build()
             .unwrap();
-        let sol = Alternating::new().solve(&old).unwrap().solution;
+        let sol = Alternating::new()
+            .solve_with_context(&old, &SolverContext::new())
+            .unwrap()
+            .solution;
         let (repaired, stats) = repair_solution(&new, &sol);
         let violations = validate_solution(&new, &repaired);
         assert!(violations.is_empty(), "{violations:?}");

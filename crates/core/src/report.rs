@@ -11,6 +11,7 @@ use crate::routing::Solution;
 /// ```
 /// use jcr_core::prelude::*;
 /// use jcr_core::report;
+/// use jcr_ctx::SolverContext;
 /// use jcr_topo::{Topology, TopologyKind};
 ///
 /// let topo = Topology::generate(TopologyKind::Abovenet, 1).unwrap();
@@ -20,7 +21,9 @@ use crate::routing::Solution;
 ///     .zipf_demand(0.8, 100.0, 3)
 ///     .build()
 ///     .unwrap();
-/// let solution = Algorithm1::new().solve(&inst).unwrap();
+/// let solution = Algorithm1::new()
+///     .solve_with_context(&inst, &SolverContext::new())
+///     .unwrap();
 /// let text = report::solution_report(&inst, &solution);
 /// assert!(text.contains("routing cost"));
 /// ```
@@ -167,10 +170,12 @@ mod tests {
     use super::*;
     use crate::alg1::Algorithm1;
     use crate::instance::InstanceBuilder;
+    use jcr_ctx::SolverContext;
     use jcr_topo::{Topology, TopologyKind};
 
     #[test]
     fn report_mentions_all_sections() {
+        let ctx = SolverContext::new();
         let inst = InstanceBuilder::new(Topology::generate(TopologyKind::Abovenet, 2).unwrap())
             .items(5)
             .cache_capacity(2.0)
@@ -178,7 +183,7 @@ mod tests {
             .link_capacity_fraction(0.05)
             .build()
             .unwrap();
-        let sol = Algorithm1::new().solve(&inst).unwrap();
+        let sol = Algorithm1::new().solve_with_context(&inst, &ctx).unwrap();
         let text = solution_report(&inst, &sol);
         assert!(text.contains("routing cost"));
         assert!(text.contains("-- placement --"));
@@ -228,11 +233,12 @@ mod tests {
 
     #[test]
     fn uncapacitated_report_says_so() {
+        let ctx = SolverContext::new();
         let inst = InstanceBuilder::new(Topology::generate(TopologyKind::Abovenet, 2).unwrap())
             .items(3)
             .build()
             .unwrap();
-        let sol = Algorithm1::new().solve(&inst).unwrap();
+        let sol = Algorithm1::new().solve_with_context(&inst, &ctx).unwrap();
         let text = solution_report(&inst, &sol);
         assert!(text.contains("uncapacitated"));
     }

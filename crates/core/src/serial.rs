@@ -91,36 +91,53 @@ pub fn from_text(text: &str) -> Result<Instance, JcrError> {
     for (lineno, line) in lines {
         let mut parts = line.split_whitespace();
         let keyword = parts.next().expect("non-empty");
-        let mut num = |what: &str| -> Result<f64, JcrError> {
-            let tok = parts
+        let mut field = |what: &'static str| {
+            parts
                 .next()
-                .ok_or_else(|| bad(lineno, &format!("missing {what}")))?;
+                .map(|tok| (tok, what))
+                .ok_or_else(|| bad(lineno, &format!("missing {what}")))
+        };
+        let real = |(tok, what): (&str, &str)| -> Result<f64, JcrError> {
             if tok == "inf" {
                 return Ok(f64::INFINITY);
             }
             tok.parse()
                 .map_err(|_| bad(lineno, &format!("bad {what}: {tok:?}")))
         };
+        // Counts, node indices and item ids are integers in `NodeId`'s
+        // `u32` range; anything else (fractions, signs, `inf`, overflow)
+        // is rejected rather than truncated by a cast.
+        let index = |(tok, what): (&str, &str)| -> Result<usize, JcrError> {
+            tok.parse::<u32>().map(|v| v as usize).map_err(|_| {
+                bad(
+                    lineno,
+                    &format!(
+                        "bad {what}: {tok:?}, expected an integer in 0..={}",
+                        u32::MAX
+                    ),
+                )
+            })
+        };
         match keyword {
-            "nodes" => n_nodes = Some(num("node count")? as usize),
-            "origin" => origin = Some(num("origin index")? as usize),
-            "item" => item_size.push(num("item size")?),
+            "nodes" => n_nodes = Some(index(field("node count")?)?),
+            "origin" => origin = Some(index(field("origin index")?)?),
+            "item" => item_size.push(real(field("item size")?)?),
             "cache" => {
-                let v = num("node")? as usize;
-                let cap = num("capacity")?;
+                let v = index(field("node")?)?;
+                let cap = real(field("capacity")?)?;
                 caches.push((v, cap));
             }
             "link" => {
-                let u = num("u")? as usize;
-                let v = num("v")? as usize;
-                let cost = num("cost")?;
-                let cap = num("capacity")?;
+                let u = index(field("u")?)?;
+                let v = index(field("v")?)?;
+                let cost = real(field("cost")?)?;
+                let cap = real(field("capacity")?)?;
                 links.push((u, v, cost, cap));
             }
             "request" => {
-                let item = num("item")? as usize;
-                let node = num("node")? as usize;
-                let rate = num("rate")?;
+                let item = index(field("item")?)?;
+                let node = index(field("node")?)?;
+                let rate = real(field("rate")?)?;
                 requests_raw.push((item, node, rate));
             }
             other => return Err(bad(lineno, &format!("unknown keyword {other:?}"))),
@@ -168,6 +185,7 @@ pub fn from_text(text: &str) -> Result<Instance, JcrError> {
 mod tests {
     use super::*;
     use crate::instance::InstanceBuilder;
+    use jcr_ctx::SolverContext;
     use jcr_topo::{Topology, TopologyKind};
 
     fn sample() -> Instance {
@@ -205,10 +223,15 @@ mod tests {
 
     #[test]
     fn round_trip_preserves_solver_results() {
+        let ctx = SolverContext::new();
         let inst = sample();
         let back = from_text(&to_text(&inst)).unwrap();
-        let a = crate::alg1::Algorithm1::new().solve(&inst).unwrap();
-        let b = crate::alg1::Algorithm1::new().solve(&back).unwrap();
+        let a = crate::alg1::Algorithm1::new()
+            .solve_with_context(&inst, &ctx)
+            .unwrap();
+        let b = crate::alg1::Algorithm1::new()
+            .solve_with_context(&back, &ctx)
+            .unwrap();
         assert!((a.cost(&inst) - b.cost(&back)).abs() < 1e-9);
     }
 
@@ -230,6 +253,21 @@ mod tests {
         assert!(from_text("jcr-instance v1\nnodes 2\nlink 0 5 1 inf").is_err());
         assert!(from_text("jcr-instance v1\nlink 0 1 1 inf").is_err()); // missing nodes
         assert!(from_text("jcr-instance v1\nnodes 2\nlink 0 1 oops inf").is_err());
+        // Integer fields: no float casts, no truncation, nothing past u32.
+        for bad in [
+            "jcr-instance v1\nnodes inf",
+            "jcr-instance v1\nnodes 5000000000",
+            "jcr-instance v1\nnodes 2.5",
+            "jcr-instance v1\nnodes -3",
+            "jcr-instance v1\nnodes 2\nlink 0 1.9 1 inf",
+            "jcr-instance v1\nnodes 2\norigin 0.5",
+            "jcr-instance v1\nnodes 2\nitem 1\nrequest 0.5 1 1",
+        ] {
+            assert!(
+                matches!(from_text(bad), Err(JcrError::InvalidInstance(_))),
+                "{bad:?} was accepted"
+            );
+        }
     }
 
     #[test]

@@ -106,6 +106,7 @@ impl fmt::Display for Violation {
 /// ```
 /// use jcr_core::prelude::*;
 /// use jcr_core::validate::validate_solution;
+/// use jcr_ctx::SolverContext;
 /// use jcr_topo::{Topology, TopologyKind};
 ///
 /// let inst = InstanceBuilder::new(Topology::generate(TopologyKind::Abovenet, 1).unwrap())
@@ -114,7 +115,9 @@ impl fmt::Display for Violation {
 ///     .zipf_demand(0.8, 100.0, 3)
 ///     .build()
 ///     .unwrap();
-/// let solution = Algorithm1::new().solve(&inst).unwrap();
+/// let solution = Algorithm1::new()
+///     .solve_with_context(&inst, &SolverContext::new())
+///     .unwrap();
 /// assert!(validate_solution(&inst, &solution).is_empty());
 /// ```
 pub fn validate_solution(inst: &Instance, solution: &Solution) -> Vec<Violation> {
@@ -192,6 +195,7 @@ mod tests {
     use crate::instance::InstanceBuilder;
     use crate::placement::Placement;
     use crate::rnr;
+    use jcr_ctx::SolverContext;
     use jcr_flow::PathFlow;
     use jcr_topo::{Topology, TopologyKind};
 
@@ -207,13 +211,16 @@ mod tests {
 
     #[test]
     fn feasible_solutions_have_no_violations() {
+        let ctx = SolverContext::new();
         let inst = inst();
-        let sol = Algorithm1::new().solve(&inst).unwrap();
+        let sol = Algorithm1::new().solve_with_context(&inst, &ctx).unwrap();
         // Algorithm 1 ignores link capacities, so only check the
         // constraints it promises; on this instance its RNR routing may
         // overload, so rebuild with the alternating solver for a fully
         // feasible check.
-        let alt = crate::alternating::Alternating::new().solve(&inst).unwrap();
+        let alt = crate::alternating::Alternating::new()
+            .solve_with_context(&inst, &ctx)
+            .unwrap();
         let violations = validate_solution(&inst, &alt.solution);
         let hard: Vec<_> = violations
             .iter()

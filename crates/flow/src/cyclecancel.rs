@@ -32,7 +32,7 @@ struct ResArc {
 /// Computes a minimum-cost flow satisfying `supply` by feasibility
 /// max-flow + negative-cycle canceling.
 ///
-/// Results agree with [`crate::mincost::min_cost_flow`] up to numerical
+/// Results agree with [`crate::mincost::min_cost_flow_with_context`] up to numerical
 /// tolerance; this implementation exists as an independent oracle and is
 /// typically slower.
 ///
@@ -239,7 +239,8 @@ fn negative_cycle(n: usize, arcs: &[ResArc], cost: &[f64], tol: f64) -> Option<V
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mincost::min_cost_flow;
+    use crate::mincost::min_cost_flow_with_context;
+    use jcr_ctx::SolverContext;
 
     #[test]
     fn agrees_with_ssp_on_diamond() {
@@ -256,7 +257,8 @@ mod tests {
         let cost = [1.0, 4.0, 1.0, 1.0, 0.5];
         let cap = [2.0, 2.0, 1.5, 2.0, 1.0];
         let supply = [3.0, 0.0, 0.0, -3.0];
-        let ssp = min_cost_flow(&g, &cost, &cap, &supply).unwrap();
+        let ssp =
+            min_cost_flow_with_context(&g, &cost, &cap, &supply, &SolverContext::new()).unwrap();
         let cc = min_cost_flow_cycle_canceling(&g, &cost, &cap, &supply).unwrap();
         assert!(
             (ssp.cost - cc.cost).abs() < 1e-6 * (1.0 + ssp.cost),

@@ -91,7 +91,7 @@ fn find_cycle(g: &DiGraph, flow: &[f64]) -> Option<Vec<EdgeId>> {
 }
 
 /// Decomposes a single-source link-level `flow` into per-destination path
-/// flows.
+/// flows; every extracted path increments the decomposition-path counter.
 ///
 /// `demands` lists `(destination, amount)` pairs; the flow must satisfy
 /// them (net inflow at each destination ≥ its total amount). Cycles are
@@ -102,21 +102,6 @@ fn find_cycle(g: &DiGraph, flow: &[f64]) -> Option<Vec<EdgeId>> {
 ///
 /// [`FlowError::Numerical`] if the flow does not actually carry the
 /// demanded amounts (conservation mismatch).
-pub fn decompose_single_source(
-    g: &DiGraph,
-    flow: &[f64],
-    source: NodeId,
-    demands: &[(NodeId, f64)],
-) -> Result<Vec<Vec<PathFlow>>, FlowError> {
-    decompose_single_source_with_context(g, flow, source, demands, &SolverContext::new())
-}
-
-/// [`decompose_single_source`] under an explicit [`SolverContext`]: every
-/// extracted path increments the decomposition-path counter.
-///
-/// # Errors
-///
-/// Same as [`decompose_single_source`].
 pub fn decompose_single_source_with_context(
     g: &DiGraph,
     flow: &[f64],
@@ -245,6 +230,7 @@ mod tests {
 
     #[test]
     fn decomposes_two_destinations() {
+        let ctx = SolverContext::new();
         let mut g = DiGraph::new();
         let s = g.add_node();
         let a = g.add_node();
@@ -257,7 +243,7 @@ mod tests {
         flow[sb.index()] = 1.0;
         flow[ab.index()] = 1.0;
         let demands = [(a, 2.0), (b, 2.0)];
-        let paths = decompose_single_source(&g, &flow, s, &demands).unwrap();
+        let paths = decompose_single_source_with_context(&g, &flow, s, &demands, &ctx).unwrap();
         let total_a: f64 = paths[0].iter().map(|p| p.amount).sum();
         let total_b: f64 = paths[1].iter().map(|p| p.amount).sum();
         assert!((total_a - 2.0).abs() < 1e-9);
@@ -273,6 +259,7 @@ mod tests {
 
     #[test]
     fn recomposition_identity() {
+        let ctx = SolverContext::new();
         // Sum of decomposed path flows equals the original (acyclic) flow.
         let mut g = DiGraph::new();
         let s = g.add_node();
@@ -292,7 +279,7 @@ mod tests {
         flow[edges[2].index()] = 1.5;
         flow[edges[3].index()] = 1.5;
         flow[edges[4].index()] = 0.5;
-        let paths = decompose_single_source(&g, &flow, s, &[(t, 3.0)]).unwrap();
+        let paths = decompose_single_source_with_context(&g, &flow, s, &[(t, 3.0)], &ctx).unwrap();
         let mut recomposed = vec![0.0; 5];
         for pf in &paths[0] {
             for e in pf.path.edges() {
@@ -306,12 +293,14 @@ mod tests {
 
     #[test]
     fn under_served_demand_is_detected() {
+        let ctx = SolverContext::new();
         let mut g = DiGraph::new();
         let s = g.add_node();
         let t = g.add_node();
         g.add_edge(s, t);
         let flow = vec![1.0];
-        let err = decompose_single_source(&g, &flow, s, &[(t, 2.0)]).unwrap_err();
+        let err =
+            decompose_single_source_with_context(&g, &flow, s, &[(t, 2.0)], &ctx).unwrap_err();
         assert!(matches!(err, FlowError::Numerical(_)));
     }
 }

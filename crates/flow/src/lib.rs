@@ -30,7 +30,8 @@
 //! # Examples
 //!
 //! ```
-//! use jcr_flow::mincost::single_source_min_cost_flow;
+//! use jcr_ctx::SolverContext;
+//! use jcr_flow::mincost::single_source_min_cost_flow_with_context;
 //! use jcr_graph::DiGraph;
 //!
 //! // Route 3 units s -> t, preferring the cheap 2-capacity path.
@@ -41,12 +42,13 @@
 //! g.add_edge(s, a); // cost 1, cap 2
 //! g.add_edge(a, t); // cost 1, cap 2
 //! g.add_edge(s, t); // cost 5, cap 10
-//! let flow = single_source_min_cost_flow(
+//! let flow = single_source_min_cost_flow_with_context(
 //!     &g,
 //!     &[1.0, 1.0, 5.0],
 //!     &[2.0, 2.0, 10.0],
 //!     s,
 //!     &[(t, 3.0)],
+//!     &SolverContext::new(),
 //! )?;
 //! assert!((flow.cost - 9.0).abs() < 1e-9); // 2 cheap + 1 direct
 //! # Ok::<(), jcr_flow::FlowError>(())

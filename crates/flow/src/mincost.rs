@@ -126,33 +126,19 @@ impl PartialOrd for HeapEntry {
 
 /// Computes a minimum-cost flow satisfying `supply` (positive entries are
 /// sources, negative are sinks; must sum to ≈ 0) within capacities `cap`
-/// under non-negative `cost`.
+/// under non-negative `cost`. The context's deadline and
+/// `Phase::MinCostFlow` iteration cap bound the successive shortest-path
+/// loop, and Dijkstra runs are counted.
 ///
 /// # Errors
 ///
 /// [`FlowError::Infeasible`] if the supplies cannot be routed within the
-/// capacities; [`FlowError::Numerical`] on iteration-budget exhaustion.
+/// capacities; [`FlowError::Numerical`] on iteration-budget exhaustion;
+/// [`FlowError::Budget`] when a budget trips mid-solve.
 ///
 /// # Panics
 ///
 /// Panics (debug) if a cost is negative/NaN or supplies do not balance.
-pub fn min_cost_flow(
-    g: &DiGraph,
-    cost: &[f64],
-    cap: &[f64],
-    supply: &[f64],
-) -> Result<MinCostFlow, FlowError> {
-    min_cost_flow_with_context(g, cost, cap, supply, &SolverContext::new())
-}
-
-/// [`min_cost_flow`] under an explicit [`SolverContext`]: the context's
-/// deadline and `Phase::MinCostFlow` iteration cap bound the successive
-/// shortest-path loop, and Dijkstra runs are counted.
-///
-/// # Errors
-///
-/// Same as [`min_cost_flow`], plus [`FlowError::Budget`] when a budget
-/// trips mid-solve.
 pub fn min_cost_flow_with_context(
     g: &DiGraph,
     cost: &[f64],
@@ -301,22 +287,8 @@ pub fn min_cost_flow_with_context(
     })
 }
 
-/// Convenience wrapper: single source, per-destination demands.
-///
-/// # Errors
-///
-/// Same as [`min_cost_flow`].
-pub fn single_source_min_cost_flow(
-    g: &DiGraph,
-    cost: &[f64],
-    cap: &[f64],
-    source: NodeId,
-    demands: &[(NodeId, f64)],
-) -> Result<MinCostFlow, FlowError> {
-    single_source_min_cost_flow_with_context(g, cost, cap, source, demands, &SolverContext::new())
-}
-
-/// [`single_source_min_cost_flow`] under an explicit [`SolverContext`].
+/// Convenience wrapper over [`min_cost_flow_with_context`]: single
+/// source, per-destination demands.
 ///
 /// # Errors
 ///
@@ -356,6 +328,7 @@ mod tests {
 
     #[test]
     fn prefers_cheap_path_until_saturated() {
+        let ctx = SolverContext::new();
         let mut g = DiGraph::new();
         let s = g.add_node();
         let a = g.add_node();
@@ -366,7 +339,7 @@ mod tests {
         let cost = [1.0, 1.0, 5.0];
         let cap = [2.0, 2.0, 10.0];
         let supply = [3.0, 0.0, -3.0];
-        let mcf = min_cost_flow(&g, &cost, &cap, &supply).unwrap();
+        let mcf = min_cost_flow_with_context(&g, &cost, &cap, &supply, &ctx).unwrap();
         check_conservation(&g, &mcf.flow, &supply);
         assert!((mcf.flow[sa.index()] - 2.0).abs() < 1e-9);
         assert!((mcf.flow[at.index()] - 2.0).abs() < 1e-9);
@@ -376,16 +349,18 @@ mod tests {
 
     #[test]
     fn infeasible_when_capacity_missing() {
+        let ctx = SolverContext::new();
         let mut g = DiGraph::new();
         let s = g.add_node();
         let t = g.add_node();
         g.add_edge(s, t);
-        let r = min_cost_flow(&g, &[1.0], &[1.0], &[2.0, -2.0]);
+        let r = min_cost_flow_with_context(&g, &[1.0], &[1.0], &[2.0, -2.0], &ctx);
         assert_eq!(r.unwrap_err(), FlowError::Infeasible);
     }
 
     #[test]
     fn multiple_sinks() {
+        let ctx = SolverContext::new();
         let mut g = DiGraph::new();
         let s = g.add_node();
         let a = g.add_node();
@@ -395,7 +370,15 @@ mod tests {
         g.add_edge(a, b); // cost 0.5
         let cost = [2.0, 3.0, 0.5];
         let cap = [10.0, 10.0, 1.0];
-        let mcf = single_source_min_cost_flow(&g, &cost, &cap, s, &[(a, 2.0), (b, 2.0)]).unwrap();
+        let mcf = single_source_min_cost_flow_with_context(
+            &g,
+            &cost,
+            &cap,
+            s,
+            &[(a, 2.0), (b, 2.0)],
+            &ctx,
+        )
+        .unwrap();
         let supply = [4.0, -2.0, -2.0];
         check_conservation(&g, &mcf.flow, &supply);
         // One unit of b's demand should detour via a (2 + 0.5 < 3).
@@ -405,23 +388,26 @@ mod tests {
 
     #[test]
     fn zero_supply_is_trivial() {
+        let ctx = SolverContext::new();
         let mut g = DiGraph::new();
         let a = g.add_node();
         let b = g.add_node();
         g.add_edge(a, b);
-        let mcf = min_cost_flow(&g, &[1.0], &[1.0], &[0.0, 0.0]).unwrap();
+        let mcf = min_cost_flow_with_context(&g, &[1.0], &[1.0], &[0.0, 0.0], &ctx).unwrap();
         assert_eq!(mcf.cost, 0.0);
         assert!(mcf.flow.iter().all(|&f| f == 0.0));
     }
 
     #[test]
     fn fractional_demands() {
+        let ctx = SolverContext::new();
         let mut g = DiGraph::new();
         let s = g.add_node();
         let t = g.add_node();
         g.add_edge(s, t);
         g.add_edge(s, t);
-        let mcf = min_cost_flow(&g, &[1.0, 2.0], &[0.3, 1.0], &[0.8, -0.8]).unwrap();
+        let mcf =
+            min_cost_flow_with_context(&g, &[1.0, 2.0], &[0.3, 1.0], &[0.8, -0.8], &ctx).unwrap();
         assert!((mcf.flow[0] - 0.3).abs() < 1e-9);
         assert!((mcf.flow[1] - 0.5).abs() < 1e-9);
         assert!((mcf.cost - 1.3).abs() < 1e-9);
@@ -429,6 +415,7 @@ mod tests {
 
     #[test]
     fn matches_lp_on_small_instance() {
+        let ctx = SolverContext::new();
         // Cross-check against the LP formulation of the same flow problem.
         use jcr_lp::{Model, Sense};
         let mut g = DiGraph::new();
@@ -441,7 +428,7 @@ mod tests {
         let cost = [1.0, 4.0, 1.0, 5.0, 1.0, 9.0];
         let cap = [2.0, 2.0, 1.0, 2.0, 2.0, 2.0];
         let supply = [3.0, 0.0, 0.0, -3.0];
-        let mcf = min_cost_flow(&g, &cost, &cap, &supply).unwrap();
+        let mcf = min_cost_flow_with_context(&g, &cost, &cap, &supply, &ctx).unwrap();
 
         let mut m = Model::new(Sense::Minimize);
         let vars: Vec<_> = edges
@@ -461,7 +448,7 @@ mod tests {
             }
             m.add_row(supply[vi], supply[vi], &entries);
         }
-        let lp = m.solve().unwrap();
+        let lp = m.solve_with_context(&ctx).unwrap();
         assert!(
             (lp.objective - mcf.cost).abs() < 1e-6,
             "lp {} vs mcf {}",

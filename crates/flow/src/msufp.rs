@@ -64,40 +64,19 @@ impl MsufpSolution {
 }
 
 /// Solves MSUFP with the paper's Algorithm 2 using `k ≥ 1` demand-rounding
-/// classes.
+/// classes. The splittable min-cost flow (line 1) obeys the context's
+/// `Phase::MinCostFlow` budget and the decomposition (line 2) feeds the
+/// path counter.
 ///
 /// # Errors
 ///
 /// [`FlowError::Infeasible`] if even the splittable relaxation cannot
 /// satisfy the demands; [`FlowError::Numerical`] on internal precision
-/// loss.
+/// loss; [`FlowError::Budget`] when a budget trips mid-solve.
 ///
 /// # Panics
 ///
 /// Panics if `k == 0` or a demand is non-positive.
-pub fn solve_msufp(
-    g: &DiGraph,
-    cost: &[f64],
-    cap: &[f64],
-    source: NodeId,
-    demands: &[Demand],
-    k: u32,
-) -> Result<MsufpSolution, FlowError> {
-    solve_msufp_with_context(g, cost, cap, source, demands, k, &SolverContext::new())
-}
-
-/// [`solve_msufp`] under an explicit [`SolverContext`]: the splittable
-/// min-cost flow (line 1) obeys the context's `Phase::MinCostFlow` budget
-/// and the decomposition (line 2) feeds the path counter.
-///
-/// # Errors
-///
-/// Same as [`solve_msufp`], plus [`FlowError::Budget`] when a budget trips
-/// mid-solve.
-///
-/// # Panics
-///
-/// Same as [`solve_msufp`].
 pub fn solve_msufp_with_context(
     g: &DiGraph,
     cost: &[f64],
@@ -406,7 +385,8 @@ mod tests {
                 demand: 1.0,
             })
             .collect();
-        let sol = solve_msufp(&g, &cost, &cap, s, &demands, 4).unwrap();
+        let sol = solve_msufp_with_context(&g, &cost, &cap, s, &demands, 4, &SolverContext::new())
+            .unwrap();
         assert_eq!(sol.paths.len(), 4);
         for (p, d) in sol.paths.iter().zip(&demands) {
             assert!(p.is_valid(&g));
@@ -422,6 +402,7 @@ mod tests {
 
     #[test]
     fn congestion_bound_of_theorem_4_7() {
+        let ctx = SolverContext::new();
         let (g, s, leaves, cost, cap) = fan();
         // Heterogeneous demands.
         let demands: Vec<Demand> = leaves
@@ -434,7 +415,7 @@ mod tests {
             .collect();
         let lambda_max = demands.iter().map(|d| d.demand).fold(0.0, f64::max);
         for k in [1u32, 2, 4, 8] {
-            let sol = solve_msufp(&g, &cost, &cap, s, &demands, k).unwrap();
+            let sol = solve_msufp_with_context(&g, &cost, &cap, s, &demands, k, &ctx).unwrap();
             let factor = (2f64).powf(1.0 / f64::from(k));
             for (e, &load) in sol.link_loads.iter().enumerate() {
                 let bound = factor / (2.0 * (factor - 1.0)) * lambda_max + factor * cap[e];
@@ -452,6 +433,7 @@ mod tests {
 
     #[test]
     fn infeasible_when_cut_too_small() {
+        let ctx = SolverContext::new();
         let mut g = DiGraph::new();
         let s = g.add_node();
         let t = g.add_node();
@@ -460,7 +442,7 @@ mod tests {
             dest: t,
             demand: 5.0,
         }];
-        let err = solve_msufp(&g, &[1.0], &[1.0], s, &demands, 2).unwrap_err();
+        let err = solve_msufp_with_context(&g, &[1.0], &[1.0], s, &demands, 2, &ctx).unwrap_err();
         assert_eq!(err, FlowError::Infeasible);
     }
 
@@ -477,7 +459,16 @@ mod tests {
             dest: t,
             demand: 1.0,
         }];
-        let sol = solve_msufp(&g, &[1.0, 1.0, 10.0], &[5.0, 5.0, 5.0], s, &demands, 3).unwrap();
+        let sol = solve_msufp_with_context(
+            &g,
+            &[1.0, 1.0, 10.0],
+            &[5.0, 5.0, 5.0],
+            s,
+            &demands,
+            3,
+            &SolverContext::new(),
+        )
+        .unwrap();
         assert_eq!(sol.paths[0].nodes(&g), vec![s, a, t]);
         assert!((sol.cost - 2.0).abs() < 1e-9);
     }
@@ -486,13 +477,14 @@ mod tests {
     fn empty_demands() {
         let mut g = DiGraph::new();
         let s = g.add_node();
-        let sol = solve_msufp(&g, &[], &[], s, &[], 2).unwrap();
+        let sol = solve_msufp_with_context(&g, &[], &[], s, &[], 2, &SolverContext::new()).unwrap();
         assert!(sol.paths.is_empty());
         assert_eq!(sol.cost, 0.0);
     }
 
     #[test]
     fn larger_k_never_hurts_much_on_equal_demands() {
+        let ctx = SolverContext::new();
         // With equal demands every K yields the same rounding structure.
         let (g, s, leaves, cost, cap) = fan();
         let demands: Vec<Demand> = leaves
@@ -502,8 +494,12 @@ mod tests {
                 demand: 1.5,
             })
             .collect();
-        let c1 = solve_msufp(&g, &cost, &cap, s, &demands, 1).unwrap().cost;
-        let c8 = solve_msufp(&g, &cost, &cap, s, &demands, 8).unwrap().cost;
+        let c1 = solve_msufp_with_context(&g, &cost, &cap, s, &demands, 1, &ctx)
+            .unwrap()
+            .cost;
+        let c8 = solve_msufp_with_context(&g, &cost, &cap, s, &demands, 8, &ctx)
+            .unwrap()
+            .cost;
         assert!((c1 - c8).abs() < 1e-6);
     }
 }

@@ -67,65 +67,36 @@ impl McfSolution {
 /// column generation: the master LP selects flow on generated paths
 /// subject to link capacities and per-commodity demands, and the pricing
 /// step finds a new least-reduced-cost path per commodity with Dijkstra.
+/// The context's deadline and `Phase::ColumnGeneration` iteration cap
+/// bound the pricing loop, generated columns and Dijkstra runs are
+/// counted, and the master LP solves inherit the context's simplex budget.
 ///
 /// Links with infinite capacity impose no master row. Costs must be
 /// non-negative.
 ///
-/// # Errors
-///
-/// [`FlowError::Infeasible`] if the demands cannot be routed within the
-/// capacities (including unreachable destinations), and
-/// [`FlowError::Numerical`] if the LP loses precision.
-pub fn min_cost_multicommodity(
-    g: &DiGraph,
-    cost: &[f64],
-    cap: &[f64],
-    commodities: &[Commodity],
-) -> Result<McfSolution, FlowError> {
-    min_cost_multicommodity_with_context(g, cost, cap, commodities, &SolverContext::new())
-}
-
-/// [`min_cost_multicommodity`] under an explicit [`SolverContext`]: the
-/// context's deadline and `Phase::ColumnGeneration` iteration cap bound the
-/// pricing loop, generated columns and Dijkstra runs are counted, and the
-/// master LP solves inherit the context's simplex budget.
-///
-/// # Errors
-///
-/// Same as [`min_cost_multicommodity`], plus [`FlowError::Budget`] when a
-/// budget trips mid-solve.
-pub fn min_cost_multicommodity_with_context(
-    g: &DiGraph,
-    cost: &[f64],
-    cap: &[f64],
-    commodities: &[Commodity],
-    ctx: &SolverContext,
-) -> Result<McfSolution, FlowError> {
-    min_cost_multicommodity_seeded(g, cost, cap, commodities, &[], ctx).map(|(sol, _)| sol)
-}
-
-/// [`min_cost_multicommodity_with_context`] with a carried **column
-/// pool**: `seeds` are `(commodity index, node sequence)` paths from a
-/// previous, near-identical solve, re-validated hop by hop against *this*
-/// graph, cost vector, and commodity list, and added to the master before
-/// the first solve so the pricing loop starts from a warm column set.
-/// Stale seeds (missing edges, endpoint mismatch, non-simple or
-/// infinite-cost paths, out-of-range commodity) are silently dropped —
-/// carried columns are an optimization, never an obligation — with the
-/// outcome observable via the `cg.seed_accepted` / `cg.seed_rejected`
-/// counters.
+/// `seeds` is a carried **column pool** (empty means cold):
+/// `(commodity index, node sequence)` paths from a previous,
+/// near-identical solve, re-validated hop by hop against *this* graph,
+/// cost vector, and commodity list, and added to the master before the
+/// first solve so the pricing loop starts from a warm column set. Stale
+/// seeds (missing edges, endpoint mismatch, non-simple or infinite-cost
+/// paths, out-of-range commodity) are silently dropped — carried columns
+/// are an optimization, never an obligation — with the outcome observable
+/// via the `cg.seed_accepted` / `cg.seed_rejected` counters.
 ///
 /// Returns the solution together with the **active** column pool of this
 /// solve (columns carrying flow above tolerance, as node sequences) for
-/// the next hour to seed from. With empty `seeds` the master trajectory
-/// is identical to [`min_cost_multicommodity_with_context`], bit for bit.
+/// the next hour to seed from.
 ///
 /// # Errors
 ///
-/// Same as [`min_cost_multicommodity_with_context`]; seed validation
+/// [`FlowError::Infeasible`] if the demands cannot be routed within the
+/// capacities (including unreachable destinations),
+/// [`FlowError::Numerical`] if the LP loses precision, and
+/// [`FlowError::Budget`] when a budget trips mid-solve. Seed validation
 /// never errors.
 #[allow(clippy::type_complexity)]
-pub fn min_cost_multicommodity_seeded(
+pub fn min_cost_multicommodity_with_context(
     g: &DiGraph,
     cost: &[f64],
     cap: &[f64],
@@ -623,39 +594,13 @@ impl UnsplittableSolution {
 /// its fractional paths with probability proportional to its flow; the
 /// trial with the lexicographically best `(congestion capped at 1, cost)`
 /// is kept (i.e. feasible routings are preferred, then cheaper ones; if
-/// none is feasible, the least congested wins).
+/// none is feasible, the least congested wins). Each draw is counted as a
+/// rounding pass and timed under `Phase::Rounding`.
 ///
 /// # Panics
 ///
 /// Panics if a commodity has no fractional path (e.g. `mcf` from a
 /// different instance).
-pub fn randomized_rounding<R: Rng>(
-    g: &DiGraph,
-    cost: &[f64],
-    cap: &[f64],
-    commodities: &[Commodity],
-    mcf: &McfSolution,
-    draws: usize,
-    rng: &mut R,
-) -> UnsplittableSolution {
-    randomized_rounding_with_context(
-        g,
-        cost,
-        cap,
-        commodities,
-        mcf,
-        draws,
-        rng,
-        &SolverContext::new(),
-    )
-}
-
-/// [`randomized_rounding`] under an explicit [`SolverContext`]: each draw
-/// is counted as a rounding pass and timed under `Phase::Rounding`.
-///
-/// # Panics
-///
-/// Same as [`randomized_rounding`].
 #[allow(clippy::too_many_arguments)]
 pub fn randomized_rounding_with_context<R: Rng>(
     g: &DiGraph,
@@ -709,20 +654,7 @@ pub fn randomized_rounding_with_context<R: Rng>(
 ///
 /// Commodities are processed in decreasing demand order; each is routed on
 /// the cheapest path whose residual capacity fits its demand, falling back
-/// to the cheapest path outright (overloading links) when none fits.
-///
-/// Returns `None` for a commodity whose destination is unreachable — in
-/// that case the whole call returns [`FlowError::Infeasible`].
-pub fn greedy_unsplittable(
-    g: &DiGraph,
-    cost: &[f64],
-    cap: &[f64],
-    commodities: &[Commodity],
-) -> Result<UnsplittableSolution, FlowError> {
-    greedy_unsplittable_with_context(g, cost, cap, commodities, &SolverContext::new())
-}
-
-/// [`greedy_unsplittable`] under an explicit [`SolverContext`]: each
+/// to the cheapest path outright (overloading links) when none fits. Each
 /// commodity charges one `Phase::MinCostFlow` iteration (so caps and the
 /// wall-clock deadline bound the sequential routing), Dijkstra runs are
 /// counted, and the whole call is timed under that phase. This is the
@@ -731,8 +663,8 @@ pub fn greedy_unsplittable(
 ///
 /// # Errors
 ///
-/// Same as [`greedy_unsplittable`], plus [`FlowError::Budget`] when the
-/// budget trips mid-routing.
+/// [`FlowError::Infeasible`] for a commodity whose destination is
+/// unreachable; [`FlowError::Budget`] when the budget trips mid-routing.
 pub fn greedy_unsplittable_with_context(
     g: &DiGraph,
     cost: &[f64],
@@ -833,8 +765,10 @@ mod tests {
 
     #[test]
     fn splits_around_bottleneck() {
+        let ctx = SolverContext::new();
         let (g, cost, cap, commodities) = bottleneck_instance();
-        let sol = min_cost_multicommodity(&g, &cost, &cap, &commodities).unwrap();
+        let (sol, _) =
+            min_cost_multicommodity_with_context(&g, &cost, &cap, &commodities, &[], &ctx).unwrap();
         // 1.5 units through the cheap route (cost 2/unit), 0.5 direct
         // (cost 10/unit) → 1.5·2 + 0.5·10 = 8.
         assert!((sol.cost - 8.0).abs() < 1e-6, "cost = {}", sol.cost);
@@ -849,18 +783,20 @@ mod tests {
     #[test]
     fn column_generation_is_bit_identical_across_worker_counts() {
         let (g, cost, cap, commodities) = bottleneck_instance();
-        let baseline = min_cost_multicommodity_with_context(
+        let (baseline, _) = min_cost_multicommodity_with_context(
             &g,
             &cost,
             &cap,
             &commodities,
+            &[],
             &SolverContext::new().with_workers(1),
         )
         .unwrap();
         for workers in [2, 8] {
             let ctx = SolverContext::new().with_workers(workers);
-            let sol =
-                min_cost_multicommodity_with_context(&g, &cost, &cap, &commodities, &ctx).unwrap();
+            let (sol, _) =
+                min_cost_multicommodity_with_context(&g, &cost, &cap, &commodities, &[], &ctx)
+                    .unwrap();
             assert_eq!(sol.cost.to_bits(), baseline.cost.to_bits());
             assert_eq!(sol.path_flows.len(), baseline.path_flows.len());
             for (a, b) in sol.path_flows.iter().zip(&baseline.path_flows) {
@@ -875,24 +811,29 @@ mod tests {
 
     #[test]
     fn uncapacitated_reduces_to_shortest_paths() {
+        let ctx = SolverContext::new();
         let (g, cost, _, commodities) = bottleneck_instance();
         let cap = vec![f64::INFINITY; g.edge_count()];
-        let sol = min_cost_multicommodity(&g, &cost, &cap, &commodities).unwrap();
+        let (sol, _) =
+            min_cost_multicommodity_with_context(&g, &cost, &cap, &commodities, &[], &ctx).unwrap();
         assert!((sol.cost - 4.0).abs() < 1e-6); // both use the cheap route
     }
 
     #[test]
     fn infeasible_demand_detected() {
+        let ctx = SolverContext::new();
         let (g, cost, mut cap, commodities) = bottleneck_instance();
         // Shrink the direct routes so total capacity into t is 1.9 < 2.
         cap[3] = 0.4;
         cap[4] = 0.0;
-        let err = min_cost_multicommodity(&g, &cost, &cap, &commodities).unwrap_err();
+        let err = min_cost_multicommodity_with_context(&g, &cost, &cap, &commodities, &[], &ctx)
+            .unwrap_err();
         assert_eq!(err, FlowError::Infeasible);
     }
 
     #[test]
     fn unreachable_destination_is_infeasible() {
+        let ctx = SolverContext::new();
         let mut g = DiGraph::new();
         let a = g.add_node();
         let b = g.add_node();
@@ -901,16 +842,28 @@ mod tests {
             dest: b,
             demand: 1.0,
         }];
-        let err = min_cost_multicommodity(&g, &[], &[], &commodities).unwrap_err();
+        let err = min_cost_multicommodity_with_context(&g, &[], &[], &commodities, &[], &ctx)
+            .unwrap_err();
         assert_eq!(err, FlowError::Infeasible);
     }
 
     #[test]
     fn randomized_rounding_respects_flow_support() {
+        let ctx = SolverContext::new();
         let (g, cost, cap, commodities) = bottleneck_instance();
-        let mcf = min_cost_multicommodity(&g, &cost, &cap, &commodities).unwrap();
+        let (mcf, _) =
+            min_cost_multicommodity_with_context(&g, &cost, &cap, &commodities, &[], &ctx).unwrap();
         let mut rng = jcr_ctx::rng::StdRng::seed_from_u64(42);
-        let sol = randomized_rounding(&g, &cost, &cap, &commodities, &mcf, 20, &mut rng);
+        let sol = randomized_rounding_with_context(
+            &g,
+            &cost,
+            &cap,
+            &commodities,
+            &mcf,
+            20,
+            &mut rng,
+            &ctx,
+        );
         assert_eq!(sol.paths.len(), 2);
         for (p, c) in sol.paths.iter().zip(&commodities) {
             assert_eq!(p.source(&g), Some(c.source));
@@ -924,8 +877,9 @@ mod tests {
 
     #[test]
     fn greedy_prefers_capacity_fitting_paths() {
+        let ctx = SolverContext::new();
         let (g, cost, cap, commodities) = bottleneck_instance();
-        let sol = greedy_unsplittable(&g, &cost, &cap, &commodities).unwrap();
+        let sol = greedy_unsplittable_with_context(&g, &cost, &cap, &commodities, &ctx).unwrap();
         // First commodity takes the cheap route (fits 1.0 ≤ 1.5); second
         // cannot fit and must go direct.
         let congestion = sol.congestion(&cap);
@@ -935,6 +889,7 @@ mod tests {
 
     #[test]
     fn greedy_overloads_when_nothing_fits() {
+        let ctx = SolverContext::new();
         let mut g = DiGraph::new();
         let s = g.add_node();
         let t = g.add_node();
@@ -944,7 +899,7 @@ mod tests {
             dest: t,
             demand: 2.0,
         }];
-        let sol = greedy_unsplittable(&g, &[1.0], &[1.0], &commodities).unwrap();
+        let sol = greedy_unsplittable_with_context(&g, &[1.0], &[1.0], &commodities, &ctx).unwrap();
         assert!((sol.congestion(&[1.0]) - 2.0).abs() < 1e-9);
     }
 
@@ -952,12 +907,10 @@ mod tests {
     fn greedy_respects_budget_and_counts_dijkstras() {
         let (g, cost, cap, commodities) = bottleneck_instance();
 
-        // An unconstrained context reproduces the plain entry point and
-        // records one Dijkstra per routed commodity.
+        // An unconstrained context records one Dijkstra per routed
+        // commodity.
         let ctx = SolverContext::new();
-        let sol = greedy_unsplittable_with_context(&g, &cost, &cap, &commodities, &ctx).unwrap();
-        let plain = greedy_unsplittable(&g, &cost, &cap, &commodities).unwrap();
-        assert_eq!(sol.paths, plain.paths);
+        greedy_unsplittable_with_context(&g, &cost, &cap, &commodities, &ctx).unwrap();
         assert!(ctx.stats().dijkstra_calls >= commodities.len() as u64);
 
         // A cap below the commodity count trips mid-routing.
@@ -980,7 +933,7 @@ mod tests {
         let (g, cost, cap, commodities) = bottleneck_instance();
         let ctx = SolverContext::new();
         let (first, pool) =
-            min_cost_multicommodity_seeded(&g, &cost, &cap, &commodities, &[], &ctx).unwrap();
+            min_cost_multicommodity_with_context(&g, &cost, &cap, &commodities, &[], &ctx).unwrap();
         assert!(!pool.is_empty());
         // Every pooled column names its commodity's endpoints.
         for (i, nodes) in &pool {
@@ -991,7 +944,8 @@ mod tests {
         // reach the same optimum (costs are unique here, so the same
         // flows) without inventing new claims.
         let (second, _) =
-            min_cost_multicommodity_seeded(&g, &cost, &cap, &commodities, &pool, &ctx).unwrap();
+            min_cost_multicommodity_with_context(&g, &cost, &cap, &commodities, &pool, &ctx)
+                .unwrap();
         assert!((second.cost - first.cost).abs() < 1e-9);
         // Stale seeds — bad commodity, endpoint mismatch, missing edge,
         // infinite cost — are dropped, not errors.
@@ -1003,32 +957,16 @@ mod tests {
             (0usize, vec![commodities[0].source, commodities[0].source]),
         ];
         let (third, _) =
-            min_cost_multicommodity_seeded(&g, &killed, &cap, &commodities, &stale, &ctx).unwrap();
+            min_cost_multicommodity_with_context(&g, &killed, &cap, &commodities, &stale, &ctx)
+                .unwrap();
         assert!(third.cost.is_finite());
     }
 
     #[test]
-    fn empty_seeds_match_unseeded_bitwise() {
-        let (g, cost, cap, commodities) = bottleneck_instance();
-        let ctx = SolverContext::new();
-        let plain =
-            min_cost_multicommodity_with_context(&g, &cost, &cap, &commodities, &ctx).unwrap();
-        let (seeded, _) =
-            min_cost_multicommodity_seeded(&g, &cost, &cap, &commodities, &[], &ctx).unwrap();
-        assert_eq!(plain.cost.to_bits(), seeded.cost.to_bits());
-        for (a, b) in plain.path_flows.iter().zip(&seeded.path_flows) {
-            assert_eq!(a.len(), b.len());
-            for (fa, fb) in a.iter().zip(b) {
-                assert_eq!(fa.path, fb.path);
-                assert_eq!(fa.amount.to_bits(), fb.amount.to_bits());
-            }
-        }
-    }
-
-    #[test]
     fn empty_commodities_ok() {
+        let ctx = SolverContext::new();
         let g = DiGraph::new();
-        let sol = min_cost_multicommodity(&g, &[], &[], &[]).unwrap();
+        let (sol, _) = min_cost_multicommodity_with_context(&g, &[], &[], &[], &[], &ctx).unwrap();
         assert_eq!(sol.cost, 0.0);
     }
 }

@@ -5,10 +5,11 @@
 //! every run checks the same cases.
 
 use jcr_ctx::rng::{Rng, SeedableRng, StdRng};
+use jcr_ctx::SolverContext;
 use jcr_flow::cyclecancel::min_cost_flow_cycle_canceling;
-use jcr_flow::decompose::{cancel_cycles, decompose_single_source};
-use jcr_flow::mincost::{min_cost_flow, single_source_min_cost_flow};
-use jcr_flow::msufp::{solve_msufp, Demand};
+use jcr_flow::decompose::{cancel_cycles, decompose_single_source_with_context};
+use jcr_flow::mincost::{min_cost_flow_with_context, single_source_min_cost_flow_with_context};
+use jcr_flow::msufp::{solve_msufp_with_context, Demand};
 use jcr_flow::FlowError;
 use jcr_graph::{DiGraph, NodeId};
 
@@ -86,6 +87,7 @@ fn check_conservation(g: &DiGraph, flow: &[f64], supply: &[f64]) {
 /// Min-cost flow: conservation, capacity, and optimality vs the LP.
 #[test]
 fn min_cost_flow_matches_lp() {
+    let ctx = SolverContext::new();
     for case in 0..CASES {
         let mut rng = StdRng::seed_from_u64(0x666c_6f77 + case);
         let net = random_net(&mut rng);
@@ -95,7 +97,8 @@ fn min_cost_flow_matches_lp() {
             .copied()
             .zip(net.demands.iter().copied())
             .collect();
-        let mcf = single_source_min_cost_flow(&g, &cost, &cap, s, &demands).unwrap();
+        let mcf =
+            single_source_min_cost_flow_with_context(&g, &cost, &cap, s, &demands, &ctx).unwrap();
         let mut supply = vec![0.0; g.node_count()];
         for &(d, a) in &demands {
             supply[d.index()] -= a;
@@ -122,7 +125,7 @@ fn min_cost_flow_matches_lp() {
             }
             m.add_row(supply[v.index()], supply[v.index()], &entries);
         }
-        let lp = m.solve().unwrap();
+        let lp = m.solve_with_context(&ctx).unwrap();
         assert!(
             (lp.objective - mcf.cost).abs() < 1e-5 * (1.0 + mcf.cost),
             "case {case}: LP {} vs SSP {}",
@@ -144,6 +147,7 @@ fn min_cost_flow_matches_lp() {
 /// path is simple with the right endpoints.
 #[test]
 fn decomposition_identity() {
+    let ctx = SolverContext::new();
     for case in 0..CASES {
         let mut rng = StdRng::seed_from_u64(0xdec0 + case);
         let net = random_net(&mut rng);
@@ -153,10 +157,11 @@ fn decomposition_identity() {
             .copied()
             .zip(net.demands.iter().copied())
             .collect();
-        let mcf = single_source_min_cost_flow(&g, &cost, &cap, s, &demands).unwrap();
+        let mcf =
+            single_source_min_cost_flow_with_context(&g, &cost, &cap, s, &demands, &ctx).unwrap();
         let mut acyclic = mcf.flow.clone();
         cancel_cycles(&g, &mut acyclic);
-        let paths = decompose_single_source(&g, &acyclic, s, &demands).unwrap();
+        let paths = decompose_single_source_with_context(&g, &acyclic, s, &demands, &ctx).unwrap();
         let mut recomposed = vec![0.0; g.edge_count()];
         for (pfs, &(dest, amount)) in paths.iter().zip(&demands) {
             let total: f64 = pfs.iter().map(|p| p.amount).sum();
@@ -181,6 +186,7 @@ fn decomposition_identity() {
 /// and link loads within the bicriteria bound, for several K.
 #[test]
 fn msufp_theorem_4_7() {
+    let ctx = SolverContext::new();
     for case in 0..CASES {
         let mut rng = StdRng::seed_from_u64(0x6d73 + case);
         let net = random_net(&mut rng);
@@ -192,7 +198,7 @@ fn msufp_theorem_4_7() {
             .zip(net.demands.iter().copied())
             .map(|(dest, demand)| Demand { dest, demand })
             .collect();
-        let sol = match solve_msufp(&g, &cost, &cap, s, &demands, k) {
+        let sol = match solve_msufp_with_context(&g, &cost, &cap, s, &demands, k, &ctx) {
             Ok(sol) => sol,
             Err(FlowError::Infeasible) => continue, // capacities too tight
             Err(e) => panic!("case {case}: {e}"),
@@ -228,6 +234,7 @@ fn msufp_theorem_4_7() {
 /// feasible conservative flow when a high-capacity ring exists.
 #[test]
 fn ring_with_random_supplies() {
+    let ctx = SolverContext::new();
     for case in 0..CASES {
         let mut rng = StdRng::seed_from_u64(0x7269_6e67 + case);
         let n = rng.gen_range(3..7usize);
@@ -244,7 +251,7 @@ fn ring_with_random_supplies() {
             cost.push(1.0 + i as f64);
         }
         let cap = vec![100.0; n];
-        let mcf = min_cost_flow(&g, &cost, &cap, &supply).unwrap();
+        let mcf = min_cost_flow_with_context(&g, &cost, &cap, &supply, &ctx).unwrap();
         check_conservation(&g, &mcf.flow, &supply);
     }
 }
@@ -253,6 +260,7 @@ fn ring_with_random_supplies() {
 /// stopped early on this fan network).
 #[test]
 fn cycle_canceling_regression_fan() {
+    let ctx = SolverContext::new();
     let net = Net {
         n_mid: 2,
         n_sink: 2,
@@ -275,7 +283,7 @@ fn cycle_canceling_regression_fan() {
         .copied()
         .zip(net.demands.iter().copied())
         .collect();
-    let mcf = single_source_min_cost_flow(&g, &cost, &cap, s, &demands).unwrap();
+    let mcf = single_source_min_cost_flow_with_context(&g, &cost, &cap, s, &demands, &ctx).unwrap();
     let mut supply = vec![0.0; g.node_count()];
     for &(d, a) in &demands {
         supply[d.index()] -= a;

@@ -22,33 +22,12 @@ const NO_PARENT: u32 = u32::MAX;
 
 /// Default node-count threshold above which the oracle switches from the
 /// dense block to on-demand rows. Overridable per oracle via
-/// [`DistanceOracle::with_dense_max`] or globally via the
-/// `JCR_ORACLE_DENSE_MAX` environment variable.
+/// [`DistanceOracle::with_dense_max`].
 pub const DEFAULT_DENSE_MAX: usize = 600;
 
 /// Default number of rows the on-demand cache retains.
-/// Overridable via [`DistanceOracle::with_config`] or the
-/// `JCR_ORACLE_ROWS` environment variable.
+/// Overridable via [`DistanceOracle::with_config`].
 pub const DEFAULT_ROW_CAPACITY: usize = 128;
-
-fn env_usize(key: &str, default: usize) -> usize {
-    std::env::var(key)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
-/// The effective dense-mode threshold: `JCR_ORACLE_DENSE_MAX` if set,
-/// else [`DEFAULT_DENSE_MAX`].
-pub fn default_dense_max() -> usize {
-    env_usize("JCR_ORACLE_DENSE_MAX", DEFAULT_DENSE_MAX)
-}
-
-/// The effective on-demand row-cache capacity: `JCR_ORACLE_ROWS` if set,
-/// else [`DEFAULT_ROW_CAPACITY`].
-pub fn default_row_capacity() -> usize {
-    env_usize("JCR_ORACLE_ROWS", DEFAULT_ROW_CAPACITY)
-}
 
 /// One shortest-path row: distances and parent edges from a single
 /// source to every node, exactly what one Dijkstra run produces.
@@ -269,16 +248,9 @@ pub struct DistanceOracle {
 
 impl DistanceOracle {
     /// Builds an oracle for `graph` under `cost`, choosing dense or
-    /// on-demand storage by the default threshold (see
-    /// [`DEFAULT_DENSE_MAX`], `JCR_ORACLE_DENSE_MAX`).
+    /// on-demand storage by the default threshold ([`DEFAULT_DENSE_MAX`]).
     pub fn new(graph: &DiGraph, cost: &[f64]) -> Self {
-        Self::with_config(
-            graph,
-            cost,
-            default_dense_max(),
-            default_row_capacity(),
-            None,
-        )
+        Self::with_config(graph, cost, DEFAULT_DENSE_MAX, DEFAULT_ROW_CAPACITY, None)
     }
 
     /// [`DistanceOracle::new`] that fans the dense fill out over
@@ -288,16 +260,15 @@ impl DistanceOracle {
         Self::with_config(
             graph,
             cost,
-            default_dense_max(),
-            default_row_capacity(),
+            DEFAULT_DENSE_MAX,
+            DEFAULT_ROW_CAPACITY,
             Some(ctx),
         )
     }
 
-    /// Builds with an explicit dense-mode node threshold (overrides the
-    /// environment), for callers that must not race on env state.
+    /// Builds with an explicit dense-mode node threshold.
     pub fn with_dense_max(graph: &DiGraph, cost: &[f64], dense_max: usize) -> Self {
-        Self::with_config(graph, cost, dense_max, default_row_capacity(), None)
+        Self::with_config(graph, cost, dense_max, DEFAULT_ROW_CAPACITY, None)
     }
 
     /// Builds with explicit threshold and row-cache capacity and an

@@ -191,9 +191,10 @@ pub fn certify(model: &Model, sol: &Solution) -> Certificate {
 mod tests {
     use super::*;
     use crate::{Model, Sense};
+    use jcr_ctx::SolverContext;
 
     fn solve_certified(m: &Model) -> (Solution, Certificate) {
-        let sol = m.solve().unwrap();
+        let sol = m.solve_with_context(&SolverContext::new()).unwrap();
         let cert = certify(m, &sol);
         (sol, cert)
     }

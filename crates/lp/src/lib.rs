@@ -22,6 +22,7 @@
 //! # Examples
 //!
 //! ```
+//! use jcr_ctx::SolverContext;
 //! use jcr_lp::{Model, Sense};
 //!
 //! // max 3x + 2y  s.t.  x + y ≤ 4,  0 ≤ x ≤ 2,  0 ≤ y ≤ 3
@@ -29,7 +30,7 @@
 //! let x = m.add_var(0.0, 2.0, 3.0);
 //! let y = m.add_var(0.0, 3.0, 2.0);
 //! m.add_row(f64::NEG_INFINITY, 4.0, &[(x, 1.0), (y, 1.0)]);
-//! let sol = m.solve().expect("bounded and feasible");
+//! let sol = m.solve_with_context(&SolverContext::new()).expect("bounded and feasible");
 //! assert!((sol.objective - 10.0).abs() < 1e-7); // x = 2, y = 2
 //! ```
 

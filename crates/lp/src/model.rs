@@ -223,31 +223,21 @@ impl Model {
             .all(|(r, &v)| v >= self.row_lower[r] - tol && v <= self.row_upper[r] + tol)
     }
 
-    /// Solves the model from scratch. The returned solution carries an
-    /// independently verified certificate
-    /// ([`Solution::certificate`]); a solution that fails verification is
-    /// never returned.
+    /// Solves the model from scratch under `ctx`, which bounds the pivot
+    /// loop and records simplex statistics plus the certificate
+    /// residuals. The returned solution carries an independently verified
+    /// certificate ([`Solution::certificate`]); a solution that fails
+    /// verification is never returned.
     ///
     /// # Errors
     ///
     /// [`LpError::Infeasible`] if no point satisfies all constraints,
     /// [`LpError::Unbounded`] if the objective is unbounded in the model's
     /// sense, [`LpError::Numerical`] if the solver loses too much
-    /// precision to certify a result, and [`LpError::NumericalBreakdown`]
+    /// precision to certify a result, [`LpError::NumericalBreakdown`]
     /// if the independent certificate verifier rejects the extracted
-    /// solution.
-    pub fn solve(&self) -> Result<Solution, LpError> {
-        self.solve_with_context(&jcr_ctx::SolverContext::new())
-    }
-
-    /// [`Model::solve`] under an explicit [`jcr_ctx::SolverContext`] — the context
-    /// bounds the pivot loop and records simplex statistics plus the
-    /// certificate residuals.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Model::solve`], plus [`LpError::Budget`] when the
-    /// context's deadline or simplex iteration cap trips.
+    /// solution, and [`LpError::Budget`] when the context's deadline or
+    /// simplex iteration cap trips.
     pub fn solve_with_context(&self, ctx: &jcr_ctx::SolverContext) -> Result<Solution, LpError> {
         let sol = Simplex::new(self).solve_with_context(ctx)?;
         attach_certificate(self, sol, ctx)
@@ -269,17 +259,19 @@ impl Model {
 /// # Examples
 ///
 /// ```
+/// use jcr_ctx::SolverContext;
 /// use jcr_lp::{Model, Sense};
 ///
+/// let ctx = SolverContext::new();
 /// let mut m = Model::new(Sense::Minimize);
 /// let x = m.add_var(0.0, f64::INFINITY, 2.0);
 /// let demand = m.add_row(1.0, 1.0, &[(x, 1.0)]);
 /// let mut solver = m.into_solver();
-/// let first = solver.solve().unwrap();
+/// let first = solver.solve_with_context(&ctx).unwrap();
 /// assert!((first.objective - 2.0).abs() < 1e-9);
 /// // Price in a cheaper column and resolve.
 /// solver.add_column(0.0, f64::INFINITY, 1.0, &[(demand, 1.0)]);
-/// let second = solver.solve().unwrap();
+/// let second = solver.solve_with_context(&ctx).unwrap();
 /// assert!((second.objective - 1.0).abs() < 1e-9);
 /// ```
 #[derive(Debug)]
@@ -295,7 +287,7 @@ impl ModelSolver {
     }
 
     /// Adds a new variable (column) with the given bounds, objective, and
-    /// row coefficients. The next [`ModelSolver::solve`] warm-starts from
+    /// row coefficients. The next [`ModelSolver::solve_with_context`] warm-starts from
     /// the previous basis with the new column nonbasic.
     pub fn add_column(
         &mut self,
@@ -311,22 +303,12 @@ impl ModelSolver {
         id
     }
 
-    /// Solves (or re-solves) the model.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Model::solve`].
-    pub fn solve(&mut self) -> Result<Solution, LpError> {
-        self.solve_with_context(&jcr_ctx::SolverContext::new())
-    }
-
-    /// [`ModelSolver::solve`] under an explicit context (budgets +
+    /// Solves (or re-solves) the model under `ctx` (budgets +
     /// instrumentation for the warm-started pivot loop).
     ///
     /// # Errors
     ///
-    /// Same as [`Model::solve`], plus [`LpError::Budget`] when the
-    /// context's deadline or simplex iteration cap trips.
+    /// Same as [`Model::solve_with_context`].
     pub fn solve_with_context(
         &mut self,
         ctx: &jcr_ctx::SolverContext,

@@ -12,9 +12,9 @@
 //! 3. **singleton rows** (`a·x ∈ [L, U]`): folded into the variable's
 //!    bounds and dropped.
 //!
-//! [`solve`] runs the reductions, solves the reduced LP, and maps the
-//! solution back to the original variable/row spaces, so it is a drop-in
-//! replacement for [`Model::solve`].
+//! [`solve_with_context`] runs the reductions, solves the reduced LP, and
+//! maps the solution back to the original variable/row spaces, so it is a
+//! drop-in replacement for [`Model::solve_with_context`].
 
 use crate::model::Model;
 use crate::simplex::{LpError, Solution};
@@ -28,47 +28,16 @@ pub struct PresolveInfo {
     pub dropped_rows: usize,
 }
 
-/// Solves `model` with presolve reductions; results match
-/// [`Model::solve`] up to numerical tolerance.
+/// Solves `model` with presolve reductions under `ctx`, reporting what
+/// presolve eliminated; results match [`Model::solve_with_context`] up to
+/// numerical tolerance. The reduced LP's simplex obeys the context's
+/// budget and records its statistics.
 ///
 /// # Errors
 ///
-/// Same contract as [`Model::solve`]; inconsistencies detected during
-/// presolve surface as [`LpError::Infeasible`].
-pub fn solve(model: &Model) -> Result<Solution, LpError> {
-    let (solution, _info) = solve_with_info(model)?;
-    Ok(solution)
-}
-
-/// [`solve`] under an explicit [`jcr_ctx::SolverContext`]: the reduced
-/// LP's simplex obeys the context's budget and records its statistics.
-///
-/// # Errors
-///
-/// Same as [`solve`], plus [`LpError::Budget`] when the budget trips.
+/// Same contract as [`Model::solve_with_context`]; inconsistencies
+/// detected during presolve surface as [`LpError::Infeasible`].
 pub fn solve_with_context(
-    model: &Model,
-    ctx: &jcr_ctx::SolverContext,
-) -> Result<Solution, LpError> {
-    let (solution, _info) = solve_with_info_ctx(model, ctx)?;
-    Ok(solution)
-}
-
-/// Like [`solve`], also reporting what presolve eliminated.
-///
-/// # Errors
-///
-/// Same as [`solve`].
-pub fn solve_with_info(model: &Model) -> Result<(Solution, PresolveInfo), LpError> {
-    solve_with_info_ctx(model, &jcr_ctx::SolverContext::new())
-}
-
-/// Like [`solve_with_info`], under an explicit context.
-///
-/// # Errors
-///
-/// Same as [`solve_with_context`].
-pub fn solve_with_info_ctx(
     model: &Model,
     ctx: &jcr_ctx::SolverContext,
 ) -> Result<(Solution, PresolveInfo), LpError> {
@@ -241,15 +210,17 @@ pub fn solve_with_info_ctx(
 mod tests {
     use super::*;
     use crate::{Model, Sense};
+    use jcr_ctx::SolverContext;
 
     #[test]
     fn matches_direct_solve_with_fixed_vars() {
+        let ctx = SolverContext::new();
         let mut m = Model::new(Sense::Maximize);
         let x = m.add_var(0.0, 5.0, 2.0);
         let fixed = m.add_var(3.0, 3.0, 1.0); // fixed at 3
         m.add_row(f64::NEG_INFINITY, 10.0, &[(x, 1.0), (fixed, 2.0)]);
-        let direct = m.solve().unwrap();
-        let (pre, info) = solve_with_info(&m).unwrap();
+        let direct = m.solve_with_context(&ctx).unwrap();
+        let (pre, info) = solve_with_context(&m, &ctx).unwrap();
         assert!((direct.objective - pre.objective).abs() < 1e-9);
         assert_eq!(info.fixed_vars, 1);
         assert!((pre.x[fixed.index()] - 3.0).abs() < 1e-12);
@@ -262,7 +233,7 @@ mod tests {
         let mut m = Model::new(Sense::Minimize);
         let x = m.add_var(0.0, 100.0, 1.0);
         m.add_row(2.0, 7.0, &[(x, 1.0)]); // really a bound
-        let (pre, info) = solve_with_info(&m).unwrap();
+        let (pre, info) = solve_with_context(&m, &SolverContext::new()).unwrap();
         assert_eq!(info.dropped_rows, 1);
         assert!((pre.x[x.index()] - 2.0).abs() < 1e-9);
         assert!((pre.objective - 2.0).abs() < 1e-9);
@@ -274,7 +245,7 @@ mod tests {
         let mut m = Model::new(Sense::Minimize);
         let x = m.add_var(0.0, 100.0, 1.0);
         m.add_row(f64::NEG_INFINITY, -6.0, &[(x, -2.0)]);
-        let pre = solve(&m).unwrap();
+        let (pre, _) = solve_with_context(&m, &SolverContext::new()).unwrap();
         assert!((pre.x[x.index()] - 3.0).abs() < 1e-9);
     }
 
@@ -284,7 +255,10 @@ mod tests {
         let mut m = Model::new(Sense::Minimize);
         let x = m.add_var(1.0, 1.0, 0.0);
         m.add_row(2.0, 3.0, &[(x, 1.0)]);
-        assert_eq!(solve(&m).unwrap_err(), LpError::Infeasible);
+        assert_eq!(
+            solve_with_context(&m, &SolverContext::new()).unwrap_err(),
+            LpError::Infeasible
+        );
     }
 
     #[test]
@@ -292,11 +266,15 @@ mod tests {
         let mut m = Model::new(Sense::Minimize);
         let x = m.add_var(0.0, 1.0, 1.0);
         m.add_row(5.0, 6.0, &[(x, 1.0)]); // x ∈ [5, 6] vs x ≤ 1
-        assert_eq!(solve(&m).unwrap_err(), LpError::Infeasible);
+        assert_eq!(
+            solve_with_context(&m, &SolverContext::new()).unwrap_err(),
+            LpError::Infeasible
+        );
     }
 
     #[test]
     fn matches_direct_on_random_lps() {
+        let ctx = SolverContext::new();
         use jcr_ctx::rng::{Rng, SeedableRng};
         let mut rng = jcr_ctx::rng::StdRng::seed_from_u64(44);
         for _case in 0..30 {
@@ -328,8 +306,8 @@ mod tests {
                     m.add_row(f64::NEG_INFINITY, rng.gen_range(2.0..10.0), &entries);
                 }
             }
-            let direct = m.solve();
-            let pre = solve(&m);
+            let direct = m.solve_with_context(&ctx);
+            let pre = solve_with_context(&m, &ctx).map(|(sol, _)| sol);
             match (direct, pre) {
                 (Ok(a), Ok(b)) => {
                     assert!(

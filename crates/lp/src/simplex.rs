@@ -1200,6 +1200,7 @@ fn initial_status(lo: f64, up: f64) -> ColStatus {
 #[cfg(test)]
 mod tests {
     use crate::{LpError, Model, Sense};
+    use jcr_ctx::SolverContext;
 
     fn assert_near(a: f64, b: f64) {
         assert!((a - b).abs() < 1e-6, "{a} != {b}");
@@ -1212,7 +1213,7 @@ mod tests {
         let x = m.add_var(0.0, 2.0, 3.0);
         let y = m.add_var(0.0, 3.0, 2.0);
         m.add_row(f64::NEG_INFINITY, 4.0, &[(x, 1.0), (y, 1.0)]);
-        let s = m.solve().unwrap();
+        let s = m.solve_with_context(&SolverContext::new()).unwrap();
         assert_near(s.objective, 10.0);
         assert_near(s.x[0], 2.0);
         assert_near(s.x[1], 2.0);
@@ -1225,7 +1226,7 @@ mod tests {
         let x = m.add_var(0.0, 3.0, 2.0);
         let y = m.add_var(0.0, 4.0, 3.0);
         m.add_row(5.0, 5.0, &[(x, 1.0), (y, 1.0)]);
-        let s = m.solve().unwrap();
+        let s = m.solve_with_context(&SolverContext::new()).unwrap();
         assert_near(s.objective, 12.0);
         assert_near(s.x[0], 3.0);
         assert_near(s.x[1], 2.0);
@@ -1233,20 +1234,22 @@ mod tests {
 
     #[test]
     fn infeasible_detected() {
+        let ctx = SolverContext::new();
         let mut m = Model::new(Sense::Minimize);
         let x = m.add_var(0.0, 1.0, 1.0);
         m.add_row(2.0, 3.0, &[(x, 1.0)]);
-        assert_eq!(m.solve().unwrap_err(), LpError::Infeasible);
+        assert_eq!(m.solve_with_context(&ctx).unwrap_err(), LpError::Infeasible);
     }
 
     #[test]
     fn unbounded_detected() {
+        let ctx = SolverContext::new();
         let mut m = Model::new(Sense::Maximize);
         let x = m.add_var(0.0, f64::INFINITY, 1.0);
         let y = m.add_var(0.0, f64::INFINITY, 0.0);
         // x - y ≤ 1 does not bound x when y can grow.
         m.add_row(f64::NEG_INFINITY, 1.0, &[(x, 1.0), (y, -1.0)]);
-        assert_eq!(m.solve().unwrap_err(), LpError::Unbounded);
+        assert_eq!(m.solve_with_context(&ctx).unwrap_err(), LpError::Unbounded);
     }
 
     #[test]
@@ -1255,23 +1258,24 @@ mod tests {
         let mut m = Model::new(Sense::Minimize);
         let x = m.add_var(f64::NEG_INFINITY, f64::INFINITY, 1.0);
         m.add_row(-7.0, f64::INFINITY, &[(x, 1.0)]);
-        let s = m.solve().unwrap();
+        let s = m.solve_with_context(&SolverContext::new()).unwrap();
         assert_near(s.x[0], -7.0);
     }
 
     #[test]
     fn ranged_row_binds_correct_side() {
+        let ctx = SolverContext::new();
         // max x s.t. 1 ≤ x ≤ 6 via row, 0 ≤ x ≤ 10.
         let mut m = Model::new(Sense::Maximize);
         let x = m.add_var(0.0, 10.0, 1.0);
         m.add_row(1.0, 6.0, &[(x, 1.0)]);
-        let s = m.solve().unwrap();
+        let s = m.solve_with_context(&ctx).unwrap();
         assert_near(s.x[0], 6.0);
         // And minimizing binds the lower side.
         let mut m = Model::new(Sense::Minimize);
         let x = m.add_var(0.0, 10.0, 1.0);
         m.add_row(1.0, 6.0, &[(x, 1.0)]);
-        let s = m.solve().unwrap();
+        let s = m.solve_with_context(&ctx).unwrap();
         assert_near(s.x[0], 1.0);
     }
 
@@ -1301,7 +1305,7 @@ mod tests {
                 &[(vars[0][j].unwrap(), 1.0), (vars[1][j].unwrap(), 1.0)],
             );
         }
-        let s = m.solve().unwrap();
+        let s = m.solve_with_context(&SolverContext::new()).unwrap();
         assert_near(s.objective, 20.0);
     }
 
@@ -1311,7 +1315,7 @@ mod tests {
         let mut m = Model::new(Sense::Minimize);
         let x = m.add_var(0.0, f64::INFINITY, 2.0);
         m.add_row(1.0, 1.0, &[(x, 1.0)]);
-        let s = m.solve().unwrap();
+        let s = m.solve_with_context(&SolverContext::new()).unwrap();
         assert_near(s.duals[0], 2.0);
         // A column with cost 1 on the same row has negative reduced cost.
         assert!(s.reduced_cost(1.0, &[(0, 1.0)]) < 0.0);
@@ -1321,15 +1325,16 @@ mod tests {
 
     #[test]
     fn warm_start_column_generation() {
+        let ctx = SolverContext::new();
         // min 5a s.t. a + b = 2 with b added later at cost 1.
         let mut m = Model::new(Sense::Minimize);
         let a = m.add_var(0.0, f64::INFINITY, 5.0);
         let row = m.add_row(2.0, 2.0, &[(a, 1.0)]);
         let mut solver = m.into_solver();
-        let s1 = solver.solve().unwrap();
+        let s1 = solver.solve_with_context(&ctx).unwrap();
         assert_near(s1.objective, 10.0);
         solver.add_column(0.0, f64::INFINITY, 1.0, &[(row, 1.0)]);
-        let s2 = solver.solve().unwrap();
+        let s2 = solver.solve_with_context(&ctx).unwrap();
         assert_near(s2.objective, 2.0);
         assert_near(s2.x[1], 2.0);
     }
@@ -1340,7 +1345,7 @@ mod tests {
         let mut m = Model::new(Sense::Maximize);
         m.add_var(0.0, 3.0, 1.0);
         m.add_var(-1.0, 2.0, 1.0);
-        let s = m.solve().unwrap();
+        let s = m.solve_with_context(&SolverContext::new()).unwrap();
         assert_near(s.objective, 5.0);
     }
 
@@ -1351,7 +1356,7 @@ mod tests {
         let x = m.add_var(-3.0, 0.0, 1.0);
         let y = m.add_var(-3.0, 0.0, 1.0);
         m.add_row(-4.0, f64::INFINITY, &[(x, 1.0), (y, 1.0)]);
-        let s = m.solve().unwrap();
+        let s = m.solve_with_context(&SolverContext::new()).unwrap();
         assert_near(s.objective, -4.0);
     }
 
@@ -1371,7 +1376,7 @@ mod tests {
                 let entries: Vec<_> = vars.iter().map(|&v| (v, rng.gen_range(0.0..2.0))).collect();
                 m.add_row(f64::NEG_INFINITY, rng.gen_range(1.0..6.0), &entries);
             }
-            let s = m.solve().unwrap();
+            let s = m.solve_with_context(&SolverContext::new()).unwrap();
             assert!(m.is_feasible(&s.x, 1e-6));
             // Sample random feasible points; none may beat the optimum.
             for _ in 0..50 {
@@ -1426,7 +1431,7 @@ mod tests {
 
         // Solve the unperturbed LP, snapshot, warm start the perturbed one.
         let mut base = build(0.0).into_solver();
-        base.solve().unwrap();
+        base.solve_with_context(&SolverContext::new()).unwrap();
         let snap = base.basis().expect("solved at least once");
 
         let ctx_warm = SolverContext::new();
@@ -1656,13 +1661,14 @@ mod tests {
 
     #[test]
     fn incompatible_basis_falls_back_cold() {
+        let ctx = SolverContext::new();
         // Snapshot from a 2-var model restored against a 3-var model:
         // dimension gate rejects it, solve still succeeds cold.
         let mut m2 = Model::new(Sense::Minimize);
         let x = m2.add_var(0.0, 2.0, 1.0);
         m2.add_row(1.0, 1.0, &[(x, 1.0)]);
         let mut s2 = m2.into_solver();
-        s2.solve().unwrap();
+        s2.solve_with_context(&ctx).unwrap();
         let snap = s2.basis().unwrap();
 
         let mut m3 = Model::new(Sense::Minimize);
@@ -1670,9 +1676,7 @@ mod tests {
         let b = m3.add_var(0.0, 2.0, 3.0);
         m3.add_row(1.0, 1.0, &[(a, 1.0), (b, 1.0)]);
         let mut s3 = m3.into_solver();
-        let sol = s3
-            .solve_from_basis(&snap, &jcr_ctx::SolverContext::new())
-            .unwrap();
+        let sol = s3.solve_from_basis(&snap, &ctx).unwrap();
         assert_near(sol.objective, 1.0);
     }
 }

@@ -3,6 +3,7 @@
 //! drawn from the in-tree seeded PRNG (same cases every run).
 
 use jcr_ctx::rng::{Rng, SeedableRng, StdRng};
+use jcr_ctx::SolverContext;
 use jcr_lp::{Model, Sense};
 
 const CASES: u64 = 64;
@@ -49,11 +50,12 @@ fn build(lp: &RandomLp) -> Model {
 /// The solution is feasible and no sampled feasible point beats it.
 #[test]
 fn optimal_beats_sampled_points() {
+    let ctx = SolverContext::new();
     for case in 0..CASES {
         let mut rng = StdRng::seed_from_u64(0x6c70_3031 + case);
         let lp = random_lp(&mut rng);
         let m = build(&lp);
-        let sol = m.solve().expect("always feasible at 0");
+        let sol = m.solve_with_context(&ctx).expect("always feasible at 0");
         assert!(m.is_feasible(&sol.x, 1e-6));
         for _ in 0..20 {
             // Scale a random box sample, then shrink until feasible.
@@ -87,11 +89,12 @@ fn optimal_beats_sampled_points() {
 /// Maximization is consistent with minimizing the negated objective.
 #[test]
 fn max_equals_negated_min() {
+    let ctx = SolverContext::new();
     for case in 0..CASES {
         let mut rng = StdRng::seed_from_u64(0x6c70_3032 + case);
         let lp = random_lp(&mut rng);
         let min_model = build(&lp);
-        let min_sol = min_model.solve().unwrap();
+        let min_sol = min_model.solve_with_context(&ctx).unwrap();
         let mut max_model = Model::new(Sense::Maximize);
         let vars: Vec<_> = lp
             .upper
@@ -103,7 +106,7 @@ fn max_equals_negated_min() {
             let entries: Vec<_> = vars.iter().copied().zip(coefs.iter().copied()).collect();
             max_model.add_row(f64::NEG_INFINITY, *ub, &entries);
         }
-        let max_sol = max_model.solve().unwrap();
+        let max_sol = max_model.solve_with_context(&ctx).unwrap();
         assert!(
             (max_sol.objective + min_sol.objective).abs() < 1e-6,
             "case {case}: max {} vs -min {}",
@@ -117,6 +120,7 @@ fn max_equals_negated_min() {
 /// model cold.
 #[test]
 fn warm_start_matches_cold_solve() {
+    let ctx = SolverContext::new();
     for case in 0..CASES {
         let mut rng = StdRng::seed_from_u64(0x6c70_3033 + case);
         let lp = random_lp(&mut rng);
@@ -124,19 +128,19 @@ fn warm_start_matches_cold_solve() {
         let extra_coef = rng.gen_range(0.0..2.0);
         let m = build(&lp);
         let mut solver = m.clone().into_solver();
-        let _ = solver.solve().unwrap();
+        let _ = solver.solve_with_context(&ctx).unwrap();
         let column: Vec<_> = (0..lp.rows.len())
             .map(|r| (jcr_lp::ConId::from_index(r), extra_coef))
             .collect();
         solver.add_column(0.0, 2.0, extra_obj, &column);
-        let warm = solver.solve().unwrap();
+        let warm = solver.solve_with_context(&ctx).unwrap();
 
         let mut cold = build(&lp);
         let v = cold.add_var(0.0, 2.0, extra_obj);
         for r in 0..lp.rows.len() {
             cold.set_coeff(jcr_lp::ConId::from_index(r), v, extra_coef);
         }
-        let cold_sol = cold.solve().unwrap();
+        let cold_sol = cold.solve_with_context(&ctx).unwrap();
         assert!(
             (warm.objective - cold_sol.objective).abs() < 1e-6,
             "case {case}: warm {} vs cold {}",
@@ -154,7 +158,7 @@ fn reduced_costs_certify_optimality() {
         let mut rng = StdRng::seed_from_u64(0x6c70_3034 + case);
         let lp = random_lp(&mut rng);
         let m = build(&lp);
-        let sol = m.solve().unwrap();
+        let sol = m.solve_with_context(&SolverContext::new()).unwrap();
         for j in 0..lp.upper.len() {
             // Column entries of variable j.
             let column: Vec<(usize, f64)> = lp

@@ -2,6 +2,7 @@
 //! independently computable optima (assignment, max-flow duality,
 //! knapsack relaxations) and degeneracy-prone constructions.
 
+use jcr_ctx::SolverContext;
 use jcr_lp::{Model, Sense};
 
 fn assert_near(a: f64, b: f64, tol: f64) {
@@ -31,7 +32,7 @@ fn assignment_lp_matches_brute_force() {
         let entries: Vec<_> = vars.iter().take(n).map(|row| (row[j], 1.0)).collect();
         m.add_row(1.0, 1.0, &entries);
     }
-    let lp = m.solve().unwrap();
+    let lp = m.solve_with_context(&SolverContext::new()).unwrap();
 
     // Brute force over permutations.
     let mut perm: Vec<usize> = (0..n).collect();
@@ -107,7 +108,7 @@ fn max_flow_lp_hits_the_cut() {
     }
     out_of_source.push((value, -1.0));
     m.add_row(0.0, 0.0, &out_of_source);
-    let lp = m.solve().unwrap();
+    let lp = m.solve_with_context(&SolverContext::new()).unwrap();
     assert_near(lp.objective, 5.0, 1e-7);
 }
 
@@ -124,7 +125,7 @@ fn redundant_constraints_do_not_cycle() {
     for _ in 0..40 {
         m.add_row(f64::NEG_INFINITY, 10.0, &[(x, 2.0), (y, 2.0)]);
     }
-    let lp = m.solve().unwrap();
+    let lp = m.solve_with_context(&SolverContext::new()).unwrap();
     assert_near(lp.objective, 5.0, 1e-6); // 2x + 2y ≤ 10 binds
 }
 
@@ -142,7 +143,7 @@ fn knapsack_relaxation_fills_by_density() {
         .map(|(&x, &(_, w))| (x, w))
         .collect();
     m.add_row(f64::NEG_INFINITY, budget, &entries);
-    let lp = m.solve().unwrap();
+    let lp = m.solve_with_context(&SolverContext::new()).unwrap();
     // Take items 1 and 2 fully (weight 5), half of item 3 → 10 + 9 + 4 = 23.
     assert_near(lp.objective, 23.0, 1e-6);
     assert_near(lp.x[vars[0].index()], 1.0, 1e-6);
@@ -164,7 +165,7 @@ fn equality_chain() {
     for i in 0..n - 1 {
         m.add_row(0.0, 0.0, &[(vars[i], 1.0), (vars[i + 1], -1.0)]);
     }
-    let lp = m.solve().unwrap();
+    let lp = m.solve_with_context(&SolverContext::new()).unwrap();
     for &v in &vars {
         assert_near(lp.x[v.index()], 1.0, 1e-6);
     }
@@ -179,7 +180,7 @@ fn variable_bounds_dominate() {
     let x = m.add_var(1.0, 2.0, 5.0);
     let y = m.add_var(-1.0, 0.5, -3.0);
     m.add_row(f64::NEG_INFINITY, 100.0, &[(x, 1.0), (y, 1.0)]);
-    let lp = m.solve().unwrap();
+    let lp = m.solve_with_context(&SolverContext::new()).unwrap();
     assert_near(lp.x[x.index()], 2.0, 1e-9);
     assert_near(lp.x[y.index()], -1.0, 1e-9);
     assert_near(lp.objective, 13.0, 1e-9);
@@ -190,13 +191,14 @@ fn variable_bounds_dominate() {
 /// test, mimicking the MMSFP master's usage pattern).
 #[test]
 fn long_column_generation_session() {
+    let ctx = SolverContext::new();
     let mut m = Model::new(Sense::Minimize);
     let a = m.add_var(0.0, f64::INFINITY, 100.0);
     let demand_rows: Vec<_> = (0..5).map(|_| m.add_row(1.0, 1.0, &[(a, 1.0)])).collect();
     let cap_row = m.add_row(f64::NEG_INFINITY, 3.0, &[]);
     let mut cold = m.clone();
     let mut solver = m.into_solver();
-    solver.solve().unwrap();
+    solver.solve_with_context(&ctx).unwrap();
     // Price in 25 columns of decreasing cost across the demand rows.
     let mut k = 0usize;
     for round in 0..5 {
@@ -208,8 +210,8 @@ fn long_column_generation_session() {
             assert_eq!(v.index(), solver.model().num_vars() - 1);
             k += 1;
         }
-        let warm = solver.solve().unwrap();
-        let cold_sol = cold.solve().unwrap();
+        let warm = solver.solve_with_context(&ctx).unwrap();
+        let cold_sol = cold.solve_with_context(&ctx).unwrap();
         assert_near(warm.objective, cold_sol.objective, 1e-6);
     }
     assert_eq!(k, 25);

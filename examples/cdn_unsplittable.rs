@@ -11,6 +11,7 @@
 
 use jcr::core::alg2;
 use jcr::core::prelude::*;
+use jcr::ctx::SolverContext;
 use jcr::topo::{Topology, TopologyKind};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -34,7 +35,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "algorithm", "routing cost", "vs splittable LB", "congestion"
     );
     for k in [1u32, 2, 8, 64, 1000] {
-        let sol = alg2::solve_binary_caches(&inst, &[replica], k)?;
+        let sol =
+            alg2::solve_binary_caches_with_context(&inst, &[replica], k, &SolverContext::new())?;
         let name = if k == 2 {
             "Alg2 K=2 ([33])".to_string()
         } else {

@@ -5,6 +5,7 @@
 //! Run with: `cargo run --release --example custom_topology`
 
 use jcr::core::prelude::*;
+use jcr::ctx::SolverContext;
 use jcr::topo::Topology;
 
 /// A small metro network in the loader's format:
@@ -47,7 +48,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .zipf_demand(1.0, 500.0, 3)
         .link_capacity_fraction(0.1)
         .build()?;
-    let result = Alternating::new().solve(&inst)?;
+    let result = Alternating::new().solve_with_context(&inst, &SolverContext::new())?;
     println!(
         "alternating optimization: cost {:.1}, congestion {:.2} ({} iterations)",
         result.solution.cost(&inst),

@@ -7,6 +7,7 @@
 //! Run with: `cargo run --release --example demand_prediction`
 
 use jcr::core::prelude::*;
+use jcr::ctx::SolverContext;
 use jcr::topo::{Topology, TopologyKind};
 use jcr::trace::gpr;
 use jcr::trace::synth::{random_edge_shares, ViewTrace};
@@ -60,8 +61,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let true_flat: Vec<f64> = expand(&truth).into_iter().flatten().collect();
 
         // Oracle decision (knows the truth) vs predicted decision.
-        let oracle = Alternating::new().solve(&inst_true)?.solution;
-        let predicted = Alternating::new().solve(&inst_pred)?.solution;
+        let oracle = Alternating::new()
+            .solve_with_context(&inst_true, &SolverContext::new())?
+            .solution;
+        let predicted = Alternating::new()
+            .solve_with_context(&inst_pred, &SolverContext::new())?
+            .solution;
         let oracle_cost = oracle.cost(&inst_true);
         let (pred_cost, _) = predicted.evaluate_under(&inst_pred, &true_flat);
         println!(

@@ -5,6 +5,7 @@
 //! Run with: `cargo run --release --example edge_caching`
 
 use jcr::core::prelude::*;
+use jcr::ctx::SolverContext;
 use jcr::topo::{Topology, TopologyKind};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -25,7 +26,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // Our alternating optimization (§4.3.3).
-    let result = Alternating::new().solve(&inst)?;
+    let result = Alternating::new().solve_with_context(&inst, &SolverContext::new())?;
     println!("alternating optimization:");
     println!("  converged after {} iterations", result.iterations);
     for (t, (congestion, cost)) in result.history.iter().enumerate() {
@@ -34,9 +35,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let alt = &result.solution;
 
     // Baselines of [3] and [38].
-    let sp = ShortestPathPlacement.solve(&inst)?;
-    let sp_rnr = IoannidisYeh::sp_rnr().solve(&inst)?;
-    let ksp_rnr = IoannidisYeh::ksp_rnr(10).solve(&inst)?;
+    let sp = ShortestPathPlacement.solve_with_context(&inst, &SolverContext::new())?;
+    let sp_rnr = IoannidisYeh::sp_rnr().solve_with_context(&inst, &SolverContext::new())?;
+    let ksp_rnr = IoannidisYeh::ksp_rnr(10).solve_with_context(&inst, &SolverContext::new())?;
 
     println!(
         "\n{:<22}{:>14}{:>14}",

@@ -7,6 +7,7 @@
 
 use jcr::core::prelude::*;
 use jcr::core::report;
+use jcr::ctx::SolverContext;
 use jcr::sim::policy::{ReactivePolicy, Replacement, StaticPolicy};
 use jcr::sim::Simulator;
 use jcr::topo::{Topology, TopologyKind};
@@ -21,7 +22,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .build()?;
 
     // Optimize once (the fluid model)...
-    let solution = Alternating::new().solve(&inst)?.solution;
+    let solution = Alternating::new()
+        .solve_with_context(&inst, &SolverContext::new())?
+        .solution;
     println!("{}", report::solution_report(&inst, &solution));
 
     // ...then replay three hours of Poisson arrivals against it.

@@ -5,6 +5,7 @@
 
 use jcr::core::prelude::*;
 use jcr::core::rnr;
+use jcr::ctx::SolverContext;
 use jcr::topo::{Topology, TopologyKind};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -32,7 +33,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         rnr::rnr_cost(&inst, &Placement::empty(&inst)).expect("origin reaches all requesters");
 
     // Algorithm 1: (1 − 1/e)-approximate joint caching + routing.
-    let solution = Algorithm1::new().solve(&inst)?;
+    let solution = Algorithm1::new().solve_with_context(&inst, &SolverContext::new())?;
     let cost = solution.cost(&inst);
 
     println!("origin-only routing cost : {origin_only:.1}");

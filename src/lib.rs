@@ -31,6 +31,7 @@
 //!
 //! ```
 //! use jcr::core::prelude::*;
+//! use jcr::ctx::SolverContext;
 //! use jcr::topo::{Topology, TopologyKind};
 //!
 //! // Build the paper's default edge-caching scenario on an Abovenet-like
@@ -42,7 +43,11 @@
 //!     .zipf_demand(0.8, 1000.0, 11)
 //!     .build()
 //!     .expect("valid instance");
-//! let solution = Algorithm1::new().solve(&instance).expect("solvable");
+//! // Every solver takes a `SolverContext`: budgets, counters and the worker
+//! // pool. `SolverContext::new()` is unlimited.
+//! let solution = Algorithm1::new()
+//!     .solve_with_context(&instance, &SolverContext::new())
+//!     .expect("solvable");
 //! assert!(solution.placement.is_feasible(&instance));
 //! ```
 

@@ -5,6 +5,7 @@
 use jcr::core::alternating::{Alternating, RoutingMethod};
 use jcr::core::fcfr;
 use jcr::core::prelude::*;
+use jcr::ctx::SolverContext;
 use jcr::topo::Topology;
 
 fn small_instance(seed: u64) -> Instance {
@@ -19,9 +20,10 @@ fn small_instance(seed: u64) -> Instance {
 
 #[test]
 fn fcfr_lower_bounds_capacity_feasible_solutions() {
+    let ctx = SolverContext::new();
     for seed in 0..3 {
         let inst = small_instance(seed);
-        let fcfr_cost = fcfr::solve_fcfr(&inst).unwrap().cost;
+        let fcfr_cost = fcfr::solve_fcfr_with_context(&inst, &ctx).unwrap().cost;
         // IC-FR routes fractionally (MMSFP), so it always respects
         // capacities and the LP bound applies unconditionally.
         let icfr = Alternating {
@@ -29,7 +31,7 @@ fn fcfr_lower_bounds_capacity_feasible_solutions() {
             seed,
             ..Alternating::default()
         }
-        .solve(&inst)
+        .solve_with_context(&inst, &ctx)
         .unwrap();
         assert!(icfr.solution.congestion(&inst) <= 1.0 + 1e-6, "seed {seed}");
         assert!(
@@ -45,7 +47,7 @@ fn fcfr_lower_bounds_capacity_feasible_solutions() {
             seed,
             ..Alternating::default()
         }
-        .solve(&inst)
+        .solve_with_context(&inst, &ctx)
         .unwrap();
         let cost = icir.solution.cost(&inst);
         if cost + 1e-6 < fcfr_cost {
@@ -59,6 +61,7 @@ fn fcfr_lower_bounds_capacity_feasible_solutions() {
 
 #[test]
 fn fractional_routing_of_fixed_placement_never_costs_more() {
+    let ctx = SolverContext::new();
     // Hold the placement fixed: the routing subproblem relaxation chain
     // MMSFP ≤ randomized-rounded MMUFP ≤ greedy MMUFP is a true ordering
     // for the first inequality and a typical one for the second.
@@ -68,7 +71,7 @@ fn fractional_routing_of_fixed_placement_never_costs_more() {
             seed,
             ..Alternating::default()
         }
-        .solve(&inst)
+        .solve_with_context(&inst, &ctx)
         .unwrap()
         .solution
         .placement;
@@ -78,13 +81,13 @@ fn fractional_routing_of_fixed_placement_never_costs_more() {
             seed,
             ..Alternating::default()
         }
-        .route_given_placement(&inst, &placement)
+        .route_given_placement_with_context(&inst, &placement, &ctx)
         .unwrap();
         let rounded = Alternating {
             seed,
             ..Alternating::default()
         }
-        .route_given_placement(&inst, &placement)
+        .route_given_placement_with_context(&inst, &placement, &ctx)
         .unwrap();
         // The fractional optimum lower-bounds every *capacity-feasible*
         // integral routing; a cheaper rounded routing must be overloaded.
@@ -105,6 +108,7 @@ fn fractional_routing_of_fixed_placement_never_costs_more() {
 
 #[test]
 fn greedy_routing_serves_all_within_reasonable_cost() {
+    let ctx = SolverContext::new();
     for seed in 0..3 {
         let inst = small_instance(seed);
         let placement = Placement::empty(&inst);
@@ -117,8 +121,12 @@ fn greedy_routing_serves_all_within_reasonable_cost() {
             seed,
             ..Alternating::default()
         };
-        let lp_routing = lp_cfg.route_given_placement(&inst, &placement).unwrap();
-        let greedy_routing = greedy_cfg.route_given_placement(&inst, &placement).unwrap();
+        let lp_routing = lp_cfg
+            .route_given_placement_with_context(&inst, &placement, &ctx)
+            .unwrap();
+        let greedy_routing = greedy_cfg
+            .route_given_placement_with_context(&inst, &placement, &ctx)
+            .unwrap();
         assert!(greedy_routing.serves_all(&inst));
         assert!(greedy_routing.is_integral());
         // Greedy is a heuristic; it should stay within a small factor of

@@ -7,6 +7,7 @@
 use jcr::core::alg1::{f_rnr, Algorithm1};
 use jcr::core::instance::{Instance, Request};
 use jcr::core::placement::Placement;
+use jcr::ctx::SolverContext;
 use jcr::graph::DiGraph;
 use jcr::graph::NodeId;
 
@@ -98,9 +99,10 @@ fn brute_force_opt(inst: &Instance) -> f64 {
 
 #[test]
 fn achieves_femtocaching_guarantee() {
+    let ctx = SolverContext::new();
     // 2 helpers × 4 items, overlapping coverage — the regime [32] studied.
     let (inst, _) = femto_instance(2, 3, 4, 2.0, 1.0, 30.0, |hi, ui| ui == hi || ui == hi + 1);
-    let sol = Algorithm1::new().solve(&inst).unwrap();
+    let sol = Algorithm1::new().solve_with_context(&inst, &ctx).unwrap();
     let achieved = f_rnr(&inst, &sol.placement);
     let opt = brute_force_opt(&inst);
     let bound = (1.0 - 1.0 / std::f64::consts::E) * opt;
@@ -112,10 +114,11 @@ fn achieves_femtocaching_guarantee() {
 
 #[test]
 fn uncovered_users_fall_back_to_origin() {
+    let ctx = SolverContext::new();
     // User 2 is covered by no helper: its requests must come from the
     // origin at cost w0.
     let (inst, _) = femto_instance(1, 3, 2, 1.0, 1.0, 25.0, |hi, ui| hi == ui);
-    let sol = Algorithm1::new().solve(&inst).unwrap();
+    let sol = Algorithm1::new().solve_with_context(&inst, &ctx).unwrap();
     let origin = inst.origin.unwrap();
     for (req, flows) in inst.requests.iter().zip(&sol.routing.per_request) {
         if req.node.index() == inst.graph.node_count() - 1 {
@@ -127,10 +130,11 @@ fn uncovered_users_fall_back_to_origin() {
 
 #[test]
 fn covered_users_prefer_helpers() {
+    let ctx = SolverContext::new();
     // Full coverage with plenty of capacity: every request should be
     // served by a helper at cost w1, never the origin.
     let (inst, _) = femto_instance(2, 2, 2, 2.0, 1.5, 40.0, |_, _| true);
-    let sol = Algorithm1::new().solve(&inst).unwrap();
+    let sol = Algorithm1::new().solve_with_context(&inst, &ctx).unwrap();
     for flows in &sol.routing.per_request {
         assert!((flows[0].path.cost(&inst.link_cost) - 1.5).abs() < 1e-9);
     }
@@ -139,10 +143,11 @@ fn covered_users_prefer_helpers() {
 
 #[test]
 fn popular_items_replicated_when_helpers_do_not_overlap() {
+    let ctx = SolverContext::new();
     // Disjoint coverage: each helper serves its own user, so the most
     // popular items should be cached at *every* helper.
     let (inst, helpers) = femto_instance(3, 3, 5, 2.0, 1.0, 30.0, |hi, ui| hi == ui);
-    let sol = Algorithm1::new().solve(&inst).unwrap();
+    let sol = Algorithm1::new().solve_with_context(&inst, &ctx).unwrap();
     for &h in &helpers {
         assert!(
             sol.placement.has(h, 0),

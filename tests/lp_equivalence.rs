@@ -92,8 +92,8 @@ fn lp_outcome(result: Result<jcr::lp::Solution, LpError>) -> Outcome {
 
 fn mcf_outcome(g: &DiGraph, cost: &[f64], cap: &[f64], commodities: &[Commodity]) -> Outcome {
     let ctx = SolverContext::new();
-    match min_cost_multicommodity_with_context(g, cost, cap, commodities, &ctx) {
-        Ok(sol) => Outcome::Optimal(sol.cost),
+    match min_cost_multicommodity_with_context(g, cost, cap, commodities, &[], &ctx) {
+        Ok((sol, _)) => Outcome::Optimal(sol.cost),
         Err(FlowError::Infeasible) => Outcome::Infeasible,
         Err(FlowError::Numerical(_)) => Outcome::Error("numerical".into()),
         Err(FlowError::NumericalBreakdown(_)) => Outcome::Error("breakdown".into()),
@@ -210,7 +210,10 @@ fn placement_style_entry(seed: u64) -> (String, Outcome) {
         }
         m.add_row(f64::NEG_INFINITY, 0.0, &entries);
     }
-    (format!("placement/seed{}", seed), lp_outcome(m.solve()))
+    (
+        format!("placement/seed{}", seed),
+        lp_outcome(m.solve_with_context(&SolverContext::new())),
+    )
 }
 
 /// Degenerate transportation grid with tied costs: every basis is
@@ -234,7 +237,7 @@ fn transportation_entry(side: usize) -> (String, Outcome) {
     }
     (
         format!("transport/{}x{}", side, side),
-        lp_outcome(m.solve()),
+        lp_outcome(m.solve_with_context(&SolverContext::new())),
     )
 }
 
@@ -251,7 +254,10 @@ fn random_box_entry(seed: u64) -> (String, Outcome) {
         let entries: Vec<_> = vars.iter().map(|&v| (v, rng.gen_range(0.0..2.0))).collect();
         m.add_row(f64::NEG_INFINITY, rng.gen_range(1.0..6.0), &entries);
     }
-    (format!("randbox/seed{}", seed), lp_outcome(m.solve()))
+    (
+        format!("randbox/seed{}", seed),
+        lp_outcome(m.solve_with_context(&SolverContext::new())),
+    )
 }
 
 /// Builds the whole corpus, in a fixed deterministic order.

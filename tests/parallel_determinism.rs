@@ -77,8 +77,9 @@ fn column_generation_objective_bit_identical_across_worker_counts() {
     let mut baseline = None;
     for workers in WORKER_COUNTS {
         let ctx = SolverContext::new().with_workers(workers);
-        let sol = min_cost_multicommodity_with_context(&g, &cost, &cap, &commodities, &ctx)
-            .expect("workload is feasible");
+        let (sol, _) =
+            min_cost_multicommodity_with_context(&g, &cost, &cap, &commodities, &[], &ctx)
+                .expect("workload is feasible");
         let stats = ctx.stats();
         let fingerprint = (
             sol.cost.to_bits(),

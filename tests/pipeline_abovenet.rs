@@ -4,6 +4,7 @@
 
 use jcr::core::prelude::*;
 use jcr::core::{alg2, fcfr, hetero, rnr};
+use jcr::ctx::SolverContext;
 use jcr::topo::{Topology, TopologyKind};
 
 fn chunk_instance(seed: u64, capacitated: bool) -> Instance {
@@ -22,22 +23,44 @@ fn chunk_instance(seed: u64, capacitated: bool) -> Instance {
 
 #[test]
 fn all_algorithms_serve_all_requests_feasibly() {
+    let ctx = SolverContext::new();
     let uncap = chunk_instance(1, false);
     let cap = chunk_instance(1, true);
 
     let solutions: Vec<(&str, &Instance, Solution)> = vec![
-        ("Alg1", &uncap, Algorithm1::new().solve(&uncap).unwrap()),
+        (
+            "Alg1",
+            &uncap,
+            Algorithm1::new().solve_with_context(&uncap, &ctx).unwrap(),
+        ),
         (
             "alternating",
             &cap,
-            Alternating::new().solve(&cap).unwrap().solution,
+            Alternating::new()
+                .solve_with_context(&cap, &ctx)
+                .unwrap()
+                .solution,
         ),
-        ("SP", &cap, ShortestPathPlacement.solve(&cap).unwrap()),
-        ("SP+RNR", &cap, IoannidisYeh::sp_rnr().solve(&cap).unwrap()),
+        (
+            "SP",
+            &cap,
+            ShortestPathPlacement
+                .solve_with_context(&cap, &ctx)
+                .unwrap(),
+        ),
+        (
+            "SP+RNR",
+            &cap,
+            IoannidisYeh::sp_rnr()
+                .solve_with_context(&cap, &ctx)
+                .unwrap(),
+        ),
         (
             "k-SP+RNR",
             &cap,
-            IoannidisYeh::ksp_rnr(5).solve(&cap).unwrap(),
+            IoannidisYeh::ksp_rnr(5)
+                .solve_with_context(&cap, &ctx)
+                .unwrap(),
         ),
     ];
     for (name, inst, sol) in &solutions {
@@ -62,6 +85,7 @@ fn all_algorithms_serve_all_requests_feasibly() {
 
 #[test]
 fn cost_ordering_fcfr_lower_bounds_everything() {
+    let ctx = SolverContext::new();
     // FC-FR is the LP relaxation of every other case, so its optimum
     // lower-bounds any integral solution's cost.
     let inst = InstanceBuilder::new(Topology::generate_custom(10, 13, 3, 5).unwrap())
@@ -71,13 +95,16 @@ fn cost_ordering_fcfr_lower_bounds_everything() {
         .link_capacity_fraction(0.1)
         .build()
         .unwrap();
-    let lb = fcfr::solve_fcfr(&inst).unwrap().cost;
+    let lb = fcfr::solve_fcfr_with_context(&inst, &ctx).unwrap().cost;
     let alt = Alternating::new()
-        .solve(&inst)
+        .solve_with_context(&inst, &ctx)
         .unwrap()
         .solution
         .cost(&inst);
-    let sp = ShortestPathPlacement.solve(&inst).unwrap().cost(&inst);
+    let sp = ShortestPathPlacement
+        .solve_with_context(&inst, &ctx)
+        .unwrap()
+        .cost(&inst);
     assert!(lb <= alt + 1e-6, "FC-FR {lb} > alternating {alt}");
     assert!(lb <= sp + 1e-6, "FC-FR {lb} > SP {sp}");
 }
@@ -85,7 +112,10 @@ fn cost_ordering_fcfr_lower_bounds_everything() {
 #[test]
 fn rnr_cost_lower_bounds_any_feasible_routing_of_same_placement() {
     let inst = chunk_instance(3, true);
-    let result = Alternating::new().solve(&inst).unwrap().solution;
+    let result = Alternating::new()
+        .solve_with_context(&inst, &SolverContext::new())
+        .unwrap()
+        .solution;
     let rnr_routing = rnr::route_to_nearest_replica(&inst, &result.placement).unwrap();
     // RNR ignores capacities, so it is the cheapest routing of the
     // placement; the capacity-respecting alternating routing costs ≥.
@@ -96,7 +126,8 @@ fn rnr_cost_lower_bounds_any_feasible_routing_of_same_placement() {
 fn binary_cache_case_cost_between_bounds() {
     let inst = chunk_instance(4, true);
     let storer = inst.cache_nodes()[0];
-    let sol = alg2::solve_binary_caches(&inst, &[storer], 16).unwrap();
+    let sol = alg2::solve_binary_caches_with_context(&inst, &[storer], 16, &SolverContext::new())
+        .unwrap();
     // Theorem 4.7(i): within the splittable optimum.
     assert!(sol.solution.cost(&inst) <= sol.splittable_cost + 1e-6);
     // And at least the unconstrained RNR cost (the absolute routing floor).
@@ -106,10 +137,11 @@ fn binary_cache_case_cost_between_bounds() {
 
 #[test]
 fn greedy_hetero_vs_lp_on_equalized_sizes() {
+    let ctx = SolverContext::new();
     // With all sizes equal, the heterogeneous greedy and Algorithm 1 chase
     // the same objective; greedy must reach at least half of Alg1's saving.
     let inst = chunk_instance(6, false);
-    let alg1 = Algorithm1::new().solve(&inst).unwrap();
+    let alg1 = Algorithm1::new().solve_with_context(&inst, &ctx).unwrap();
     let greedy_placement = hetero::greedy_placement_rnr(&inst);
     let f1 = jcr::core::alg1::f_rnr(&inst, &alg1.placement);
     let fg = jcr::core::alg1::f_rnr(&inst, &greedy_placement);
@@ -118,6 +150,7 @@ fn greedy_hetero_vs_lp_on_equalized_sizes() {
 
 #[test]
 fn file_level_pipeline_stays_feasible_where_baselines_overflow() {
+    let ctx = SolverContext::new();
     let inst = InstanceBuilder::new(Topology::generate(TopologyKind::Abovenet, 8).unwrap())
         .item_sizes(vec![4.5, 6.1, 7.5, 3.9, 8.5, 4.3, 1.6, 7.1, 1.6, 3.1])
         .cache_capacity(9.6)
@@ -125,12 +158,17 @@ fn file_level_pipeline_stays_feasible_where_baselines_overflow() {
         .link_capacity_fraction(0.02)
         .build()
         .unwrap();
-    let ours = Alternating::new().solve(&inst).unwrap().solution;
+    let ours = Alternating::new()
+        .solve_with_context(&inst, &ctx)
+        .unwrap()
+        .solution;
     assert!(ours.placement.is_feasible(&inst));
     assert!(ours.placement.max_occupancy_ratio(&inst) <= 1.0 + 1e-9);
     // The candidate-path baseline's size-oblivious rounding may overflow;
     // its occupancy is at least well-defined and reported.
-    let baseline = IoannidisYeh::ksp_rnr(10).solve(&inst).unwrap();
+    let baseline = IoannidisYeh::ksp_rnr(10)
+        .solve_with_context(&inst, &ctx)
+        .unwrap();
     let _ = baseline.placement.max_occupancy_ratio(&inst);
     assert!(baseline.routing.serves_all(&inst));
 }

@@ -3,10 +3,12 @@
 //! baselines must survive prediction errors (observation (ii) of §1.2).
 
 use jcr::core::prelude::*;
+use jcr::ctx::SolverContext;
 use jcr_bench::{build_instance, flatten_rates, Scenario};
 
 #[test]
 fn predicted_decisions_stay_close_to_true_decisions() {
+    let ctx = SolverContext::new();
     let mut sc = Scenario::chunk_default();
     sc.n_videos = 5;
     sc.hours = 2;
@@ -24,8 +26,14 @@ fn predicted_decisions_stay_close_to_true_decisions() {
             .map(|r| r.max(1e-6))
             .collect();
 
-        let oracle = Alternating::new().solve(&inst_true).unwrap().solution;
-        let predicted = Alternating::new().solve(&inst_pred).unwrap().solution;
+        let oracle = Alternating::new()
+            .solve_with_context(&inst_true, &ctx)
+            .unwrap()
+            .solution;
+        let predicted = Alternating::new()
+            .solve_with_context(&inst_pred, &ctx)
+            .unwrap()
+            .solution;
         let oracle_cost = oracle.cost(&inst_true);
         let (pred_cost, pred_cong) = predicted.evaluate_under(&inst_pred, &flat_true);
 
@@ -43,6 +51,7 @@ fn predicted_decisions_stay_close_to_true_decisions() {
 
 #[test]
 fn advantage_over_baselines_survives_prediction() {
+    let ctx = SolverContext::new();
     let mut sc = Scenario::chunk_default();
     sc.n_videos = 5;
     sc.hours = 1;
@@ -57,8 +66,13 @@ fn advantage_over_baselines_survives_prediction() {
         .map(|r| r.max(1e-6))
         .collect();
 
-    let ours = Alternating::new().solve(&inst_pred).unwrap().solution;
-    let sp = ShortestPathPlacement.solve(&inst_pred).unwrap();
+    let ours = Alternating::new()
+        .solve_with_context(&inst_pred, &ctx)
+        .unwrap()
+        .solution;
+    let sp = ShortestPathPlacement
+        .solve_with_context(&inst_pred, &ctx)
+        .unwrap();
     let (_, our_congestion) = ours.evaluate_under(&inst_pred, &flat_true);
     let (_, sp_congestion) = sp.evaluate_under(&inst_pred, &flat_true);
     // Observation (i)/(ii) of §1.2: lower congestion than the baselines,
@@ -86,7 +100,10 @@ fn perturbed_demand_keeps_solutions_valid() {
         .map(|row| jcr::trace::synth::perturb_demand(row, sigma, &mut rng))
         .collect();
     let inst = build_instance(&sc, &noisy);
-    let sol = Alternating::new().solve(&inst).unwrap().solution;
+    let sol = Alternating::new()
+        .solve_with_context(&inst, &SolverContext::new())
+        .unwrap()
+        .solution;
     let flat_true: Vec<f64> = flatten_rates(&true_rates)
         .into_iter()
         .map(|r| r.max(1e-6))

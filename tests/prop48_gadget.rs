@@ -8,6 +8,7 @@ use jcr::core::placement::Placement;
 use jcr::core::placement_opt;
 use jcr::core::prelude::*;
 use jcr::core::rnr;
+use jcr::ctx::SolverContext;
 use jcr::graph::DiGraph;
 
 /// Builds the Fig. 9 gadget: client `s` requests item 0 at rate λ and
@@ -88,6 +89,7 @@ fn bad_equilibrium_costs_match_the_proof() {
 
 #[test]
 fn bad_equilibrium_is_a_fixed_point_of_the_placement_step() {
+    let ctx = SolverContext::new();
     let (inst, [_, v1, v2, _]) = gadget(0.01);
     let mut ne = Placement::empty(&inst);
     ne.set(v2, 0, true);
@@ -96,7 +98,8 @@ fn bad_equilibrium_is_a_fixed_point_of_the_placement_step() {
     // Under the NE routing (single-hop paths v2→s and v1→s), no placement
     // can save anything — the path sources are never in a truncation
     // prefix — so the placement step cannot improve the cost.
-    let re_placed = placement_opt::optimize_placement(&inst, &ne_routing).unwrap();
+    let re_placed =
+        placement_opt::optimize_placement_with_context(&inst, &ne_routing, false, &ctx).unwrap();
     let f = placement_opt::f_given_routing(&inst, &ne_routing, &re_placed);
     assert!(
         f.abs() < 1e-9,
@@ -109,13 +112,14 @@ fn bad_equilibrium_is_a_fixed_point_of_the_placement_step() {
 
 #[test]
 fn driver_with_origin_init_escapes_the_trap() {
+    let ctx = SolverContext::new();
     // Our driver always starts from origin-routing, whose multi-hop paths
     // expose v1 to the placement step — so it finds the near-optimal
     // solution on this gadget even though adversarial initializations
     // stall (Proposition 4.8 concerns worst-case initialization).
     for eps in [0.1, 0.01] {
         let (inst, _) = gadget(eps);
-        let result = Alternating::new().solve(&inst).unwrap();
+        let result = Alternating::new().solve_with_context(&inst, &ctx).unwrap();
         let cost = result.solution.cost(&inst);
         let opt = eps * 2.0;
         assert!(

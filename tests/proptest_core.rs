@@ -6,6 +6,7 @@
 use jcr::core::prelude::*;
 use jcr::core::{alg1, alg2, rnr};
 use jcr::ctx::rng::{Rng, SeedableRng, StdRng};
+use jcr::ctx::SolverContext;
 use jcr::topo::Topology;
 
 const CASES: u64 = 24;
@@ -52,11 +53,12 @@ fn build(ri: &RandomInstance) -> Instance {
 /// origin-only serving, with RNR-consistent routing.
 #[test]
 fn alg1_invariants() {
+    let ctx = SolverContext::new();
     for case in 0..CASES {
         let mut rng = StdRng::seed_from_u64(0x636f_3031 + case);
         let ri = random_instance(&mut rng);
         let inst = build(&ri);
-        let sol = Algorithm1::new().solve(&inst).unwrap();
+        let sol = Algorithm1::new().solve_with_context(&inst, &ctx).unwrap();
         assert!(sol.placement.is_feasible(&inst), "case {case}");
         assert!(sol.routing.serves_all(&inst), "case {case}");
         assert!(
@@ -81,6 +83,7 @@ fn alg1_invariants() {
 /// never ends above the origin-only cost.
 #[test]
 fn alternating_invariants() {
+    let ctx = SolverContext::new();
     for case in 0..CASES {
         let mut rng = StdRng::seed_from_u64(0x636f_3032 + case);
         let mut ri = random_instance(&mut rng);
@@ -94,7 +97,7 @@ fn alternating_invariants() {
             seed: ri.demand_seed,
             ..Alternating::default()
         }
-        .solve(&inst)
+        .solve_with_context(&inst, &ctx)
         .unwrap();
         let sol = &result.solution;
         assert!(sol.placement.is_feasible(&inst), "case {case}");
@@ -116,6 +119,7 @@ fn alternating_invariants() {
 /// storers and K.
 #[test]
 fn alg2_invariants() {
+    let ctx = SolverContext::new();
     for case in 0..CASES {
         let mut rng = StdRng::seed_from_u64(0x636f_3033 + case);
         let mut ri = random_instance(&mut rng);
@@ -125,7 +129,7 @@ fn alg2_invariants() {
         let inst = build(&ri);
         let cache_nodes = inst.cache_nodes();
         let storer = cache_nodes[storer_pick % cache_nodes.len()];
-        let sol = alg2::solve_binary_caches(&inst, &[storer], k).unwrap();
+        let sol = alg2::solve_binary_caches_with_context(&inst, &[storer], k, &ctx).unwrap();
         assert!(sol.solution.routing.serves_all(&inst), "case {case}");
         // Paths are chosen optimally for the Eq. (11) rounded-down demands
         // (each within a factor 2^{1/K} of the original), so routing the
@@ -145,13 +149,20 @@ fn alg2_invariants() {
 /// Serialization round-trips preserve solver behaviour.
 #[test]
 fn serialization_round_trip() {
+    let ctx = SolverContext::new();
     for case in 0..CASES {
         let mut rng = StdRng::seed_from_u64(0x636f_3034 + case);
         let ri = random_instance(&mut rng);
         let inst = build(&ri);
         let back = jcr::core::serial::from_text(&jcr::core::serial::to_text(&inst)).unwrap();
-        let a = Algorithm1::new().solve(&inst).unwrap().cost(&inst);
-        let b = Algorithm1::new().solve(&back).unwrap().cost(&back);
+        let a = Algorithm1::new()
+            .solve_with_context(&inst, &ctx)
+            .unwrap()
+            .cost(&inst);
+        let b = Algorithm1::new()
+            .solve_with_context(&back, &ctx)
+            .unwrap()
+            .cost(&back);
         assert!((a - b).abs() < 1e-9 * (1.0 + a.abs()), "case {case}");
     }
 }

@@ -8,6 +8,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use jcr::core::prelude::*;
 use jcr::ctx::rng::{Rng, SeedableRng, StdRng};
+use jcr::ctx::SolverContext;
 use jcr::topo::Topology;
 use jcr_bench::adversary;
 
@@ -78,6 +79,7 @@ fn build_from_seed(seed: u64) -> Instance {
 /// through both Algorithm 1 and the alternating solver.
 #[test]
 fn core_corpus_stays_fixed() {
+    let ctx = SolverContext::new();
     let lines = corpus_lines("core.txt");
     assert!(!lines.is_empty(), "core corpus must not be empty");
     for line in &lines {
@@ -87,7 +89,7 @@ fn core_corpus_stays_fixed() {
         let inst = build_from_seed(seed);
 
         let sol = Algorithm1::new()
-            .solve(&inst)
+            .solve_with_context(&inst, &ctx)
             .unwrap_or_else(|e| panic!("seed {seed}: alg1 failed: {e}"));
         assert!(sol.placement.is_feasible(&inst), "seed {seed}");
         assert!(sol.routing.serves_all(&inst), "seed {seed}");
@@ -102,7 +104,7 @@ fn core_corpus_stays_fixed() {
             seed,
             ..Alternating::default()
         }
-        .solve(&inst)
+        .solve_with_context(&inst, &ctx)
         .unwrap_or_else(|e| panic!("seed {seed}: alternating failed: {e}"));
         assert!(
             alt.certificate.verified(),

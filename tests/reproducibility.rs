@@ -4,6 +4,7 @@
 
 use jcr::core::prelude::*;
 use jcr::core::serial;
+use jcr::ctx::SolverContext;
 use jcr_bench::{build_instance, Scenario};
 
 fn scenario() -> Scenario {
@@ -35,6 +36,7 @@ fn scenario_instances_are_bit_identical_per_seed() {
 
 #[test]
 fn solvers_are_deterministic_given_seeds() {
+    let ctx = SolverContext::new();
     let sc = scenario();
     let n_edges = sc.topology().edge_nodes.len();
     let demand = sc.demand(n_edges);
@@ -46,14 +48,19 @@ fn solvers_are_deterministic_given_seeds() {
             seed: 5,
             ..Alternating::default()
         }
-        .solve(&inst)
+        .solve_with_context(&inst, &ctx)
         .unwrap()
         .solution
         .cost(&inst)
     };
     assert_eq!(run().to_bits(), run().to_bits());
 
-    let alg1 = || Algorithm1::new().solve(&inst).unwrap().cost(&inst);
+    let alg1 = || {
+        Algorithm1::new()
+            .solve_with_context(&inst, &ctx)
+            .unwrap()
+            .cost(&inst)
+    };
     assert_eq!(alg1().to_bits(), alg1().to_bits());
 }
 

@@ -138,13 +138,3 @@ fn zero_deadline_fails_fast_everywhere() {
         iy.err()
     );
 }
-
-#[test]
-fn default_context_reproduces_plain_entry_points() {
-    let inst = capped_instance(4);
-    let plain = Algorithm1::new().solve(&inst).unwrap();
-    let ctxed = Algorithm1::new()
-        .solve_with_context(&inst, &SolverContext::new())
-        .unwrap();
-    assert_eq!(plain, ctxed);
-}

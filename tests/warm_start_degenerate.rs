@@ -41,12 +41,13 @@ fn reduced_model() -> Model {
 #[test]
 fn stale_basis_from_presolve_removed_column_falls_back_cold() {
     // The full model really does carry a presolve-removable column.
-    let (_, info) = presolve::solve_with_info(&model_with_fixed_column()).unwrap();
+    let (_, info) =
+        presolve::solve_with_context(&model_with_fixed_column(), &SolverContext::new()).unwrap();
     assert!(info.fixed_vars >= 1, "fixture must have a fixed column");
 
     // Snapshot a basis against the full (3-variable) model…
     let mut full = model_with_fixed_column().into_solver();
-    full.solve().unwrap();
+    full.solve_with_context(&SolverContext::new()).unwrap();
     let stale = full.basis().expect("solved model exposes a basis");
 
     // …then warm-start the reduced (2-variable) model from it. The
@@ -56,7 +57,10 @@ fn stale_basis_from_presolve_removed_column_falls_back_cold() {
     let ctx = SolverContext::new();
     let mut reduced = reduced_model().into_solver();
     let warm = reduced.solve_from_basis(&stale, &ctx).unwrap();
-    let cold = reduced_model().into_solver().solve().unwrap();
+    let cold = reduced_model()
+        .into_solver()
+        .solve_with_context(&SolverContext::new())
+        .unwrap();
     assert_eq!(warm.objective.to_bits(), cold.objective.to_bits());
     assert_eq!(warm.x, cold.x);
 
@@ -74,7 +78,9 @@ fn basis_from_infeasible_prior_hour_is_repaired_not_an_error() {
     let x = prior.add_var(0.0, 2.0, 1.0);
     prior.add_row(5.0, f64::INFINITY, &[(x, 1.0)]);
     let mut prior_solver = prior.into_solver();
-    prior_solver.solve().expect_err("prior hour is infeasible");
+    prior_solver
+        .solve_with_context(&SolverContext::new())
+        .expect_err("prior hour is infeasible");
     let hostile = prior_solver
         .basis()
         .expect("basis survives an infeasible solve");
