@@ -24,6 +24,7 @@ use jcr_lp::{Model, Sense};
 use crate::error::JcrError;
 use crate::instance::Instance;
 use crate::placement::Placement;
+use crate::placement_opt;
 use crate::rnr;
 use crate::routing::Solution;
 
@@ -112,11 +113,9 @@ impl Algorithm1 {
 
         // --- Reduced LP ---------------------------------------------------
         let mut model = Model::new(Sense::Maximize);
-        // x variables, indexed [cache node][item].
-        let x_var: Vec<Vec<jcr_lp::VarId>> = cache_nodes
-            .iter()
-            .map(|_| (0..n_items).map(|_| model.add_var(0.0, 1.0, 0.0)).collect())
-            .collect();
+        // x variables, indexed [cache node][item], for requested items only.
+        let x_var = placement_opt::add_placement_vars(&mut model, inst, cache_nodes.len());
+        let x_of = |vi: usize, i: usize| x_var[vi][i].expect("requested item");
         // z variables and their coverage rows.
         for req in &inst.requests {
             let z = model.add_var(0.0, 1.0, req.rate * w_max);
@@ -127,7 +126,7 @@ impl Algorithm1 {
                 if d.is_finite() {
                     let a = (w_max - d) / w_max;
                     if a > 0.0 {
-                        entries.push((x_var[vi][req.item], -a));
+                        entries.push((x_of(vi, req.item), -a));
                     }
                 }
             }
@@ -146,7 +145,7 @@ impl Algorithm1 {
         }
         // Cache capacities.
         for (vi, &v) in cache_nodes.iter().enumerate() {
-            let entries: Vec<_> = (0..n_items).map(|i| (x_var[vi][i], 1.0)).collect();
+            let entries: Vec<_> = x_var[vi].iter().flatten().map(|&x| (x, 1.0)).collect();
             model.add_row(f64::NEG_INFINITY, inst.cache_cap[v.index()], &entries);
         }
         let lp = {
@@ -165,7 +164,7 @@ impl Algorithm1 {
             for (vi, &v) in cache_nodes.iter().enumerate() {
                 let d = ap.dist(v, req.node);
                 let av = if d.is_finite() {
-                    lp.x[x_var[vi][req.item].index()] * ((w_max - d) / w_max).max(0.0)
+                    lp.x[x_of(vi, req.item).index()] * ((w_max - d) / w_max).max(0.0)
                 } else {
                     0.0
                 };
@@ -201,7 +200,7 @@ impl Algorithm1 {
             let mut group = Vec::with_capacity(n_items);
             for i in 0..n_items {
                 group.push(coords.len());
-                coords.push(lp.x[x_var[vi][i].index()]);
+                coords.push(x_var[vi][i].map_or(0.0, |x| lp.x[x.index()]));
                 flat_weight.push(weight[vi][i]);
             }
             groups.push(group);

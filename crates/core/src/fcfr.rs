@@ -19,6 +19,7 @@ use jcr_lp::{Model, Sense, VarId};
 
 use crate::error::JcrError;
 use crate::instance::Instance;
+use crate::placement_opt;
 
 /// Result of the exact FC-FR LP.
 #[derive(Clone, Debug)]
@@ -53,15 +54,7 @@ pub fn solve_fcfr_with_context(
     }
 
     let mut model = Model::new(Sense::Minimize);
-    // x variables per (cache node, item).
-    let x_var: Vec<Vec<VarId>> = cache_nodes
-        .iter()
-        .map(|_| {
-            (0..inst.num_items())
-                .map(|_| model.add_var(0.0, 1.0, 0.0))
-                .collect()
-        })
-        .collect();
+    let x_var = placement_opt::add_placement_vars(&mut model, inst, cache_nodes.len());
     // Flow variables per (request, edge) and source-selection variables
     // per (request, cache node / origin).
     let mut f_var: Vec<Vec<VarId>> = Vec::with_capacity(inst.requests.len());
@@ -126,27 +119,33 @@ pub fn solve_fcfr_with_context(
             model.add_row(
                 f64::NEG_INFINITY,
                 0.0,
-                &[(r_var[ri][k], 1.0), (x_var[k][req.item], -1.0)],
+                &[
+                    (r_var[ri][k], 1.0),
+                    (x_var[k][req.item].expect("requested item"), -1.0),
+                ],
             );
         }
     }
     // (1f) / (16) cache capacities.
-    for (k, &v) in cache_nodes.iter().enumerate() {
-        let entries: Vec<_> = (0..inst.num_items())
-            .map(|i| (x_var[k][i], inst.item_size[i]))
-            .collect();
-        model.add_row(f64::NEG_INFINITY, inst.cache_cap[v.index()], &entries);
-    }
+    placement_opt::add_capacity_rows(&mut model, inst, &cache_nodes, &x_var);
 
     let lp = model.solve_with_context(ctx)?;
-    let x = x_var
-        .iter()
-        .map(|row| row.iter().map(|&v| lp.x[v.index()]).collect())
-        .collect();
     Ok(FcfrSolution {
         cost: lp.objective,
-        x,
+        x: placement_values(&x_var, &lp.x),
     })
+}
+
+/// The catalog-wide fractional placement, `0.0` for unrequested items.
+fn placement_values(x_var: &[Vec<Option<VarId>>], values: &[f64]) -> Vec<Vec<f64>> {
+    x_var
+        .iter()
+        .map(|row| {
+            row.iter()
+                .map(|x| x.map_or(0.0, |x| values[x.index()]))
+                .collect()
+        })
+        .collect()
 }
 
 /// Solves FC-FR by column generation over source-anchored paths — same
@@ -167,7 +166,6 @@ pub fn solve_fcfr_cg_with_context(
 ) -> Result<FcfrSolution, JcrError> {
     let _t = ctx.time(Phase::ColumnGeneration);
     let cache_nodes = inst.cache_nodes();
-    let n_items = inst.num_items();
     let graph = &inst.graph;
     let big = 1e3
         + 10.0
@@ -181,10 +179,7 @@ pub fn solve_fcfr_cg_with_context(
 
     // --- master -----------------------------------------------------------
     let mut model = Model::new(Sense::Minimize);
-    let x_var: Vec<Vec<VarId>> = cache_nodes
-        .iter()
-        .map(|_| (0..n_items).map(|_| model.add_var(0.0, 1.0, 0.0)).collect())
-        .collect();
+    let x_var = placement_opt::add_placement_vars(&mut model, inst, cache_nodes.len());
     let mut cap_row = vec![None; graph.edge_count()];
     for e in graph.edges() {
         let c = inst.link_cap[e.index()];
@@ -201,17 +196,16 @@ pub fn solve_fcfr_cg_with_context(
             .iter()
             .enumerate()
             .map(|(vi, _)| {
-                model.add_row(f64::NEG_INFINITY, 0.0, &[(x_var[vi][req.item], -req.rate)])
+                model.add_row(
+                    f64::NEG_INFINITY,
+                    0.0,
+                    &[(x_var[vi][req.item].expect("requested item"), -req.rate)],
+                )
             })
             .collect();
         link_rows.push(rows);
     }
-    for (vi, &v) in cache_nodes.iter().enumerate() {
-        let entries: Vec<_> = (0..n_items)
-            .map(|i| (x_var[vi][i], inst.item_size[i]))
-            .collect();
-        model.add_row(f64::NEG_INFINITY, inst.cache_cap[v.index()], &entries);
-    }
+    placement_opt::add_capacity_rows(&mut model, inst, &cache_nodes, &x_var);
     let mut artificials = Vec::with_capacity(inst.requests.len());
     for &row in &demand_rows {
         artificials.push(model.add_var_with_column(0.0, f64::INFINITY, big, &[(row, 1.0)]));
@@ -285,13 +279,9 @@ pub fn solve_fcfr_cg_with_context(
             return Err(JcrError::Infeasible);
         }
     }
-    let x = x_var
-        .iter()
-        .map(|row| row.iter().map(|&v| solution.x[v.index()]).collect())
-        .collect();
     Ok(FcfrSolution {
         cost: solution.objective,
-        x,
+        x: placement_values(&x_var, &solution.x),
     })
 }
 

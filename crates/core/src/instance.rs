@@ -191,6 +191,18 @@ impl Instance {
         self.item_size.len()
     }
 
+    /// `requested[i]`: whether some request asks for item `i`. The
+    /// placement LPs create `x_{v,i}` only for these items; an unrequested
+    /// item's placement variable has zero cost and no row but its cache's
+    /// capacity row, so it never changes the LP's optimum.
+    pub(crate) fn requested_items(&self) -> Vec<bool> {
+        let mut requested = vec![false; self.num_items()];
+        for r in &self.requests {
+            requested[r.item] = true;
+        }
+        requested
+    }
+
     /// Whether all items have unit (equal) size.
     pub fn homogeneous(&self) -> bool {
         self.item_size.iter().all(|&b| (b - 1.0).abs() < 1e-12)

@@ -16,7 +16,7 @@
 //! the prefix.
 
 use jcr_graph::NodeId;
-use jcr_lp::{Model, Sense};
+use jcr_lp::{Model, Sense, VarId};
 
 use crate::error::JcrError;
 use crate::instance::Instance;
@@ -122,6 +122,46 @@ pub fn cost_given_routing(inst: &Instance, routing: &Routing, placement: &Placem
     routing.cost(inst) - f_given_routing(inst, routing, placement)
 }
 
+/// Adds the placement variables `x_{v,i}` to `model`, indexed
+/// `[cache-node position][item]`: a `[0, 1]` column of zero cost for each
+/// requested item, created in that order, and `None` for every other item.
+/// An unrequested item's column would have no nonzero outside its cache's
+/// capacity row, so leaving it out never changes the optimum (DESIGN.md
+/// §1); readers take its value as `0.0`.
+pub(crate) fn add_placement_vars(
+    model: &mut Model,
+    inst: &Instance,
+    n_caches: usize,
+) -> Vec<Vec<Option<VarId>>> {
+    let requested = inst.requested_items();
+    (0..n_caches)
+        .map(|_| {
+            requested
+                .iter()
+                .map(|&r| r.then(|| model.add_var(0.0, 1.0, 0.0)))
+                .collect()
+        })
+        .collect()
+}
+
+/// Adds the size-aware cache-capacity rows `Σ_i b_i x_{v,i} ≤ c_v` over
+/// the variables of [`add_placement_vars`].
+pub(crate) fn add_capacity_rows(
+    model: &mut Model,
+    inst: &Instance,
+    cache_nodes: &[NodeId],
+    x_var: &[Vec<Option<VarId>>],
+) {
+    for (vi, &v) in cache_nodes.iter().enumerate() {
+        let entries: Vec<_> = x_var[vi]
+            .iter()
+            .zip(&inst.item_size)
+            .filter_map(|(x, &b)| x.map(|x| (x, b)))
+            .collect();
+        model.add_row(f64::NEG_INFINITY, inst.cache_cap[v.index()], &entries);
+    }
+}
+
 /// Maximizes `F_{r,f}(x)` with the LP-on-(15) + pipage-rounding scheme —
 /// the `(1 − 1/e)`-approximate placement step of the alternating
 /// optimization (equal-sized items). The LP obeys the context's simplex
@@ -175,9 +215,8 @@ pub(crate) fn optimize_placement_warm(
     // --- LP on (15) ---------------------------------------------------
     // The fractional stage is always size-aware: Σ_i b_i x_vi ≤ c_v.
     let mut model = Model::new(Sense::Maximize);
-    let x_var: Vec<jcr_lp::VarId> = (0..cache_nodes.len() * n_items)
-        .map(|_| model.add_var(0.0, 1.0, 0.0))
-        .collect();
+    let x_var = add_placement_vars(&mut model, inst, cache_nodes.len());
+    let x_of = |vi: usize, i: usize| x_var[vi][i].expect("segment items are requested");
     for seg in &segments {
         if seg.saved_by_origin || seg.weight <= 0.0 {
             continue;
@@ -186,16 +225,11 @@ pub(crate) fn optimize_placement_warm(
         let mut entries = vec![(z, 1.0)];
         for &v in &seg.prefix {
             let vi = node_pos[v.index()].expect("prefix nodes are cache nodes");
-            entries.push((x_var[coord(vi, seg.item)], -1.0));
+            entries.push((x_of(vi, seg.item), -1.0));
         }
         model.add_row(f64::NEG_INFINITY, 0.0, &entries);
     }
-    for (vi, &v) in cache_nodes.iter().enumerate() {
-        let entries: Vec<_> = (0..n_items)
-            .map(|i| (x_var[coord(vi, i)], inst.item_size[i]))
-            .collect();
-        model.add_row(f64::NEG_INFINITY, inst.cache_cap[v.index()], &entries);
-    }
+    add_capacity_rows(&mut model, inst, &cache_nodes, &x_var);
     let mut lp_solver = model.into_solver();
     let lp = match warm {
         Some(basis) => lp_solver.solve_from_basis(basis, ctx)?,
@@ -204,8 +238,13 @@ pub(crate) fn optimize_placement_warm(
     let basis_out = lp_solver.basis();
 
     // --- Pipage rounding ------------------------------------------------
-    // Gradient of the multilinear extension of (14) at the current x.
-    let mut term_of_coord: Vec<Vec<usize>> = vec![Vec::new(); cache_nodes.len() * n_items];
+    // Gradient of the multilinear extension of (14) at the current x. The
+    // rounding runs over the whole catalog (an unrequested coordinate is
+    // an exact zero in no term); terms are listed per x column, which are
+    // the LP's first columns.
+    let x_col = |c: usize| x_var[c / n_items][c % n_items];
+    let n_x = x_var.iter().flatten().count();
+    let mut term_of_col: Vec<Vec<usize>> = vec![Vec::new(); n_x];
     let mut term_vars: Vec<Vec<usize>> = Vec::new();
     let mut term_weight: Vec<f64> = Vec::new();
     for seg in &segments {
@@ -219,12 +258,16 @@ pub(crate) fn optimize_placement_warm(
             .collect();
         let t = term_vars.len();
         for &c in &vars {
-            term_of_coord[c].push(t);
+            term_of_col[x_col(c).expect("segment items are requested").index()].push(t);
         }
         term_vars.push(vars);
         term_weight.push(seg.weight);
     }
-    let mut x: Vec<f64> = x_var.iter().map(|v| lp.x[v.index()]).collect();
+    let mut x: Vec<f64> = x_var
+        .iter()
+        .flatten()
+        .map(|v| v.map_or(0.0, |v| lp.x[v.index()]))
+        .collect();
     let groups: Vec<Vec<usize>> = (0..cache_nodes.len())
         .map(|vi| (0..n_items).map(|i| coord(vi, i)).collect())
         .collect();
@@ -251,7 +294,8 @@ pub(crate) fn optimize_placement_warm(
         let _t = ctx.time(jcr_ctx::Phase::Rounding);
         ctx.count(jcr_ctx::Counter::RoundingPasses, 1);
         jcr_submodular::pipage::pipage_round(&mut x, &groups, &capacity, |c, xs| {
-            term_of_coord[c]
+            let terms: &[usize] = x_col(c).map_or(&[], |v| &term_of_col[v.index()]);
+            terms
                 .iter()
                 .map(|&t| {
                     let others: f64 = term_vars[t]
@@ -338,6 +382,41 @@ mod tests {
             .map(|pf| pf.amount * pf.path.cost(&inst.link_cost))
             .sum();
         assert!((f - expect).abs() < 1e-6, "{f} vs {expect}");
+    }
+
+    /// LP (15) holds one x column per (cache, requested item) and one z
+    /// column per segment term, whatever the catalog's size.
+    #[test]
+    fn lp_columns_cover_requested_items_only() {
+        let topo = Topology::generate(TopologyKind::Abovenet, 21).unwrap();
+        let n_edges = topo.edge_nodes.len();
+        let row = |rate: f64| vec![rate; n_edges];
+        // Items 1, 3 and 4 are never requested.
+        let rates = vec![row(5.0), row(0.0), row(3.0), row(0.0), row(0.0), row(1.0)];
+        let inst = InstanceBuilder::new(topo)
+            .items(rates.len())
+            .cache_capacity(1.0)
+            .demand_matrix(rates)
+            .build()
+            .unwrap();
+        assert_eq!(
+            inst.requested_items(),
+            [true, false, true, false, false, true]
+        );
+        let routing = origin_routing(&inst);
+        let terms = extract_segments(&inst, &routing)
+            .iter()
+            .filter(|s| !s.saved_by_origin && s.weight > 0.0)
+            .count();
+        assert!(terms > 0);
+        let (placement, basis) =
+            optimize_placement_warm(&inst, &routing, false, &SolverContext::new(), None).unwrap();
+        let basis = basis.expect("an LP was solved");
+        assert_eq!(basis.num_vars(), inst.cache_nodes().len() * 3 + terms);
+        assert_eq!(basis.num_rows(), terms + inst.cache_nodes().len());
+        for v in inst.cache_nodes() {
+            assert!(!placement.has(v, 1) && !placement.has(v, 3) && !placement.has(v, 4));
+        }
     }
 
     #[test]
