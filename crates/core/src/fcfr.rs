@@ -14,7 +14,7 @@
 //!   the paper's full evaluation setting.
 
 use jcr_ctx::{Counter, Phase, SolverContext};
-use jcr_graph::shortest;
+use jcr_graph::{shortest, NodeId};
 use jcr_lp::{Model, Sense, VarId};
 
 use crate::error::JcrError;
@@ -213,7 +213,7 @@ pub fn solve_fcfr_cg_with_context(
     let mut solver = model.into_solver();
 
     // Sources: cache nodes (linked to x) plus the origin (free source).
-    let mut sources: Vec<(jcr_graph::NodeId, Option<usize>)> =
+    let mut sources: Vec<(NodeId, Option<usize>)> =
         cache_nodes.iter().map(|&v| (v, Some(v.index()))).collect();
     if let Some(o) = inst.origin {
         sources.push((o, None));
@@ -222,6 +222,14 @@ pub fn solve_fcfr_cg_with_context(
     for (k, &v) in cache_nodes.iter().enumerate() {
         node_pos[v.index()] = Some(k);
     }
+
+    // Pricing reads each source's tree only at request nodes, so its
+    // Dijkstra stops once those are settled.
+    let mut targets: Vec<NodeId> = inst.requests.iter().map(|r| r.node).collect();
+    targets.sort_unstable();
+    targets.dedup();
+    let mut scratch = shortest::DijkstraScratch::new();
+    let mut path_buf = Vec::new();
 
     let max_rounds = 40 * inst.requests.len() + 2000;
     let mut solution = solver.solve_with_context(ctx)?;
@@ -236,11 +244,11 @@ pub fn solve_fcfr_cg_with_context(
         }
         let mut added = false;
         for &(src, src_node) in &sources {
-            let tree = shortest::dijkstra_with_context(graph, src, &weights, ctx);
+            shortest::dijkstra_into_with_context(graph, src, &weights, &targets, &mut scratch, ctx);
             for (ri, req) in inst.requests.iter().enumerate() {
-                let Some(path) = tree.path(req.node) else {
+                if !scratch.path_into(graph, req.node, &mut path_buf) {
                     continue;
-                };
+                }
                 let sigma = solution.duals[demand_rows[ri].index()];
                 let mu = match src_node {
                     Some(v) => {
@@ -249,19 +257,20 @@ pub fn solve_fcfr_cg_with_context(
                     }
                     None => 0.0,
                 };
-                let reduced = path.cost(&weights) - sigma - mu;
+                let path_cost = |c: &[f64]| path_buf.iter().map(|e| c[e.index()]).sum::<f64>();
+                let reduced = path_cost(&weights) - sigma - mu;
                 if reduced < -1e-7 * (1.0 + sigma.abs() + mu.abs()) {
                     let mut column = vec![(demand_rows[ri], 1.0)];
                     if let Some(v) = src_node {
                         let vi = node_pos[v].expect("cache node");
                         column.push((link_rows[ri][vi], 1.0));
                     }
-                    for e in path.edges() {
+                    for e in &path_buf {
                         if let Some(r) = cap_row[e.index()] {
                             column.push((r, 1.0));
                         }
                     }
-                    let obj = path.cost(&inst.link_cost);
+                    let obj = path_cost(&inst.link_cost);
                     solver.add_column(0.0, f64::INFINITY, obj, &column);
                     ctx.count(Counter::CgColumns, 1);
                     added = true;

@@ -5,7 +5,7 @@
 //!
 //! ```text
 //! jcr-instance v1
-//! nodes <count>
+//! nodes <count>                  # at most MAX_NODES (2^20)
 //! origin <node index>            # optional
 //! item <size>                    # one per item, in item-id order
 //! cache <node> <capacity>        # nodes with positive cache capacity
@@ -57,6 +57,12 @@ pub fn to_text(inst: &Instance) -> String {
     }
     out
 }
+
+/// Largest node count [`from_text`] accepts, checked before any per-node
+/// allocation so a corrupt or hostile count fails cleanly instead of
+/// exhausting memory. It is far above any topology the generators build
+/// (the Stress graph has 1000 nodes).
+pub const MAX_NODES: usize = 1 << 20;
 
 /// Parses an instance from the plain-text format.
 ///
@@ -145,6 +151,11 @@ pub fn from_text(text: &str) -> Result<Instance, JcrError> {
     }
 
     let n = n_nodes.ok_or_else(|| JcrError::InvalidInstance("missing `nodes`".into()))?;
+    if n > MAX_NODES {
+        return Err(JcrError::InvalidInstance(format!(
+            "node count {n} exceeds the format's limit of {MAX_NODES}"
+        )));
+    }
     let mut graph = DiGraph::with_capacity(n, links.len());
     let nodes = graph.add_nodes(n);
     let in_range = |v: usize| -> Result<NodeId, JcrError> {
@@ -257,6 +268,7 @@ mod tests {
         for bad in [
             "jcr-instance v1\nnodes inf",
             "jcr-instance v1\nnodes 5000000000",
+            "jcr-instance v1\nnodes 4000000000",
             "jcr-instance v1\nnodes 2.5",
             "jcr-instance v1\nnodes -3",
             "jcr-instance v1\nnodes 2\nlink 0 1.9 1 inf",
@@ -268,6 +280,11 @@ mod tests {
                 "{bad:?} was accepted"
             );
         }
+        let over = format!("jcr-instance v1\nnodes {}", MAX_NODES + 1);
+        assert!(matches!(
+            from_text(&over),
+            Err(JcrError::InvalidInstance(_))
+        ));
     }
 
     #[test]

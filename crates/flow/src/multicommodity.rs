@@ -17,7 +17,7 @@ pub const SEED_COLUMNS_ACCEPTED: &str = "cg.seed_accepted";
 /// Named counter: carried seed columns rejected by revalidation.
 pub const SEED_COLUMNS_REJECTED: &str = "cg.seed_rejected";
 
-use jcr_graph::{shortest, DiGraph, NodeId, Path};
+use jcr_graph::{shortest, DiGraph, EdgeId, NodeId, Path};
 use jcr_lp::{Model, Sense};
 
 use crate::{FlowError, PathFlow, FLOW_EPS};
@@ -186,6 +186,12 @@ pub fn min_cost_multicommodity_with_context(
     let source_list: Vec<usize> = (0..g.node_count())
         .filter(|&s| !by_source[s].is_empty())
         .collect();
+    // Pricing reads each source's tree only at its commodities'
+    // destinations, so its Dijkstra stops once those are settled.
+    let targets: Vec<Vec<NodeId>> = source_list
+        .iter()
+        .map(|&s| by_source[s].iter().map(|&i| commodities[i].dest).collect())
+        .collect();
 
     let max_rounds = 40 * commodities.len() + 2000;
     let mut solution = {
@@ -223,12 +229,13 @@ pub fn min_cost_multicommodity_with_context(
                 ctx,
                 &source_list,
                 || (shortest::DijkstraScratch::new(), Vec::new()),
-                |(scratch, path_buf), wctx, _k, &src| {
+                |(scratch, path_buf), wctx, k, &src| {
                     wctx.check_deadline(Phase::ColumnGeneration)?;
                     shortest::dijkstra_into_with_context(
                         g,
                         NodeId::new(src),
                         &weights,
+                        &targets[k],
                         scratch,
                         wctx,
                     );
@@ -341,7 +348,7 @@ pub fn min_cost_multicommodity_with_context(
             if !path_flows[i].is_empty() {
                 continue;
             }
-            shortest::dijkstra_into_with_context(g, c.source, cost, &mut scratch, ctx);
+            shortest::dijkstra_into_with_context(g, c.source, cost, &[c.dest], &mut scratch, ctx);
             if !scratch.path_into(g, c.dest, &mut path_buf) {
                 return Err(FlowError::Infeasible);
             }
@@ -683,29 +690,26 @@ pub fn greedy_unsplittable_with_context(
     });
     let mut residual: Vec<f64> = cap.to_vec();
     let mut paths: Vec<Option<Path>> = vec![None; commodities.len()];
+    let mut scratch = shortest::DijkstraScratch::new();
+    let mut path_buf = Vec::new();
     for &i in &order {
         ctx.check(Phase::MinCostFlow)?;
         let c = commodities[i];
         ctx.count(Counter::DijkstraCalls, 1);
-        let fits = shortest::dijkstra_filtered(g, c.source, cost, |e| {
-            residual[e.index()] + FLOW_EPS >= c.demand
-        });
-        let path = match fits.path(c.dest) {
-            Some(p) => p,
-            None => {
-                // Overload: cheapest path regardless of capacity.
-                ctx.count(Counter::DijkstraCalls, 1);
-                let any = shortest::dijkstra(g, c.source, cost);
-                match any.path(c.dest) {
-                    Some(p) => p,
-                    None => return Err(FlowError::Infeasible),
-                }
+        let fits = |e: EdgeId| residual[e.index()] + FLOW_EPS >= c.demand;
+        shortest::dijkstra_filtered_into(g, c.source, cost, fits, &[c.dest], &mut scratch);
+        if !scratch.path_into(g, c.dest, &mut path_buf) {
+            // Overload: cheapest path regardless of capacity.
+            ctx.count(Counter::DijkstraCalls, 1);
+            shortest::dijkstra_filtered_into(g, c.source, cost, |_| true, &[c.dest], &mut scratch);
+            if !scratch.path_into(g, c.dest, &mut path_buf) {
+                return Err(FlowError::Infeasible);
             }
-        };
-        for e in path.edges() {
+        }
+        for e in &path_buf {
             residual[e.index()] -= c.demand;
         }
-        paths[i] = Some(path);
+        paths[i] = Some(Path::new(path_buf.clone()));
     }
     // Every index of `paths` was assigned: `order` is a permutation of
     // `0..commodities.len()` and the loop either routes index `i` or
@@ -761,6 +765,123 @@ mod tests {
             },
         ];
         (g, cost, cap, commodities)
+    }
+
+    /// A seeded `G^x` (§4.3.2) over the Stress topology: six virtual item
+    /// sources, each linked to three edge-node holders and the origin, and
+    /// 24 requests on links of capacity 2, so pricing runs several rounds
+    /// with several destinations per source.
+    fn stress_gx() -> (DiGraph, Vec<f64>, Vec<f64>, Vec<Commodity>) {
+        let mut t = jcr_topo::Topology::generate(jcr_topo::TopologyKind::Stress, 5).unwrap();
+        t.set_uniform_capacity(2.0);
+        let mut g = t.graph.clone();
+        let mut cost = t.cost.clone();
+        let mut cap = t.capacity.clone();
+        let mut rng = jcr_ctx::rng::StdRng::seed_from_u64(11);
+        let mut item_source = Vec::new();
+        for _ in 0..6 {
+            let vi = g.add_node();
+            item_source.push(vi);
+            for _ in 0..3 {
+                let v = t.edge_nodes[rng.gen_range(0..t.edge_nodes.len())];
+                g.add_edge(vi, v);
+                cost.push(0.0);
+                cap.push(f64::INFINITY);
+            }
+            g.add_edge(vi, t.origin);
+            cost.push(0.0);
+            cap.push(f64::INFINITY);
+        }
+        let commodities = (0..24)
+            .map(|_| Commodity {
+                source: item_source[rng.gen_range(0..item_source.len())],
+                dest: t.edge_nodes[rng.gen_range(0..t.edge_nodes.len())],
+                demand: rng.gen_range(0.5..2.5),
+            })
+            .collect();
+        (g, cost, cap, commodities)
+    }
+
+    /// Column generation's answers and work, pinned to values recorded
+    /// with the full-tree pricing kernel: targeted pricing runs must find
+    /// the same columns in the same rounds.
+    #[test]
+    fn pricing_answers_and_work_are_pinned() {
+        type Pin = (u64, u64, u64, u64, &'static [&'static [u32]]);
+        let bottleneck: Pin = (
+            0x4020000000000000,
+            0x4020000000000000,
+            6,
+            4,
+            &[&[0, 2], &[3], &[1, 2]],
+        );
+        let stress: Pin = (
+            0x4077470d804961df,
+            0x4077470d804961e0,
+            30,
+            49,
+            &[
+                &[20002, 15051, 17696, 2833, 6828, 12688],
+                &[20012, 910, 19454, 11456, 18415, 8734],
+                &[20012, 12663, 5604, 1354, 17748],
+                &[20012, 13811, 121, 125, 17748],
+                &[20017, 13396, 6835, 17119, 807, 13037],
+                &[20008, 12541, 7216],
+                &[20004, 4805, 13548, 6079, 4001, 14105, 6114],
+                &[20004, 9057, 13450, 17751, 204, 16688, 17232],
+                &[20006, 17223, 6105, 13583, 210, 11337, 17232],
+                &[20001, 1472, 17936, 9880, 19786],
+                &[20002, 15051, 12533, 14987, 2211, 17520],
+                &[20006, 17223, 6824, 14549, 11783, 9704, 17859, 16927],
+                &[20014, 18756, 17264, 5113, 17974],
+                &[20022, 16897, 339, 1415, 7630, 12321],
+                &[20020, 9045, 14470],
+                &[20018],
+                &[20017, 1148, 13736, 15626, 2469],
+                &[20016, 12541, 7216],
+                &[20012, 12663, 14118, 17569, 16148],
+                &[20020, 9045, 743, 6772, 3734],
+                &[20020, 9045, 5982, 14946, 5064, 6122],
+                &[20020, 1148, 13736, 13880, 6481, 911],
+                &[20021],
+                &[20004, 4805, 9904, 9978, 577, 12236, 10234, 7636],
+                &[20004, 4805, 4954, 13831, 12044, 12959, 9992],
+                &[20005, 14389, 13433, 9842, 12321],
+                &[20006, 2507, 17443, 10219, 705, 2772, 11038],
+                &[20012, 910, 1123, 18601, 15702],
+                &[20013, 15425, 17977, 29, 16396, 15391, 9303, 7452],
+                &[20006, 17223, 6824, 14549, 12276],
+                &[20002, 18685, 6167, 5576, 16896],
+                &[20002, 14142, 5100, 13949, 18049, 3910],
+                &[20014, 17672, 17071, 6134, 13893, 10780],
+                &[20004, 9057, 676, 354, 219, 18757],
+            ],
+        );
+        for (name, (g, cost, cap, commodities), pin) in [
+            ("bottleneck", bottleneck_instance(), bottleneck),
+            ("stress G^x", stress_gx(), stress),
+        ] {
+            let ctx = SolverContext::new();
+            let (sol, _) =
+                min_cost_multicommodity_with_context(&g, &cost, &cap, &commodities, &[], &ctx)
+                    .unwrap();
+            let paths: Vec<Vec<u32>> = sol
+                .path_flows
+                .iter()
+                .flatten()
+                .map(|f| f.path.edges().iter().map(|e| e.index() as u32).collect())
+                .collect();
+            let stats = ctx.stats();
+            let (cost_bits, bound_bits, dijkstra_calls, cg_columns, pinned_paths) = pin;
+            assert_eq!(sol.cost.to_bits(), cost_bits, "{name}: cost");
+            assert_eq!(sol.lower_bound.to_bits(), bound_bits, "{name}: lower bound");
+            assert_eq!(
+                stats.dijkstra_calls, dijkstra_calls,
+                "{name}: Dijkstra calls"
+            );
+            assert_eq!(stats.cg_columns, cg_columns, "{name}: CG columns");
+            assert_eq!(paths, pinned_paths, "{name}: paths");
+        }
     }
 
     #[test]

@@ -342,7 +342,7 @@ impl DistanceOracle {
         let n = self.graph.node_count();
         let mut data = cache.take_buffer();
         let mut scratch = std::mem::take(&mut cache.scratch);
-        dijkstra_filtered_into(&self.graph, s, &self.cost, |_| true, &mut scratch);
+        dijkstra_filtered_into(&self.graph, s, &self.cost, |_| true, &[], &mut scratch);
         data.fill(&scratch, n);
         cache.scratch = scratch;
         cache.rows_computed += 1;
@@ -423,7 +423,7 @@ impl DistanceOracle {
             &missing,
             DijkstraScratch::default,
             |scratch, wctx, _i, &s| {
-                dijkstra_into_with_context(&self.graph, s, &self.cost, scratch, wctx);
+                dijkstra_into_with_context(&self.graph, s, &self.cost, &[], scratch, wctx);
                 let mut data = RowData {
                     dist: Vec::new(),
                     parent: Vec::new(),
@@ -455,7 +455,7 @@ impl DistanceOracle {
                 let mut scratch = DijkstraScratch::default();
                 let mut max = 0.0f64;
                 for s in self.graph.nodes() {
-                    dijkstra_filtered_into(&self.graph, s, &self.cost, |_| true, &mut scratch);
+                    dijkstra_filtered_into(&self.graph, s, &self.cost, |_| true, &[], &mut scratch);
                     for &d in scratch.dists() {
                         if d.is_finite() && d > max {
                             max = d;
@@ -584,7 +584,7 @@ impl DistanceOracle {
         // distrust everything carried and go cold.
         let mut scratch = DijkstraScratch::default();
         for (s, row) in carried.iter().take(verify_samples) {
-            dijkstra_filtered_into(graph, *s, cost, |_| true, &mut scratch);
+            dijkstra_filtered_into(graph, *s, cost, |_| true, &[], &mut scratch);
             report.rows_verified += 1;
             let fresh_ok = (0..n).all(|v| {
                 scratch.dists()[v].to_bits() == row.dist[v].to_bits()
@@ -621,7 +621,7 @@ impl DistanceOracle {
                     &missing,
                     DijkstraScratch::default,
                     |scratch, wctx, _i, &s| {
-                        dijkstra_into_with_context(graph, s, cost, scratch, wctx);
+                        dijkstra_into_with_context(graph, s, cost, &[], scratch, wctx);
                         let mut data = RowData {
                             dist: Vec::new(),
                             parent: Vec::new(),
@@ -633,7 +633,7 @@ impl DistanceOracle {
                 _ => missing
                     .iter()
                     .map(|&s| {
-                        dijkstra_filtered_into(graph, s, cost, |_| true, &mut scratch);
+                        dijkstra_filtered_into(graph, s, cost, |_| true, &[], &mut scratch);
                         let mut data = RowData {
                             dist: Vec::new(),
                             parent: Vec::new(),
@@ -750,7 +750,7 @@ fn dense_fill(g: &DiGraph, cost: &[f64]) -> (Vec<f64>, Vec<u32>) {
     let mut parent = vec![NO_PARENT; n * n];
     let mut scratch = DijkstraScratch::default();
     for s in g.nodes() {
-        dijkstra_filtered_into(g, s, cost, |_| true, &mut scratch);
+        dijkstra_filtered_into(g, s, cost, |_| true, &[], &mut scratch);
         let lo = s.index() * n;
         dist[lo..lo + n].copy_from_slice(&scratch.dists()[..n]);
         for v in 0..n {
@@ -771,7 +771,7 @@ fn dense_fill_par(g: &DiGraph, cost: &[f64], ctx: &SolverContext) -> (Vec<f64>, 
         &sources,
         DijkstraScratch::default,
         |scratch, wctx, _i, &s| {
-            dijkstra_into_with_context(g, s, cost, scratch, wctx);
+            dijkstra_into_with_context(g, s, cost, &[], scratch, wctx);
             let mut data = RowData {
                 dist: Vec::new(),
                 parent: Vec::new(),

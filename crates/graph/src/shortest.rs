@@ -1,14 +1,14 @@
 //! Shortest-path algorithms: Dijkstra, Bellman–Ford, all-pairs least costs,
 //! and Yen's k-shortest simple paths.
 //!
-//! Repeated runs (all-pairs, SSP augmentations, Yen spurs) can reuse one
-//! [`DijkstraScratch`] to avoid reallocating the distance/parent/heap
-//! buffers per source, and every entry point has a `*_with_context`
-//! variant that records [`Counter::DijkstraCalls`] and Dijkstra phase time
-//! on a [`SolverContext`].
+//! Every Dijkstra entry point wraps one kernel, [`dijkstra_filtered_into`],
+//! which stops once a given set of target nodes is settled. Repeated runs
+//! (all-pairs, CG pricing, Yen spurs) can reuse one [`DijkstraScratch`] to
+//! avoid reallocating the distance/parent/heap buffers per source, and the
+//! `*_with_context` variants record [`Counter::DijkstraCalls`] and
+//! Dijkstra phase time on a [`SolverContext`].
 
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 
 use jcr_ctx::{Counter, Phase, SolverContext};
 
@@ -97,42 +97,32 @@ impl ShortestPathTree {
     }
 }
 
-/// Min-heap entry ordered by distance.
-#[derive(Debug, PartialEq)]
-struct HeapEntry {
-    dist: f64,
-    node: NodeId,
-}
-
-impl Eq for HeapEntry {}
-
-impl Ord for HeapEntry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reverse so BinaryHeap (a max-heap) pops the smallest distance.
-        other
-            .dist
-            .partial_cmp(&self.dist)
-            .unwrap_or(Ordering::Equal)
-            .then_with(|| other.node.index().cmp(&self.node.index()))
-    }
-}
-
-impl PartialOrd for HeapEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
+/// `pos` marker: the node was never reached in the last run.
+const UNSEEN: u32 = u32::MAX;
+/// `pos` marker: the node was settled (popped) in the last run.
+const SETTLED: u32 = u32::MAX - 1;
+/// Heap arity: a 4-ary heap is half as deep as a binary one, so a
+/// decrease-key moves half as many slots, and a pop scans each node's
+/// children in one contiguous 64-byte run.
+const ARITY: usize = 4;
 
 /// Reusable buffers for repeated Dijkstra runs (all-pairs computations,
 /// SSP augmentation loops, Yen spur searches). One scratch serves any
 /// number of runs on graphs of any size; buffers grow to the largest
 /// graph seen and are reset — not reallocated — per run.
+///
+/// The priority queue is an indexed 4-ary min-heap with decrease-key:
+/// each tentative node has exactly one slot, keyed by
+/// `(dist.to_bits(), node index)`.
 #[derive(Debug, Default)]
 pub struct DijkstraScratch {
     dist: Vec<f64>,
     parent: Vec<Option<EdgeId>>,
-    done: Vec<bool>,
-    heap: BinaryHeap<HeapEntry>,
+    /// Per node: its slot in `heap` while tentative, else [`UNSEEN`] or
+    /// [`SETTLED`].
+    pos: Vec<u32>,
+    /// Heap slots `(dist bits, node index)`, a 4-ary min-heap.
+    heap: Vec<(u64, u32)>,
 }
 
 impl DijkstraScratch {
@@ -146,23 +136,40 @@ impl DijkstraScratch {
         self.dist.resize(n, f64::INFINITY);
         self.parent.clear();
         self.parent.resize(n, None);
-        self.done.clear();
-        self.done.resize(n, false);
+        self.pos.clear();
+        self.pos.resize(n, UNSEEN);
         self.heap.clear();
     }
 
-    /// Distances of the most recent run, indexed by node index.
+    /// Debug guard for the targeted-run contract: a node's distance and
+    /// tree edge are final only once it is settled (or was never reached).
+    fn debug_assert_final(&self, v: NodeId) {
+        debug_assert!(
+            matches!(self.pos[v.index()], SETTLED | UNSEEN),
+            "node {} is still tentative: a targeted run only finalises its targets",
+            v.index()
+        );
+    }
+
+    /// Distances of the most recent run, indexed by node index. Only
+    /// meaningful after a full run (empty `targets`).
     pub fn dists(&self) -> &[f64] {
+        debug_assert!(
+            self.heap.is_empty(),
+            "dists() after a targeted run that left tentative nodes"
+        );
         &self.dist
     }
 
     /// Least cost to `v` in the most recent run.
     pub fn dist(&self, v: NodeId) -> f64 {
+        self.debug_assert_final(v);
         self.dist[v.index()]
     }
 
     /// The tree edge entering `v` in the most recent run.
     pub fn parent_edge(&self, v: NodeId) -> Option<EdgeId> {
+        self.debug_assert_final(v);
         self.parent[v.index()]
     }
 
@@ -174,6 +181,7 @@ impl DijkstraScratch {
     /// per-call allocation at all — the route callers use when extracting
     /// many paths from repeated runs (CG pricing, Yen spurs).
     pub fn path_into(&self, g: &DiGraph, t: NodeId, out: &mut Vec<EdgeId>) -> bool {
+        self.debug_assert_final(t);
         out.clear();
         if !self.dist[t.index()].is_finite() {
             return false;
@@ -186,6 +194,75 @@ impl DijkstraScratch {
         out.reverse();
         true
     }
+
+    /// Inserts `v` with key `dist[v]`, or moves its slot up after its
+    /// distance decreased.
+    fn push_or_decrease(&mut self, v: NodeId) {
+        let slot = (self.dist[v.index()].to_bits(), v.0);
+        let i = match self.pos[v.index()] {
+            UNSEEN => {
+                self.heap.push(slot);
+                self.heap.len() - 1
+            }
+            p => {
+                debug_assert_ne!(p, SETTLED, "decrease-key on a settled node");
+                p as usize
+            }
+        };
+        self.sift_up(i, slot);
+    }
+
+    /// Removes the minimum slot and marks its node settled.
+    fn pop_min(&mut self) -> Option<(u64, u32)> {
+        let top = *self.heap.first()?;
+        let last = self.heap.pop().expect("non-empty heap");
+        if !self.heap.is_empty() {
+            self.sift_down(0, last);
+        }
+        self.pos[top.1 as usize] = SETTLED;
+        Some(top)
+    }
+
+    /// Places `slot` at index `i` or above, moving larger parents down.
+    fn sift_up(&mut self, mut i: usize, slot: (u64, u32)) {
+        while i > 0 {
+            let p = (i - 1) / ARITY;
+            if self.heap[p] < slot {
+                break;
+            }
+            self.place(i, self.heap[p]);
+            i = p;
+        }
+        self.place(i, slot);
+    }
+
+    /// Places `slot` at index `i` or below, moving smaller children up.
+    fn sift_down(&mut self, mut i: usize, slot: (u64, u32)) {
+        let len = self.heap.len();
+        loop {
+            let first = ARITY * i + 1;
+            if first >= len {
+                break;
+            }
+            let mut best = first;
+            for c in first + 1..(first + ARITY).min(len) {
+                if self.heap[c] < self.heap[best] {
+                    best = c;
+                }
+            }
+            if slot < self.heap[best] {
+                break;
+            }
+            self.place(i, self.heap[best]);
+            i = best;
+        }
+        self.place(i, slot);
+    }
+
+    fn place(&mut self, i: usize, slot: (u64, u32)) {
+        self.heap[i] = slot;
+        self.pos[slot.1 as usize] = i as u32;
+    }
 }
 
 /// Dijkstra's algorithm from `source` under non-negative edge costs.
@@ -197,50 +274,36 @@ pub fn dijkstra(g: &DiGraph, source: NodeId, cost: &[f64]) -> ShortestPathTree {
     dijkstra_filtered(g, source, cost, |_| true)
 }
 
-/// [`dijkstra`] that records the call, its wall time, and its heap-pop
-/// count (the `dijkstra.heap_pops` histogram) on `ctx`.
-pub fn dijkstra_with_context(
-    g: &DiGraph,
-    source: NodeId,
-    cost: &[f64],
-    ctx: &SolverContext,
-) -> ShortestPathTree {
-    let _s = ctx.span("graph.dijkstra");
-    let _t = ctx.time(Phase::Dijkstra);
-    ctx.count(Counter::DijkstraCalls, 1);
-    let mut scratch = DijkstraScratch::new();
-    let pops = dijkstra_filtered_into(g, source, cost, |_| true, &mut scratch);
-    ctx.metric_value(HEAP_POPS, pops as u64);
-    let DijkstraScratch { dist, parent, .. } = scratch;
-    ShortestPathTree::from_parts(source, dist, parent, g)
-}
-
-/// `Count` histogram of heap pops per single-source Dijkstra run.
+/// `Count` histogram of settled nodes per single-source Dijkstra run.
+/// Every pop settles a node (the heap holds one slot per tentative node),
+/// and a targeted run stops at its last target, so this is the run's
+/// effort, not the graph size.
 pub const HEAP_POPS: &str = "dijkstra.heap_pops";
 
-/// [`dijkstra_with_context`] writing into a caller-provided scratch
-/// instead of allocating a tree: the zero-allocation form for tight
-/// repeated-run loops (CG pricing, oracle row fills) that still records
-/// the call, its wall time, and its heap-pop count on `ctx`. Read the
-/// result from `scratch.dists()` / [`DijkstraScratch::path_into`].
+/// [`dijkstra_filtered_into`] over all edges that also records the call,
+/// its wall time, and its settled-node count (the [`HEAP_POPS`]
+/// histogram) on `ctx`: the zero-allocation form for tight repeated-run
+/// loops (CG pricing, oracle row fills). Read the result from
+/// [`DijkstraScratch::path_into`] (or `scratch.dists()` after a full run).
 pub fn dijkstra_into_with_context(
     g: &DiGraph,
     source: NodeId,
     cost: &[f64],
+    targets: &[NodeId],
     scratch: &mut DijkstraScratch,
     ctx: &SolverContext,
 ) {
     let _s = ctx.span("graph.dijkstra");
     let _t = ctx.time(Phase::Dijkstra);
     ctx.count(Counter::DijkstraCalls, 1);
-    let pops = dijkstra_filtered_into(g, source, cost, |_| true, scratch);
+    let pops = dijkstra_filtered_into(g, source, cost, |_| true, targets, scratch);
     ctx.metric_value(HEAP_POPS, pops as u64);
 }
 
 /// Dijkstra restricted to edges for which `usable` returns `true`.
 ///
-/// Used by Yen's algorithm and by flow decompositions that walk
-/// positive-flow subgraphs.
+/// Used by fault repair and fault simulation to route around failed or
+/// saturated links.
 pub fn dijkstra_filtered<F: FnMut(EdgeId) -> bool>(
     g: &DiGraph,
     source: NodeId,
@@ -248,22 +311,41 @@ pub fn dijkstra_filtered<F: FnMut(EdgeId) -> bool>(
     usable: F,
 ) -> ShortestPathTree {
     let mut scratch = DijkstraScratch::new();
-    dijkstra_filtered_into(g, source, cost, usable, &mut scratch);
+    dijkstra_filtered_into(g, source, cost, usable, &[], &mut scratch);
     let DijkstraScratch { dist, parent, .. } = scratch;
     ShortestPathTree::from_parts(source, dist, parent, g)
 }
 
-/// [`dijkstra_filtered`] writing into `scratch` instead of allocating a
-/// tree: afterwards `scratch.dists()` / `scratch.parent_edge()` hold the
-/// result. This is the zero-allocation core every other variant wraps.
-/// Returns the number of heap pops the run performed (lazy-deletion
-/// duplicates included), the per-source effort signal the
-/// [`HEAP_POPS`] histogram records.
+/// The Dijkstra kernel every other variant wraps: a run from `source`
+/// over the edges `usable` accepts, writing into `scratch` instead of
+/// allocating a tree.
+///
+/// The run stops once every node of `targets` is settled; an empty
+/// `targets` grows the full tree. Afterwards the targets' distances and
+/// [`DijkstraScratch::path_into`] paths are bit-identical to a full run's:
+/// a settled node's distance and parent chain are final, since a later
+/// relaxation would need a strictly smaller distance and costs are
+/// non-negative. Other nodes may still be tentative, and reading them is
+/// a (debug-checked) misuse. Duplicate targets, the source as a target,
+/// and unreachable targets (which make the run grow the full tree) are
+/// all allowed.
+///
+/// Nodes settle in increasing `(dist, node index)` order — the order of
+/// the lazy-deletion binary heap this kernel replaced — so every
+/// tie-break is unchanged. Returns the number of settled nodes, the
+/// per-source effort signal the [`HEAP_POPS`] histogram records.
+///
+/// # Panics
+///
+/// Panics (in debug builds) if any edge cost is negative or NaN: the
+/// heap orders distances by their bit patterns, which agrees with the
+/// numeric order only for non-negative, non-NaN values.
 pub fn dijkstra_filtered_into<F: FnMut(EdgeId) -> bool>(
     g: &DiGraph,
     source: NodeId,
     cost: &[f64],
     mut usable: F,
+    targets: &[NodeId],
     scratch: &mut DijkstraScratch,
 ) -> usize {
     debug_assert_eq!(cost.len(), g.edge_count(), "cost slice length mismatch");
@@ -272,18 +354,24 @@ pub fn dijkstra_filtered_into<F: FnMut(EdgeId) -> bool>(
         "dijkstra requires non-negative costs"
     );
     scratch.reset(g.node_count());
+    // `targets[..next]` are all settled. The cursor only moves forward, so
+    // the stop test costs O(1) amortized per settled node.
+    let mut next = 0usize;
     scratch.dist[source.index()] = 0.0;
-    scratch.heap.push(HeapEntry {
-        dist: 0.0,
-        node: source,
-    });
-    let mut pops = 0usize;
-    while let Some(HeapEntry { dist: d, node: v }) = scratch.heap.pop() {
-        pops += 1;
-        if scratch.done[v.index()] {
-            continue;
+    scratch.push_or_decrease(source);
+    let mut settled = 0usize;
+    while let Some((d_bits, v)) = scratch.pop_min() {
+        settled += 1;
+        let v = NodeId(v);
+        if !targets.is_empty() {
+            while next < targets.len() && scratch.pos[targets[next].index()] == SETTLED {
+                next += 1;
+            }
+            if next == targets.len() {
+                break;
+            }
         }
-        scratch.done[v.index()] = true;
+        let d = f64::from_bits(d_bits);
         // CSR pair walk: edge id and head node come from two adjacent
         // contiguous arrays, so the relaxation loop never dereferences the
         // endpoint table.
@@ -295,11 +383,11 @@ pub fn dijkstra_filtered_into<F: FnMut(EdgeId) -> bool>(
             if nd < scratch.dist[w.index()] {
                 scratch.dist[w.index()] = nd;
                 scratch.parent[w.index()] = Some(e);
-                scratch.heap.push(HeapEntry { dist: nd, node: w });
+                scratch.push_or_decrease(w);
             }
         }
     }
-    pops
+    settled
 }
 
 /// The error returned by [`bellman_ford`] when a negative-cost cycle is
@@ -365,7 +453,7 @@ pub fn all_pairs(g: &DiGraph, cost: &[f64]) -> Vec<Vec<f64>> {
     let mut scratch = DijkstraScratch::new();
     g.nodes()
         .map(|v| {
-            dijkstra_filtered_into(g, v, cost, |_| true, &mut scratch);
+            dijkstra_filtered_into(g, v, cost, |_| true, &[], &mut scratch);
             scratch.dist.clone()
         })
         .collect()
@@ -387,7 +475,7 @@ pub fn all_pairs_with_context(g: &DiGraph, cost: &[f64], ctx: &SolverContext) ->
         DijkstraScratch::new,
         |scratch, wctx, _i, &v| {
             wctx.count(Counter::DijkstraCalls, 1);
-            let pops = dijkstra_filtered_into(g, v, cost, |_| true, scratch);
+            let pops = dijkstra_filtered_into(g, v, cost, |_| true, &[], scratch);
             wctx.metric_value(HEAP_POPS, pops as u64);
             scratch.dist.clone()
         },
@@ -438,7 +526,7 @@ fn k_shortest_paths_impl(
         ctx.count(Counter::DijkstraCalls, 1);
     }
     let mut scratch = DijkstraScratch::new();
-    dijkstra_filtered_into(g, src, cost, |_| true, &mut scratch);
+    dijkstra_filtered_into(g, src, cost, |_| true, &[dst], &mut scratch);
     let mut spur_buf: Vec<EdgeId> = Vec::new();
     if !scratch.path_into(g, dst, &mut spur_buf) {
         return Vec::new();
@@ -506,6 +594,7 @@ fn k_shortest_paths_impl(
                         && node_mark[g.src(e).index()] != epoch
                         && node_mark[g.dst(e).index()] != epoch
                 },
+                &[dst],
                 &mut scratch,
             );
             if !scratch.path_into(g, dst, &mut spur_buf) {
@@ -612,6 +701,40 @@ mod tests {
         let t = dijkstra(&g, a, &[0.0, 0.0]);
         assert_eq!(t.dist(c), 0.0);
         assert_eq!(t.path_to(c).unwrap().len(), 2);
+    }
+
+    #[test]
+    fn targeted_run_stops_at_its_last_target() {
+        let (g, [a, b, c, d], cost) = diamond();
+        let mut scratch = DijkstraScratch::new();
+        // Settle order is a(0), b(1), c(2), d(2): d ties c and loses on
+        // node index, so targeting b settles two nodes and targeting d
+        // (twice, plus the source) settles all four.
+        assert_eq!(
+            dijkstra_filtered_into(&g, a, &cost, |_| true, &[b], &mut scratch),
+            2
+        );
+        assert_eq!(scratch.dist(b), 1.0);
+        let targets = [d, a, d];
+        assert_eq!(
+            dijkstra_filtered_into(&g, a, &cost, |_| true, &targets, &mut scratch),
+            4
+        );
+        let mut path = Vec::new();
+        assert!(scratch.path_into(&g, d, &mut path));
+        assert_eq!(Path::new(path).nodes(&g), vec![a, b, d]);
+        assert_eq!(scratch.dist(c), 2.0);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "still tentative")]
+    fn reading_a_tentative_node_after_a_targeted_run_panics() {
+        let (g, [a, b, _, d], cost) = diamond();
+        let mut scratch = DijkstraScratch::new();
+        // Stops after settling b; d holds the tentative 5.0 of edge a -> d.
+        dijkstra_filtered_into(&g, a, &cost, |_| true, &[b], &mut scratch);
+        scratch.dist(d);
     }
 
     #[test]

@@ -349,6 +349,160 @@ fn dijkstra_dists_match_reference_heap() {
     }
 }
 
+/// The indexed 4-ary heap kernel settles nodes in exactly the order of
+/// the lazy-deletion `BinaryHeap` kernel it replaced, and a targeted run
+/// answers its targets exactly as a full run does. Costs are small
+/// integers and zeros, so equal tentative distances — and hence the
+/// `(dist, node index)` tie-break — occur on almost every graph.
+#[test]
+fn kernel_matches_lazy_heap_and_targeted_runs_match_full_runs() {
+    use jcr_graph::EdgeId;
+    use std::cmp::Ordering;
+    use std::collections::BinaryHeap;
+
+    // Transcription of the pre-refactor kernel: lazy deletion with a
+    // `done` flag per node, min-ordered by `(dist, node index)` through
+    // `partial_cmp`.
+    #[derive(PartialEq)]
+    struct HeapEntry {
+        dist: f64,
+        node: NodeId,
+    }
+    impl Eq for HeapEntry {}
+    impl Ord for HeapEntry {
+        fn cmp(&self, other: &Self) -> Ordering {
+            other
+                .dist
+                .partial_cmp(&self.dist)
+                .unwrap_or(Ordering::Equal)
+                .then_with(|| other.node.index().cmp(&self.node.index()))
+        }
+    }
+    impl PartialOrd for HeapEntry {
+        fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+            Some(self.cmp(other))
+        }
+    }
+    fn lazy_heap_dijkstra(
+        g: &DiGraph,
+        source: NodeId,
+        cost: &[f64],
+        usable: &[bool],
+    ) -> (Vec<f64>, Vec<Option<EdgeId>>) {
+        let n = g.node_count();
+        let mut dist = vec![f64::INFINITY; n];
+        let mut parent = vec![None; n];
+        let mut done = vec![false; n];
+        let mut heap = BinaryHeap::new();
+        dist[source.index()] = 0.0;
+        heap.push(HeapEntry {
+            dist: 0.0,
+            node: source,
+        });
+        while let Some(HeapEntry { dist: d, node: v }) = heap.pop() {
+            if done[v.index()] {
+                continue;
+            }
+            done[v.index()] = true;
+            for (e, w) in g.out_pairs(v) {
+                if !usable[e.index()] {
+                    continue;
+                }
+                let nd = d + cost[e.index()];
+                if nd < dist[w.index()] {
+                    dist[w.index()] = nd;
+                    parent[w.index()] = Some(e);
+                    heap.push(HeapEntry { dist: nd, node: w });
+                }
+            }
+        }
+        (dist, parent)
+    }
+
+    let mut full = shortest::DijkstraScratch::new();
+    let mut targeted = shortest::DijkstraScratch::new();
+    let (mut full_path, mut targeted_path) = (Vec::new(), Vec::new());
+    for case in 0..CASES {
+        let mut rng = StdRng::seed_from_u64(0x7469_6573 + case);
+        // Edges and the source avoid the last node, so it is unreachable.
+        let n = rng.gen_range(2..40usize);
+        let m = rng.gen_range(1..6 * n);
+        let edges: Vec<(usize, usize)> = (0..m)
+            .map(|_| (rng.gen_range(0..n - 1), rng.gen_range(0..n - 1)))
+            .collect();
+        let costs: Vec<f64> = (0..m).map(|_| rng.gen_range(0..4u32) as f64).collect();
+        let usable: Vec<bool> = (0..m).map(|_| rng.gen_range(0..8u32) != 0).collect();
+        let g = build(n, &edges);
+        let src = NodeId::new(rng.gen_range(0..n - 1));
+
+        let (ref_dist, ref_parent) = lazy_heap_dijkstra(&g, src, &costs, &usable);
+        let settled = shortest::dijkstra_filtered_into(
+            &g,
+            src,
+            &costs,
+            |e| usable[e.index()],
+            &[],
+            &mut full,
+        );
+        let reached = ref_dist.iter().filter(|d| d.is_finite()).count();
+        assert_eq!(
+            settled, reached,
+            "case {case}: a full run settles every reachable node"
+        );
+        for v in g.nodes() {
+            assert_eq!(
+                full.dist(v).to_bits(),
+                ref_dist[v.index()].to_bits(),
+                "case {case}, {v:?}: dist"
+            );
+            assert_eq!(
+                full.parent_edge(v),
+                ref_parent[v.index()],
+                "case {case}, {v:?}: parent"
+            );
+        }
+
+        // Targets: random nodes with repeats, the source itself on some
+        // cases, and the never-linked last node on others.
+        let mut targets: Vec<NodeId> = (0..rng.gen_range(1..5usize))
+            .map(|_| NodeId::new(rng.gen_range(0..n)))
+            .collect();
+        let dup = targets[rng.gen_range(0..targets.len())];
+        targets.push(dup);
+        match case % 3 {
+            0 => targets.push(src),
+            1 => targets.push(NodeId::new(n - 1)),
+            _ => {}
+        }
+        let settled_targeted = shortest::dijkstra_filtered_into(
+            &g,
+            src,
+            &costs,
+            |e| usable[e.index()],
+            &targets,
+            &mut targeted,
+        );
+        assert!(settled_targeted <= settled, "case {case}");
+        for &t in &targets {
+            assert_eq!(
+                targeted.dist(t).to_bits(),
+                full.dist(t).to_bits(),
+                "case {case}, target {t:?}: dist"
+            );
+            let reachable = targeted.path_into(&g, t, &mut targeted_path);
+            assert_eq!(
+                reachable,
+                full.path_into(&g, t, &mut full_path),
+                "case {case}"
+            );
+            assert_eq!(reachable, ref_dist[t.index()].is_finite(), "case {case}");
+            assert_eq!(targeted_path, full_path, "case {case}, target {t:?}: path");
+        }
+        // The never-linked node stays unreached (and readable) either way.
+        assert!(!targeted.path_into(&g, NodeId::new(n - 1), &mut targeted_path));
+    }
+}
+
 /// The arena-backed Yen returns exactly the paths of the pre-refactor
 /// implementation — same edge sequences, same order. The reference below
 /// is a transcription of the old candidate-pool code (per-spur

@@ -549,7 +549,14 @@ impl Topology {
         let mut diameter = 0.0f64;
         let mut origin_edge_sum = 0.0f64;
         for v in self.graph.nodes() {
-            shortest::dijkstra_filtered_into(&self.graph, v, &self.cost, |_| true, &mut scratch);
+            shortest::dijkstra_filtered_into(
+                &self.graph,
+                v,
+                &self.cost,
+                |_| true,
+                &[],
+                &mut scratch,
+            );
             for &d in scratch.dists() {
                 if d.is_finite() {
                     diameter = diameter.max(d);
