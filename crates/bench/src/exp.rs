@@ -448,7 +448,9 @@ pub fn fig5(cfg: ExpConfig) {
 }
 
 /// Fig. 6: binary cache capacities — Algorithm 2 (varying K) vs \[33\]
-/// (K = 2) vs the splittable lower bound vs RNR.
+/// (K = 2) vs the splittable lower bound vs RNR. Each table reports how
+/// many solves were skipped as infeasible; any other error fails the
+/// experiment.
 pub fn fig6(cfg: ExpConfig) {
     for level in [Level::Chunk { chunk_mb: 100.0 }, Level::File] {
         let label = match level {
@@ -463,13 +465,19 @@ pub fn fig6(cfg: ExpConfig) {
         };
         let mut rows = Vec::new();
         for &k in ks {
-            let (cost, cong, split) = run_fig6_point(level, 0.007, k, cfg);
+            let p = run_fig6_point(level, 0.007, Fig6Algo::Alg2(k), cfg);
             let tag = if k == 2 {
                 format!("{k} (=[33])")
             } else {
                 k.to_string()
             };
-            rows.push(vec![tag, fmt(cost), fmt(split), fmt(cong)]);
+            rows.push(vec![
+                tag,
+                fmt(p.cost),
+                fmt(p.splittable),
+                fmt(p.congestion),
+                p.skipped.to_string(),
+            ]);
         }
         print_table(
             &format!("Fig. 6 ({label}) — Algorithm 2 vs K (κ = 0.7% of total rate)"),
@@ -478,6 +486,7 @@ pub fn fig6(cfg: ExpConfig) {
                 "cost".into(),
                 "splittable LB".into(),
                 "congestion".into(),
+                "skipped (infeasible)".into(),
             ],
             &rows,
         );
@@ -490,18 +499,19 @@ pub fn fig6(cfg: ExpConfig) {
         };
         let mut rows = Vec::new();
         for &fr in fractions {
-            let (c_best, g_best, split) = run_fig6_point(level, fr, 1000, cfg);
-            let (c_33, g_33, _) = run_fig6_point(level, fr, 2, cfg);
-            let (c_rnr, g_rnr) = run_fig6_rnr(level, fr, cfg);
+            let best = run_fig6_point(level, fr, Fig6Algo::Alg2(1000), cfg);
+            let k2 = run_fig6_point(level, fr, Fig6Algo::Alg2(2), cfg);
+            let rnr = run_fig6_point(level, fr, Fig6Algo::Rnr, cfg);
             rows.push(vec![
                 fmt(fr),
-                fmt(c_best),
-                fmt(g_best),
-                fmt(c_33),
-                fmt(g_33),
-                fmt(split),
-                fmt(c_rnr),
-                fmt(g_rnr),
+                fmt(best.cost),
+                fmt(best.congestion),
+                fmt(k2.cost),
+                fmt(k2.congestion),
+                fmt(best.splittable),
+                fmt(rnr.cost),
+                fmt(rnr.congestion),
+                format!("{}/{}/{}", best.skipped, k2.skipped, rnr.skipped),
             ]);
         }
         print_table(
@@ -517,6 +527,7 @@ pub fn fig6(cfg: ExpConfig) {
                 "splittable:cost".into(),
                 "RNR:cost".into(),
                 "RNR:cong".into(),
+                "skipped Alg2/[33]/RNR".into(),
             ],
             &rows,
         );
@@ -532,12 +543,39 @@ fn fig6_scenario(level: Level, fraction: f64) -> Scenario {
     sc
 }
 
-fn run_fig6_point(level: Level, fraction: f64, k: u32, cfg: ExpConfig) -> (f64, f64, f64) {
+/// A binary-cache algorithm of Fig. 6.
+#[derive(Clone, Copy, Debug)]
+enum Fig6Algo {
+    /// Algorithm 2 with `K` demand-rounding classes.
+    Alg2(u32),
+    /// Routing to the nearest replica, blind to link capacities.
+    Rnr,
+}
+
+/// Means over every run and hour of one Fig. 6 point.
+struct Fig6Point {
+    cost: f64,
+    congestion: f64,
+    /// Mean splittable lower bound (0 for RNR, which computes none).
+    splittable: f64,
+    /// Solves skipped because the hour's instance is infeasible.
+    skipped: usize,
+}
+
+/// Runs `algo` on every run and hour of the Fig. 6 scenario. Infeasible
+/// hours are counted as skipped.
+///
+/// # Panics
+///
+/// On any error other than [`JcrError::Infeasible`]: a rounding or
+/// precision failure must fail the experiment, not thin out its means.
+fn run_fig6_point(level: Level, fraction: f64, algo: Fig6Algo, cfg: ExpConfig) -> Fig6Point {
     let sc = fig6_scenario(level, fraction);
     let n_edges = sc.topology().edge_nodes.len();
     let mut costs = Vec::new();
     let mut congs = Vec::new();
     let mut splits = Vec::new();
+    let mut skipped = 0;
     for run in 0..cfg.runs {
         let mut s = sc.clone();
         s.share_seed = s.share_seed.wrapping_add(run as u64 * 1009);
@@ -547,39 +585,33 @@ fn run_fig6_point(level: Level, fraction: f64, k: u32, cfg: ExpConfig) -> (f64, 
             let rates = demand.true_rates(h, n_edges);
             let inst = build_instance(&s, &rates);
             let storer = inst.cache_nodes()[0];
-            if let Ok(sol) =
-                alg2::solve_binary_caches_with_context(&inst, &[storer], k, &SolverContext::new())
-            {
-                costs.push(sol.solution.cost(&inst));
-                congs.push(sol.solution.congestion(&inst));
-                splits.push(sol.splittable_cost);
+            let solved = match algo {
+                Fig6Algo::Alg2(k) => alg2::solve_binary_caches_with_context(
+                    &inst,
+                    &[storer],
+                    k,
+                    &SolverContext::new(),
+                )
+                .map(|sol| (sol.solution, sol.splittable_cost)),
+                Fig6Algo::Rnr => alg2::rnr_binary(&inst, &[storer]).map(|sol| (sol, 0.0)),
+            };
+            match solved {
+                Ok((sol, split)) => {
+                    costs.push(sol.cost(&inst));
+                    congs.push(sol.congestion(&inst));
+                    splits.push(split);
+                }
+                Err(JcrError::Infeasible) => skipped += 1,
+                Err(e) => panic!("Fig. 6 {algo:?} at κ = {fraction}, run {run}, hour {h}: {e}"),
             }
         }
     }
-    (mean(&costs), mean(&congs), mean(&splits))
-}
-
-fn run_fig6_rnr(level: Level, fraction: f64, cfg: ExpConfig) -> (f64, f64) {
-    let sc = fig6_scenario(level, fraction);
-    let n_edges = sc.topology().edge_nodes.len();
-    let mut costs = Vec::new();
-    let mut congs = Vec::new();
-    for run in 0..cfg.runs {
-        let mut s = sc.clone();
-        s.share_seed = s.share_seed.wrapping_add(run as u64 * 1009);
-        s.hours = cfg.hours.max(1);
-        let demand = s.demand(n_edges);
-        for h in 0..s.hours {
-            let rates = demand.true_rates(h, n_edges);
-            let inst = build_instance(&s, &rates);
-            let storer = inst.cache_nodes()[0];
-            if let Ok(sol) = alg2::rnr_binary(&inst, &[storer]) {
-                costs.push(sol.cost(&inst));
-                congs.push(sol.congestion(&inst));
-            }
-        }
+    Fig6Point {
+        cost: mean(&costs),
+        congestion: mean(&congs),
+        splittable: mean(&splits),
+        skipped,
     }
-    (mean(&costs), mean(&congs))
 }
 
 /// Figs. 7 (vs ζ) and 8 (vs κ): the general case.
@@ -1452,26 +1484,27 @@ pub fn table2(cfg: ExpConfig) {
         ]);
     }
     // Scenario 2: binary cache capacities.
-    let (c_a2, g_a2, _) = run_fig6_point(Level::Chunk { chunk_mb: 100.0 }, 0.007, 1000, cfg);
-    let (c_33, g_33, _) = run_fig6_point(Level::Chunk { chunk_mb: 100.0 }, 0.007, 2, cfg);
-    let (c_rnr, g_rnr) = run_fig6_rnr(Level::Chunk { chunk_mb: 100.0 }, 0.007, cfg);
+    let chunk = Level::Chunk { chunk_mb: 100.0 };
+    let a2 = run_fig6_point(chunk, 0.007, Fig6Algo::Alg2(1000), cfg);
+    let k2 = run_fig6_point(chunk, 0.007, Fig6Algo::Alg2(2), cfg);
+    let rnr = run_fig6_point(chunk, 0.007, Fig6Algo::Rnr, cfg);
     rows.push(vec![
         "c_v = 0/|C|".into(),
         "Alg2 (K=1000)".into(),
-        fmt(c_a2),
-        fmt(g_a2),
+        fmt(a2.cost),
+        fmt(a2.congestion),
     ]);
     rows.push(vec![
         "c_v = 0/|C|".into(),
         "[33] (K=2)".into(),
-        fmt(c_33),
-        fmt(g_33),
+        fmt(k2.cost),
+        fmt(k2.congestion),
     ]);
     rows.push(vec![
         "c_v = 0/|C|".into(),
         "[3] (RNR)".into(),
-        fmt(c_rnr),
-        fmt(g_rnr),
+        fmt(rnr.cost),
+        fmt(rnr.congestion),
     ]);
     // Scenario 3: general case.
     let sc = Scenario::chunk_default();

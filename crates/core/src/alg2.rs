@@ -173,6 +173,81 @@ mod tests {
         }
     }
 
+    /// Algorithm 2's answers on one seeded capped Deltacom instance with
+    /// sized items, for K ∈ {1, 2, 8, 1000}: the cost and splittable-cost
+    /// bits, the decomposition-path count and an FNV-1a hash over every
+    /// routed path's edge indices. Any change to the class flows, the
+    /// Skutella rounding or the decomposition that moves a path fails here.
+    #[test]
+    fn answers_are_pinned_on_capped_deltacom() {
+        use jcr_ctx::rng::{Rng, SeedableRng, StdRng};
+        let mut rng = StdRng::seed_from_u64(11);
+        let sizes: Vec<f64> = (0..40).map(|_| rng.gen_range(1.0..5.0)).collect();
+        let inst = InstanceBuilder::new(Topology::generate(TopologyKind::Deltacom, 11).unwrap())
+            .item_sizes(sizes)
+            .cache_capacity(60.0)
+            .zipf_demand(0.8, 10_000.0, 11)
+            .link_capacity_fraction(0.007)
+            .build()
+            .unwrap();
+        let storer = inst.cache_nodes()[0];
+        // (K, cost bits, splittable-cost bits, decomposition paths, path hash)
+        let pins: [(u32, u64, u64, u64, u64); 4] = [
+            (
+                1,
+                0x413936e37cf92879,
+                0x41399e857a3b5ef6,
+                20,
+                0xb15da46be9bb24bd,
+            ),
+            (
+                2,
+                0x4138c66142385348,
+                0x41399e857a3b5ef6,
+                20,
+                0x8a27527755d16b17,
+            ),
+            (
+                8,
+                0x4137fb20607faa06,
+                0x41399e857a3b5ef6,
+                20,
+                0x2e117cee579fb096,
+            ),
+            (
+                1000,
+                0x41396af343408320,
+                0x41399e857a3b5ef6,
+                20,
+                0x2f4d8a5348463414,
+            ),
+        ];
+        for (k, cost_bits, split_bits, decomposition_paths, path_hash) in pins {
+            let ctx = SolverContext::new();
+            let sol = solve_binary_caches_with_context(&inst, &[storer], k, &ctx).unwrap();
+            let mut bytes = Vec::new();
+            for flows in &sol.solution.routing.per_request {
+                for pf in flows {
+                    for e in pf.path.edges() {
+                        bytes.extend_from_slice(&(e.index() as u32).to_le_bytes());
+                    }
+                    bytes.extend_from_slice(&u32::MAX.to_le_bytes());
+                }
+            }
+            let got = (
+                sol.solution.cost(&inst).to_bits(),
+                sol.splittable_cost.to_bits(),
+                ctx.stats().decomposition_paths,
+                crate::state::fnv1a(&bytes),
+            );
+            assert_eq!(
+                got,
+                (cost_bits, split_bits, decomposition_paths, path_hash),
+                "K={k}"
+            );
+        }
+    }
+
     #[test]
     fn rnr_ignores_capacities() {
         let inst = capped_inst(0.01);

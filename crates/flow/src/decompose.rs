@@ -118,11 +118,12 @@ pub fn decompose_single_source_with_context(
     );
     let scale = demands.iter().map(|d| d.1).sum::<f64>().max(1.0);
 
+    let mut search = FlowPathSearch::new(g.node_count());
     let mut result: Vec<Vec<PathFlow>> = vec![Vec::new(); demands.len()];
     for (idx, &(dest, amount)) in demands.iter().enumerate() {
         let mut remaining = amount;
         while remaining > FLOW_EPS * scale {
-            let Some(path) = positive_flow_path(g, &residual, source, dest) else {
+            let Some(path) = search.find(g, &residual, source, dest, FLOW_EPS) else {
                 return Err(FlowError::Numerical(format!(
                     "flow under-serves destination {dest:?} by {remaining}"
                 )));
@@ -147,49 +148,75 @@ pub fn decompose_single_source_with_context(
     Ok(result)
 }
 
-/// Finds any simple `source -> dest` path in the positive-flow subgraph.
-pub fn positive_flow_path(g: &DiGraph, flow: &[f64], source: NodeId, dest: NodeId) -> Option<Path> {
-    positive_flow_path_min(g, flow, source, dest, FLOW_EPS)
+/// Depth-first search for flow-carrying paths whose scratch is reused
+/// from one search to the next: `seen` is stamped per search, and
+/// `parent` is written before it is read, so no search clears an O(|V|)
+/// array. Decomposition and Skutella's rounding both route through it.
+pub(crate) struct FlowPathSearch {
+    stamp: u32,
+    seen: Vec<u32>,
+    parent: Vec<Option<EdgeId>>,
+    stack: Vec<NodeId>,
 }
 
-/// Like [`positive_flow_path`], but only uses edges with at least
-/// `min_flow` flow.
-pub fn positive_flow_path_min(
-    g: &DiGraph,
-    flow: &[f64],
-    source: NodeId,
-    dest: NodeId,
-    min_flow: f64,
-) -> Option<Path> {
-    let n = g.node_count();
-    let mut parent: Vec<Option<EdgeId>> = vec![None; n];
-    let mut seen = vec![false; n];
-    let mut stack = vec![source];
-    seen[source.index()] = true;
-    while let Some(v) = stack.pop() {
-        if v == dest {
-            let mut edges = Vec::new();
-            let mut cur = dest;
-            while let Some(e) = parent[cur.index()] {
-                edges.push(e);
-                cur = g.src(e);
-            }
-            edges.reverse();
-            return Some(Path::new(edges));
-        }
-        for &e in g.out_edges(v) {
-            if flow[e.index()] < min_flow {
-                continue;
-            }
-            let w = g.dst(e);
-            if !seen[w.index()] {
-                seen[w.index()] = true;
-                parent[w.index()] = Some(e);
-                stack.push(w);
-            }
+impl FlowPathSearch {
+    /// Scratch for searches on a graph with `nodes` nodes.
+    pub(crate) fn new(nodes: usize) -> Self {
+        Self {
+            stamp: 0,
+            seen: vec![0; nodes],
+            parent: vec![None; nodes],
+            stack: Vec::new(),
         }
     }
-    None
+
+    /// Finds a simple `source -> dest` path over edges carrying at least
+    /// `min_flow`. The stack pops the last node pushed and pushes each
+    /// node's unseen out-neighbours in out-edge order, so the path depends
+    /// only on `flow`, never on earlier searches.
+    pub(crate) fn find(
+        &mut self,
+        g: &DiGraph,
+        flow: &[f64],
+        source: NodeId,
+        dest: NodeId,
+        min_flow: f64,
+    ) -> Option<Path> {
+        self.stamp = self.stamp.wrapping_add(1);
+        if self.stamp == 0 {
+            self.seen.fill(0);
+            self.stamp = 1;
+        }
+        let stamp = self.stamp;
+        self.stack.clear();
+        self.stack.push(source);
+        self.seen[source.index()] = stamp;
+        self.parent[source.index()] = None;
+        while let Some(v) = self.stack.pop() {
+            if v == dest {
+                let mut edges = Vec::new();
+                let mut cur = dest;
+                while let Some(e) = self.parent[cur.index()] {
+                    edges.push(e);
+                    cur = g.src(e);
+                }
+                edges.reverse();
+                return Some(Path::new(edges));
+            }
+            for &e in g.out_edges(v) {
+                if flow[e.index()] < min_flow {
+                    continue;
+                }
+                let w = g.dst(e);
+                if self.seen[w.index()] != stamp {
+                    self.seen[w.index()] = stamp;
+                    self.parent[w.index()] = Some(e);
+                    self.stack.push(w);
+                }
+            }
+        }
+        None
+    }
 }
 
 #[cfg(test)]

@@ -19,7 +19,7 @@
 //! bicriteria approximation; `K = 2` recovers the state of the art \[33\].
 
 use jcr_ctx::SolverContext;
-use jcr_graph::{DiGraph, NodeId, Path};
+use jcr_graph::{DiGraph, EdgeId, NodeId, Path};
 
 use crate::decompose::decompose_single_source_with_context;
 use crate::mincost::single_source_min_cost_flow_with_context;
@@ -143,20 +143,31 @@ pub fn solve_msufp_with_context(
     }
 
     // Lines 5–7: partition by (t_i + j) ≡ 0 (mod K) and Skutella-round
-    // each class.
+    // each class. One `class_flow` buffer serves every class: it holds
+    // `+0.0` off the class's support (the edges its members' paths use),
+    // and only the support is zeroed again after the rounding, which
+    // never writes off it.
     let mut paths: Vec<Option<Path>> = vec![None; demands.len()];
+    let mut class_flow = vec![0.0; g.edge_count()];
+    let mut support: Vec<EdgeId> = Vec::new();
     for members in class_members(&t_of, k) {
         if members.is_empty() {
             continue;
         }
-        let mut class_flow = vec![0.0; g.edge_count()];
+        support.clear();
         for &i in &members {
             for pf in &per_commodity[i] {
-                for e in pf.path.edges() {
-                    class_flow[e.index()] += pf.amount;
+                for &e in pf.path.edges() {
+                    let f = &mut class_flow[e.index()];
+                    if *f == 0.0 {
+                        support.push(e);
+                    }
+                    *f += pf.amount;
                 }
             }
         }
+        support.sort_unstable();
+        support.dedup();
         let class_commodities: Vec<ClassCommodity> = members
             .iter()
             .map(|&i| ClassCommodity {
@@ -164,9 +175,19 @@ pub fn solve_msufp_with_context(
                 demand: rounded[i],
             })
             .collect();
-        let class_paths = round_to_unsplittable(g, cost, class_flow, source, &class_commodities)?;
-        for (pos, &i) in members.iter().enumerate() {
-            paths[i] = Some(class_paths[pos].clone());
+        let class_paths = round_to_unsplittable(
+            g,
+            cost,
+            &mut class_flow,
+            &support,
+            source,
+            &class_commodities,
+        )?;
+        for &e in &support {
+            class_flow[e.index()] = 0.0;
+        }
+        for (path, &i) in class_paths.into_iter().zip(&members) {
+            paths[i] = Some(path);
         }
     }
 

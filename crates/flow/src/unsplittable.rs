@@ -14,7 +14,7 @@
 
 use jcr_graph::{DiGraph, EdgeId, NodeId, Path};
 
-use crate::decompose::positive_flow_path_min;
+use crate::decompose::FlowPathSearch;
 use crate::{FlowError, FLOW_EPS};
 
 /// A commodity for the unsplittable rounding: all flow originates at the
@@ -31,9 +31,18 @@ pub struct ClassCommodity {
 ///
 /// * `flow` — link-level flow satisfying every commodity's demand from
 ///   `source` (net inflow at each destination equals the sum of its
-///   commodities' demands). Consumed and destroyed.
+///   commodities' demands). Overwritten with what the rounding leaves.
+/// * `support` — the edges that may carry flow, in strictly ascending
+///   index order. Every edge off the support must hold exactly `+0.0`;
+///   it still does on return, so a caller that reuses `flow` need only
+///   zero the support edges. Listing a `0.0` edge is harmless.
 /// * `commodities` — demands of the form `base · 2^q`; `base` is inferred
 ///   as the minimum demand.
+///
+/// Only support edges are scanned and written: a `+0.0` edge is never
+/// fractional and never carries the `d·(1−1e-6)` a routed path needs, so
+/// the cycle pushes and path subtractions never leave the support, and the
+/// answer is the one a scan of every edge would give.
 ///
 /// Returns one path per commodity, in input order.
 ///
@@ -41,13 +50,27 @@ pub struct ClassCommodity {
 ///
 /// [`FlowError::Numerical`] if demands are not powers of two times the
 /// base (beyond tolerance) or the flow does not satisfy them.
+///
+/// # Panics
+///
+/// In builds with debug assertions, if `support` is not strictly
+/// ascending or `flow` is not `+0.0` on every edge off it.
 pub fn round_to_unsplittable(
     g: &DiGraph,
     cost: &[f64],
-    mut flow: Vec<f64>,
+    flow: &mut [f64],
+    support: &[EdgeId],
     source: NodeId,
     commodities: &[ClassCommodity],
 ) -> Result<Vec<Path>, FlowError> {
+    debug_assert!(
+        support.windows(2).all(|w| w[0] < w[1]),
+        "support must be strictly ascending"
+    );
+    debug_assert!(
+        zero_off_support(flow, support),
+        "flow must be +0.0 on every edge off the support"
+    );
     if commodities.is_empty() {
         return Ok(Vec::new());
     }
@@ -77,16 +100,17 @@ pub fn round_to_unsplittable(
 
     let scale = commodities.iter().map(|c| c.demand).sum::<f64>().max(1.0);
     let mut paths: Vec<Option<Path>> = vec![None; commodities.len()];
+    let mut walk = CycleWalk::new(g.node_count());
+    let mut search = FlowPathSearch::new(g.node_count());
 
     for q in 0..=max_q {
         let d = base * (2f64).powi(q as i32);
-        make_d_integral(g, cost, &mut flow, d, scale)?;
+        make_d_integral(g, cost, flow, support, d, scale, &mut walk)?;
         for (idx, c) in commodities.iter().enumerate() {
             if class_of[idx] != q {
                 continue;
             }
-            let Some(path) = positive_flow_path_min(g, &flow, source, c.dest, d * (1.0 - 1e-6))
-            else {
+            let Some(path) = search.find(g, flow, source, c.dest, d * (1.0 - 1e-6)) else {
                 return Err(FlowError::Numerical(format!(
                     "no flow-carrying path to {:?} at class {d}",
                     c.dest
@@ -114,14 +138,31 @@ pub fn round_to_unsplittable(
         .collect()
 }
 
+/// Whether every edge of `flow` missing from the ascending `support` holds
+/// exactly `+0.0`.
+fn zero_off_support(flow: &[f64], support: &[EdgeId]) -> bool {
+    let mut on = support.iter().map(|e| e.index()).peekable();
+    flow.iter().enumerate().all(|(i, f)| {
+        if on.peek() == Some(&i) {
+            on.next();
+            true
+        } else {
+            f.to_bits() == 0
+        }
+    })
+}
+
 /// Pushes flow around cycles of non-`d`-integral arcs (in the direction of
 /// non-increasing cost) until every arc flow is an integer multiple of `d`.
+/// Only support edges can be non-integral, so only they are snapped.
 fn make_d_integral(
     g: &DiGraph,
     cost: &[f64],
     flow: &mut [f64],
+    support: &[EdgeId],
     d: f64,
     scale: f64,
+    walk: &mut CycleWalk,
 ) -> Result<(), FlowError> {
     let tol = (FLOW_EPS * scale).max(d * 1e-9);
     let snap = |f: &mut f64| {
@@ -130,12 +171,12 @@ fn make_d_integral(
             *f = m.max(0.0);
         }
     };
-    for f in flow.iter_mut() {
-        snap(f);
+    for e in support {
+        snap(&mut flow[e.index()]);
     }
     let max_rounds = 4 * g.edge_count() + 16;
     for _ in 0..max_rounds {
-        let Some(cycle) = fractional_cycle(g, flow, d, tol) else {
+        let Some(cycle) = walk.fractional_cycle(g, flow, support, d, tol) else {
             return Ok(());
         };
         // Each cycle element is (edge, forward?) relative to the traversal
@@ -154,7 +195,7 @@ fn make_d_integral(
         // Choose the orientation with non-positive cost.
         let flip = dir_cost > 0.0;
         let mut delta = f64::INFINITY;
-        for &(e, fwd) in &cycle {
+        for &(e, fwd) in cycle {
             let rising = fwd != flip;
             let f = flow[e.index()];
             let step = if rising {
@@ -173,7 +214,7 @@ fn make_d_integral(
                 "degenerate cycle push in d-integral rounding".into(),
             ));
         }
-        for &(e, fwd) in &cycle {
+        for &(e, fwd) in cycle {
             let rising = fwd != flip;
             if rising {
                 flow[e.index()] += delta;
@@ -191,62 +232,110 @@ fn make_d_integral(
     ))
 }
 
-/// Finds an (undirected) cycle among arcs whose flow is not a multiple of
-/// `d`. Returns edges with their orientation relative to the traversal.
-///
-/// Flow conservation modulo `d` ensures every node touching a
-/// non-integral arc touches at least two, so the non-integral subgraph has
-/// minimum degree 2 and contains a cycle whenever it is non-empty.
-fn fractional_cycle(g: &DiGraph, flow: &[f64], d: f64, tol: f64) -> Option<Vec<(EdgeId, bool)>> {
-    let is_fractional = |e: EdgeId| {
-        let f = flow[e.index()];
-        let m = (f / d).round() * d;
-        (f - m).abs() > tol
-    };
-    let start_edge = g.edges().find(|&e| is_fractional(e))?;
-    // Walk the undirected non-integral subgraph from the start edge's
-    // source, never immediately reversing the edge just taken, until a node
-    // repeats; extract the cycle between the two visits.
-    let n = g.node_count();
-    let mut visited_at: Vec<Option<usize>> = vec![None; n];
-    let mut walk: Vec<(EdgeId, bool)> = Vec::new(); // (edge, traversed forward?)
-    let mut cur = g.src(start_edge);
-    let mut last_edge: Option<EdgeId> = None;
-    for step in 0..=2 * g.edge_count() + 2 {
-        if let Some(first) = visited_at[cur.index()] {
-            return Some(walk[first..].to_vec());
+/// Scratch for [`CycleWalk::fractional_cycle`], reused by every cycle
+/// search of one rounding: each search resets `visited_at` at the nodes it
+/// visited, so none clears an O(|V|) array.
+struct CycleWalk {
+    /// Walk step at which each node was first reached; `usize::MAX` when
+    /// the current search has not reached it.
+    visited_at: Vec<usize>,
+    /// The nodes whose `visited_at` the current search set.
+    visited: Vec<NodeId>,
+    /// The walk's edges, with whether each was traversed forward.
+    edges: Vec<(EdgeId, bool)>,
+}
+
+impl CycleWalk {
+    fn new(nodes: usize) -> Self {
+        Self {
+            visited_at: vec![usize::MAX; nodes],
+            visited: Vec::new(),
+            edges: Vec::new(),
         }
-        visited_at[cur.index()] = Some(step);
-        // Pick any incident non-integral edge other than the one we came by.
-        let mut next: Option<(EdgeId, bool)> = None;
-        for &e in g.out_edges(cur) {
-            if Some(e) != last_edge && is_fractional(e) {
-                next = Some((e, true));
+    }
+
+    /// Finds an (undirected) cycle among arcs whose flow is not a multiple
+    /// of `d`. Returns edges with their orientation relative to the
+    /// traversal.
+    ///
+    /// Flow conservation modulo `d` ensures every node touching a
+    /// non-integral arc touches at least two, so the non-integral subgraph
+    /// has minimum degree 2 and contains a cycle whenever it is non-empty.
+    /// The walk starts at the lowest-index non-integral support edge, the
+    /// same edge a scan of every edge would find first.
+    fn fractional_cycle(
+        &mut self,
+        g: &DiGraph,
+        flow: &[f64],
+        support: &[EdgeId],
+        d: f64,
+        tol: f64,
+    ) -> Option<&[(EdgeId, bool)]> {
+        debug_assert!(
+            self.visited.is_empty() && self.visited_at.iter().all(|&s| s == usize::MAX),
+            "cycle search entered with a dirty visited_at"
+        );
+        let is_fractional = |e: EdgeId| {
+            let f = flow[e.index()];
+            let m = (f / d).round() * d;
+            (f - m).abs() > tol
+        };
+        let start_edge = support.iter().copied().find(|&e| is_fractional(e))?;
+        // Walk the undirected non-integral subgraph from the start edge's
+        // source, never immediately reversing the edge just taken, until a
+        // node repeats; the cycle is the walk between the two visits.
+        self.edges.clear();
+        let mut cur = g.src(start_edge);
+        let mut last_edge: Option<EdgeId> = None;
+        let mut first = None;
+        for step in 0..=2 * g.edge_count() + 2 {
+            if self.visited_at[cur.index()] != usize::MAX {
+                first = Some(self.visited_at[cur.index()]);
                 break;
             }
-        }
-        if next.is_none() {
-            for &e in g.in_edges(cur) {
+            self.visited_at[cur.index()] = step;
+            self.visited.push(cur);
+            // Pick any incident non-integral edge other than the one we
+            // came by.
+            let mut next: Option<(EdgeId, bool)> = None;
+            for &e in g.out_edges(cur) {
                 if Some(e) != last_edge && is_fractional(e) {
-                    next = Some((e, false));
+                    next = Some((e, true));
                     break;
                 }
             }
+            if next.is_none() {
+                for &e in g.in_edges(cur) {
+                    if Some(e) != last_edge && is_fractional(e) {
+                        next = Some((e, false));
+                        break;
+                    }
+                }
+            }
+            // Degree-1 fallback (should not happen under conservation mod
+            // d, but numerically possible): re-use the incoming edge.
+            let Some((e, fwd)) = next.or_else(|| last_edge.map(|e| (e, g.src(e) == cur))) else {
+                break;
+            };
+            self.edges.push((e, fwd));
+            cur = if fwd { g.dst(e) } else { g.src(e) };
+            last_edge = Some(e);
         }
-        // Degree-1 fallback (should not happen under conservation mod d,
-        // but numerically possible): re-use the incoming edge.
-        let (e, fwd) = next.or_else(|| last_edge.map(|e| (e, g.src(e) == cur)))?;
-        walk.push((e, fwd));
-        cur = if fwd { g.dst(e) } else { g.src(e) };
-        last_edge = Some(e);
-        let _ = step;
+        for v in self.visited.drain(..) {
+            self.visited_at[v.index()] = usize::MAX;
+        }
+        first.map(|first| &self.edges[first..])
     }
-    None
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Every edge of `g`: a support that holds any flow.
+    fn all_edges(g: &DiGraph) -> Vec<EdgeId> {
+        g.edges().collect()
+    }
 
     /// Two parallel routes s->t, flow split across them; one commodity of
     /// demand 2 must end up on a single route.
@@ -271,7 +360,7 @@ mod tests {
             dest: t,
             demand: 2.0,
         }];
-        let paths = round_to_unsplittable(&g, &cost, flow, s, &comm).unwrap();
+        let paths = round_to_unsplittable(&g, &cost, &mut flow, &all_edges(&g), s, &comm).unwrap();
         assert_eq!(paths.len(), 1);
         // The cheap route (via a) must be chosen: pushing the cycle in the
         // cost-non-increasing direction moves flow off the expensive route.
@@ -305,7 +394,7 @@ mod tests {
                 demand: 2.0,
             },
         ];
-        let paths = round_to_unsplittable(&g, &cost, flow, s, &comm).unwrap();
+        let paths = round_to_unsplittable(&g, &cost, &mut flow, &all_edges(&g), s, &comm).unwrap();
         assert_eq!(paths[0].target(&g), Some(x));
         assert_eq!(paths[1].target(&g), Some(y));
         for p in &paths {
@@ -351,7 +440,7 @@ mod tests {
                 demand: 1.0,
             },
         ];
-        let paths = round_to_unsplittable(&g, &cost, flow, s, &comm).unwrap();
+        let paths = round_to_unsplittable(&g, &cost, &mut flow, &all_edges(&g), s, &comm).unwrap();
         let unsplit_cost: f64 = paths
             .iter()
             .zip(&comm)
@@ -379,7 +468,8 @@ mod tests {
                 demand: 3.0,
             },
         ];
-        let err = round_to_unsplittable(&g, &[1.0], vec![4.0], s, &comm).unwrap_err();
+        let err =
+            round_to_unsplittable(&g, &[1.0], &mut [4.0], &all_edges(&g), s, &comm).unwrap_err();
         assert!(matches!(err, FlowError::Numerical(_)));
     }
 
@@ -387,7 +477,27 @@ mod tests {
     fn empty_commodities() {
         let mut g = DiGraph::new();
         let s = g.add_node();
-        let paths = round_to_unsplittable(&g, &[], vec![], s, &[]).unwrap();
+        let paths = round_to_unsplittable(&g, &[], &mut [], &[], s, &[]).unwrap();
         assert!(paths.is_empty());
+    }
+
+    /// Only the support edges are scanned, so only they may carry flow: a
+    /// flow with mass off its declared support trips the entry guard.
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "off the support")]
+    fn mass_off_the_support_is_rejected() {
+        let mut g = DiGraph::new();
+        let s = g.add_node();
+        let a = g.add_node();
+        let t = g.add_node();
+        let sa = g.add_edge(s, a);
+        g.add_edge(a, t);
+        let comm = [ClassCommodity {
+            dest: t,
+            demand: 1.0,
+        }];
+        // The flow reaches t over both edges, but only s->a is declared.
+        let _ = round_to_unsplittable(&g, &[1.0, 1.0], &mut [1.0, 1.0], &[sa], s, &comm);
     }
 }
