@@ -1,45 +1,36 @@
 //! Regenerates the paper's tables and figures.
 //!
 //! ```text
-//! experiments <id>... [--runs N] [--hours N] [--seed N] [--workers N] [--full]
-//!                     [--out PATH] [--baseline PATH] [--tolerance F]
-//!                     [--obs-out PATH] [--obs-baseline PATH]
+//! experiments <id>... [--runs N] [--hours N] [--seed N] [--workers N] [--full] [--out PATH]
 //! experiments diff <a> <b> [--phase NAME] [--top N] [--workers-compare] [--out PATH]
 //!
 //!   ids: fig4 fig5 fig6 fig7 fig8 fig9 fig11 fig12 fig13 fig15 cases zipf convergence online ablation topology
-//!        table1 table2 table3 table4 stats faults stress adversary chaos bench trace all
+//!        table1 table2 table3 table4 stats faults adversary chaos trace all
 //! ```
 //!
 //! Run with `--release`; the quick defaults finish in minutes, `--full`
-//! uses paper-scale sweeps. `bench` emits a machine-readable report
-//! (`--out BENCH.json`) and, given `--baseline BENCH_BASELINE.json`, exits
-//! nonzero on regressions (checksums/counters exactly, wall clock within
-//! `--tolerance`, default 0.25).
-//!
-//! `bench` also writes the merged observability snapshot next to the
-//! report (`OBS.json`, see `--obs-out`); `diff` loads two such snapshots
-//! and prints the attributed delta report — per-span self-time deltas
-//! ranked by contribution to the wall-clock difference, counter deltas,
-//! and histogram shifts — so a regression names its guilty span.
+//! uses paper-scale sweeps.
 //!
 //! `trace` runs a seeded solve under span instrumentation and writes a
 //! Chrome Trace Event file (`--out`, default `TRACE.json`, loadable at
-//! <https://ui.perfetto.dev>) plus a collapsed-stack `.folded` profile.
-//! Setting `JCR_TRACE=path` overrides the default output path and
-//! appends `trace` to any invocation that didn't request it.
+//! <https://ui.perfetto.dev>), a collapsed-stack `.folded` profile, and
+//! the canonical observability snapshot (`.obs.json`) beside it. Setting
+//! `JCR_TRACE=path` overrides the default output path and appends
+//! `trace` to any invocation that didn't request it.
+//!
+//! `diff` loads two such snapshots and prints the attributed delta
+//! report — per-span self-time deltas ranked by contribution to the
+//! wall-clock difference, counter deltas, and histogram shifts — so a
+//! regression names its guilty span.
 
 use jcr_bench::diff::{self, DiffOpts};
 use jcr_bench::exp::{self, ExpConfig};
-use jcr_bench::perf::{self, BenchOpts};
 use jcr_bench::profile;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut cfg = ExpConfig::default();
-    let mut bench_opts = BenchOpts {
-        tolerance: 0.25,
-        ..BenchOpts::default()
-    };
+    let mut out: Option<String> = None;
     let mut diff_opts = DiffOpts::default();
     let mut ids: Vec<String> = Vec::new();
     let mut it = args.iter();
@@ -70,37 +61,10 @@ fn main() {
                     .unwrap_or_else(|| usage("--workers needs a number"));
             }
             "--out" => {
-                bench_opts.out = Some(
+                out = Some(
                     it.next()
                         .cloned()
                         .unwrap_or_else(|| usage("--out needs a path")),
-                );
-            }
-            "--baseline" => {
-                bench_opts.baseline = Some(
-                    it.next()
-                        .cloned()
-                        .unwrap_or_else(|| usage("--baseline needs a path")),
-                );
-            }
-            "--tolerance" => {
-                bench_opts.tolerance = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage("--tolerance needs a number"));
-            }
-            "--obs-out" => {
-                bench_opts.obs_out = Some(
-                    it.next()
-                        .cloned()
-                        .unwrap_or_else(|| usage("--obs-out needs a path")),
-                );
-            }
-            "--obs-baseline" => {
-                bench_opts.obs_baseline = Some(
-                    it.next()
-                        .cloned()
-                        .unwrap_or_else(|| usage("--obs-baseline needs a path")),
                 );
             }
             "--phase" => {
@@ -129,7 +93,7 @@ fn main() {
         if ids.len() != 3 {
             usage("diff needs exactly two snapshot paths: experiments diff <a> <b>");
         }
-        diff_opts.out = bench_opts.out.clone();
+        diff_opts.out = out.clone();
         if let Err(msg) = diff::run(&ids[1], &ids[2], &diff_opts) {
             eprintln!("error: {msg}");
             std::process::exit(1);
@@ -213,7 +177,6 @@ fn main() {
             "table4" => exp::table4(cfg),
             "stats" => exp::stats(cfg),
             "faults" => exp::faults(cfg),
-            "stress" => perf::stress(cfg),
             "adversary" => {
                 if let Err(msg) = jcr_bench::adversary::adversary(cfg) {
                     eprintln!("error: {msg}");
@@ -226,18 +189,12 @@ fn main() {
                     std::process::exit(1);
                 }
             }
-            "bench" => {
-                if let Err(msg) = perf::bench(cfg, &bench_opts) {
-                    eprintln!("error: {msg}");
-                    std::process::exit(1);
-                }
-            }
             "trace" => {
-                let out = env_trace
+                let path = env_trace
                     .clone()
-                    .or_else(|| bench_opts.out.clone())
+                    .or_else(|| out.clone())
                     .unwrap_or_else(|| "TRACE.json".to_string());
-                if let Err(msg) = profile::trace_run(cfg, &out) {
+                if let Err(msg) = profile::trace_run(cfg, &path) {
                     eprintln!("error: {msg}");
                     std::process::exit(1);
                 }
@@ -253,15 +210,15 @@ fn usage(err: &str) -> ! {
     }
     eprintln!(
         "usage: experiments <id>... [--runs N] [--hours N] [--seed N] [--workers N] [--full] \
-         [--out PATH] [--baseline PATH] [--tolerance F] [--obs-out PATH] [--obs-baseline PATH]\n\
+         [--out PATH]\n\
        experiments diff <a> <b> [--phase NAME] [--top N] [--workers-compare] [--out PATH]\n\
          ids: fig4 fig5 fig6 fig7 fig8 fig9 fig11 fig12 fig13 fig15 cases zipf convergence online ablation topology \
-         table1 table2 table3 table4 stats faults stress adversary chaos bench trace all\n\
+         table1 table2 table3 table4 stats faults adversary chaos trace all\n\
          `adversary` fuzzes ≥ 200 seeded hostile instances (5 families) against every solver with \
          independent certificate verification; exits nonzero on any panic or unverified claim.\n\
          `chaos` kills/resumes the online loop at snapshot boundaries and replays corrupted, truncated,\n\
          stale, and foreign snapshots; exits nonzero unless resume is bit-identical with zero panics.\n\
-         `diff` compares two obs snapshots (`OBS.json`, written by `bench` next to `--out`) and prints\n\
+         `diff` compares two obs snapshots (`TRACE.obs.json`, written by `trace` next to `--out`) and prints\n\
          span/counter/histogram deltas ranked by contribution to the wall-clock difference.\n\
          env: JCR_TRACE=path  write a Chrome trace (implies a trailing `trace` run)"
     );

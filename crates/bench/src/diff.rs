@@ -21,11 +21,9 @@
 //!   distributions) plus p50/p95 drift via the reconstructed
 //!   [`Histogram`](jcr_ctx::obs::Histogram) quantiles.
 //!
-//! Reports render three ways: an aligned human table
-//! ([`DiffReport::print`]), canonical JSON ([`DiffReport::to_json`])
-//! following the bench suite's conventions, and a markdown table
-//! ([`DiffReport::markdown_table`]) the bench gate appends to
-//! `$GITHUB_STEP_SUMMARY` when the wall-clock gate trips.
+//! Reports render two ways: an aligned human table
+//! ([`DiffReport::print`]) and canonical JSON ([`DiffReport::to_json`])
+//! following the `crate::json` conventions.
 //!
 //! Everything here is deterministic: same two documents in, same
 //! report out, bit for bit.
@@ -429,43 +427,6 @@ impl DiffReport {
                 &rows,
             );
         }
-    }
-
-    /// Markdown span-attribution table for `$GITHUB_STEP_SUMMARY`.
-    pub fn markdown_table(&self, top: usize) -> String {
-        let mut out = String::new();
-        out.push_str(&format!(
-            "wall: {} ms \u{2192} {} ms (\u{0394} {} ms, {:.1}% attributed)\n\n",
-            fmt(self.wall_a_ns as f64 / 1e6),
-            fmt(self.wall_b_ns as f64 / 1e6),
-            fmt_signed_ms(self.wall_delta_ns()),
-            self.attributed_fraction() * 100.0
-        ));
-        if self.spans.is_empty() {
-            out.push_str("no span deltas\n");
-            return out;
-        }
-        out.push_str(
-            "| span | self A (ms) | self B (ms) | \u{0394} self (ms) | share of \u{0394} |\n",
-        );
-        out.push_str("|---|---:|---:|---:|---:|\n");
-        let wall = self.wall_delta_ns();
-        for s in self.spans.iter().take(top) {
-            let share = if wall == 0 {
-                "-".to_string()
-            } else {
-                format!("{:.1}%", s.self_delta_ns() as f64 / wall as f64 * 100.0)
-            };
-            out.push_str(&format!(
-                "| `{}` | {} | {} | {} | {} |\n",
-                s.path,
-                fmt(s.self_a_ns as f64 / 1e6),
-                fmt(s.self_b_ns as f64 / 1e6),
-                fmt_signed_ms(s.self_delta_ns()),
-                share
-            ));
-        }
-        out
     }
 }
 

@@ -462,5 +462,4 @@ pub mod chaos;
 pub mod diff;
 pub mod exp;
 pub mod json;
-pub mod perf;
 pub mod profile;

@@ -13,6 +13,7 @@
 
 use std::collections::BTreeMap;
 
+use jcr_ctx::obs::wire::WireSnapshot;
 use jcr_ctx::obs::{ObsSnapshot, SpanEvent, Unit};
 
 use crate::exp::ExpConfig;
@@ -245,19 +246,21 @@ pub fn histogram_rows(snap: &ObsSnapshot) -> Vec<Vec<String>> {
         .collect()
 }
 
-/// The path the `.folded` collapsed-stack profile is written next to a
-/// trace at `out` (the trace's extension is replaced).
-pub fn folded_path(out: &str) -> String {
+/// The path of a file written next to a trace at `out`: the trace's
+/// extension replaced by `ext` (`folded` for the collapsed-stack
+/// profile, `obs.json` for the observability snapshot).
+pub fn sibling_path(out: &str, ext: &str) -> String {
     match out.rsplit_once('.') {
-        Some((stem, _)) if !stem.is_empty() => format!("{stem}.folded"),
-        _ => format!("{out}.folded"),
+        Some((stem, _)) if !stem.is_empty() => format!("{stem}.{ext}"),
+        _ => format!("{out}.{ext}"),
     }
 }
 
 /// Runs the `experiments trace` subcommand: one seeded chunk-default
 /// hour through Algorithm 1 and the alternating solver under a single
-/// instrumented context, then writes the Chrome trace to `out` and the
-/// collapsed-stack profile next to it, validates the emitted trace
+/// instrumented context, then writes the Chrome trace to `out`, and the
+/// collapsed-stack profile and the canonical wire snapshot (the input
+/// of `experiments diff`) next to it, validates the emitted trace
 /// (round-trip parse + balanced `B`/`E`), and prints the span and
 /// histogram summaries.
 ///
@@ -288,9 +291,15 @@ pub fn trace_run(cfg: ExpConfig, out: &str) -> Result<(), String> {
     let trace_text = chrome_trace(&snap).render();
     let pairs = validate_chrome_trace(&trace_text)?;
     std::fs::write(out, &trace_text).map_err(|e| format!("writing {out}: {e}"))?;
-    let folded = folded_path(out);
+    let folded = sibling_path(out, "folded");
     std::fs::write(&folded, collapsed_stacks(&snap))
         .map_err(|e| format!("writing {folded}: {e}"))?;
+    let mut wire = WireSnapshot::from_snapshot(&snap);
+    wire.meta.insert("kind".into(), "jcr-trace-obs".into());
+    wire.meta
+        .insert("workers".into(), ctx.workers().to_string());
+    let obs = sibling_path(out, "obs.json");
+    std::fs::write(&obs, wire.render()).map_err(|e| format!("writing {obs}: {e}"))?;
 
     let mut span_rows = Vec::new();
     span_summary(&snap, 0, 0, &mut span_rows);
@@ -305,7 +314,7 @@ pub fn trace_run(cfg: ExpConfig, out: &str) -> Result<(), String> {
         &histogram_rows(&snap),
     );
     eprintln!(
-        "[trace] wrote {out} ({pairs} span pairs, {} lanes) and {folded}; open {out} in https://ui.perfetto.dev",
+        "[trace] wrote {out} ({pairs} span pairs, {} lanes), {folded} and {obs}; open {out} in https://ui.perfetto.dev",
         1 + snap.events.iter().map(|e| e.tid).max().unwrap_or(0)
     );
     Ok(())
@@ -434,9 +443,10 @@ mod tests {
     }
 
     #[test]
-    fn folded_path_replaces_extension() {
-        assert_eq!(folded_path("TRACE.json"), "TRACE.folded");
-        assert_eq!(folded_path("a/b.trace.json"), "a/b.trace.folded");
-        assert_eq!(folded_path("noext"), "noext.folded");
+    fn sibling_path_replaces_extension() {
+        assert_eq!(sibling_path("TRACE.json", "folded"), "TRACE.folded");
+        assert_eq!(sibling_path("TRACE.json", "obs.json"), "TRACE.obs.json");
+        assert_eq!(sibling_path("a/b.trace.json", "folded"), "a/b.trace.folded");
+        assert_eq!(sibling_path("noext", "folded"), "noext.folded");
     }
 }

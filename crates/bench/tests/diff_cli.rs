@@ -1,8 +1,8 @@
 //! End-to-end smoke test of the `experiments diff` subcommand through
-//! the real binary: `bench` writes an `OBS.json` artifact next to the
-//! report, and diffing that artifact against itself reports zero deltas
-//! and exits 0 — the contract the CI bench gate's artifact pipeline
-//! rests on.
+//! the real binary: `trace` writes an observability snapshot next to its
+//! Chrome trace, and diffing that snapshot against itself reports zero
+//! deltas and exits 0 — the contract CI's base-vs-head trace diff rests
+//! on.
 
 use std::process::Command;
 
@@ -11,31 +11,26 @@ fn experiments() -> Command {
 }
 
 #[test]
-fn bench_writes_obs_artifact_and_self_diff_exits_zero() {
+fn trace_writes_obs_snapshot_and_self_diff_exits_zero() {
     let dir = std::env::temp_dir().join("jcr_diff_cli_smoke");
     std::fs::create_dir_all(&dir).unwrap();
-    let bench_out = dir.join("BENCH_SMOKE.json");
-    let obs_out = dir.join("OBS_SMOKE.json");
+    let trace_out = dir.join("TRACE_SMOKE.json");
+    let obs_out = dir.join("TRACE_SMOKE.obs.json");
 
-    // A minimal bench run: one repetition, one hour, narrow pool.
-    let status = experiments()
+    let out = experiments()
         .args([
-            "bench",
-            "--runs",
-            "1",
-            "--hours",
-            "1",
+            "trace",
             "--workers",
             "2",
             "--out",
-            bench_out.to_str().unwrap(),
+            trace_out.to_str().unwrap(),
         ])
-        .status()
-        .expect("spawn experiments bench");
-    assert!(status.success(), "bench exits 0 without a baseline");
+        .output()
+        .expect("spawn experiments trace");
+    assert!(out.status.success(), "trace exits 0");
     assert!(
         obs_out.exists(),
-        "bench derives OBS_SMOKE.json from --out BENCH_SMOKE.json"
+        "trace derives TRACE_SMOKE.obs.json from --out TRACE_SMOKE.json"
     );
 
     // Self-diff: zero deltas, exit 0, and the summary says so.
@@ -57,7 +52,7 @@ fn bench_writes_obs_artifact_and_self_diff_exits_zero() {
     assert_eq!(wire.render(), text, "artifact is canonical");
     assert_eq!(
         wire.meta.get("kind").map(String::as_str),
-        Some("jcr-bench-obs")
+        Some("jcr-trace-obs")
     );
     assert_eq!(wire.meta.get("workers").map(String::as_str), Some("2"));
 

@@ -9,7 +9,7 @@
 //! `jcr_bench`); the aggregate tree is what differential profiling
 //! compares.
 //!
-//! The rendering follows the bench suite's hand-rolled canonical-JSON
+//! The rendering follows the bench crate's hand-rolled canonical-JSON
 //! conventions (`jcr_bench::json`): `BTreeMap`-sorted object keys,
 //! two-space indentation, a trailing newline, no external crates. On
 //! top of those, three rules make the format *exact* rather than
@@ -430,8 +430,12 @@ impl WireSnapshot {
                 if c >= nodes.len() {
                     return Err(format!("node {i}: child index {c} out of range"));
                 }
-                if c == 0 {
-                    return Err(format!("node {i}: root cannot be a child"));
+                // DFS numbering puts every child after its parent, which
+                // also rules out cycles for the recursive tree walks.
+                if c <= i {
+                    return Err(format!(
+                        "node {i}: child index {c} does not follow its parent"
+                    ));
                 }
             }
         }
@@ -546,7 +550,7 @@ fn parse_str_map(val: &Val, what: &str) -> Result<BTreeMap<String, String>, Stri
 fn parse_document(text: &str) -> Result<Val, String> {
     let bytes = text.as_bytes();
     let mut pos = 0usize;
-    let val = parse_value(bytes, &mut pos)?;
+    let val = parse_value(bytes, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(format!("trailing garbage at byte {pos}"));
@@ -560,8 +564,16 @@ fn skip_ws(bytes: &[u8], pos: &mut usize) {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Val, String> {
+/// Deepest array/object nesting the parser accepts; the canonical
+/// document nests three deep, and the cap keeps hostile input from
+/// overflowing the stack of the recursive descent.
+const MAX_DEPTH: usize = 128;
+
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Val, String> {
     skip_ws(bytes, pos);
+    if depth >= MAX_DEPTH && matches!(bytes.get(*pos), Some(b'[' | b'{')) {
+        return Err(format!("nesting deeper than {MAX_DEPTH} at byte {pos}"));
+    }
     match bytes.get(*pos) {
         Some(b'{') => {
             *pos += 1;
@@ -579,7 +591,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Val, String> {
                     return Err(format!("expected ':' at byte {pos}"));
                 }
                 *pos += 1;
-                let val = parse_value(bytes, pos)?;
+                let val = parse_value(bytes, pos, depth + 1)?;
                 map.insert(key, val);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
@@ -601,7 +613,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Val, String> {
                 return Ok(Val::Arr(arr));
             }
             loop {
-                arr.push(parse_value(bytes, pos)?);
+                arr.push(parse_value(bytes, pos, depth + 1)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -752,6 +764,52 @@ mod tests {
         // Corrupt a histogram count so bucket mass no longer matches.
         let corrupt = text.replace("\"count\": \"2\"", "\"count\": \"3\"");
         assert!(WireSnapshot::parse(&corrupt).is_err());
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let err = WireSnapshot::parse(&"[".repeat(1_000_000)).unwrap_err();
+        assert!(err.contains("nesting deeper than 128"), "{err}");
+        let nest = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(parse_document(&nest(MAX_DEPTH)).is_ok());
+        assert!(parse_document(&nest(MAX_DEPTH + 1)).is_err());
+    }
+
+    #[test]
+    fn a_child_must_follow_its_parent() {
+        let text = WireSnapshot::from_snapshot(&sample_snapshot()).render();
+        // Node 1 (alpha) lists node 2 (beta); point it back at itself.
+        let cyclic = text.replacen("\"children\": \"2\"", "\"children\": \"1\"", 1);
+        assert_ne!(cyclic, text);
+        let err = WireSnapshot::parse(&cyclic).unwrap_err();
+        assert!(err.contains("does not follow its parent"), "{err}");
+    }
+
+    /// Every prefix and a seeded sample of single-bit flips of a real
+    /// snapshot parse to `Ok` or `Err`, never a panic; and whatever parses
+    /// renders and walks without one.
+    #[test]
+    fn truncations_and_bit_flips_never_panic() {
+        use crate::rng::{Rng, SeedableRng, StdRng};
+
+        let mut wire = WireSnapshot::from_snapshot(&sample_snapshot());
+        wire.meta.insert("workers".to_string(), "2".to_string());
+        let text = wire.render();
+        let check = |doc: &str| {
+            if let Ok(w) = WireSnapshot::parse(doc) {
+                let _ = (w.render(), w.shape(), w.total_span_nanos());
+            }
+        };
+        for len in 0..text.len() {
+            check(&text[..len]);
+        }
+        let bytes = text.as_bytes();
+        let mut rng = StdRng::seed_from_u64(7);
+        for _ in 0..4000 {
+            let mut corrupt = bytes.to_vec();
+            corrupt[rng.gen_range(0..bytes.len())] ^= 1u8 << rng.gen_range(0..8u32);
+            check(&String::from_utf8_lossy(&corrupt));
+        }
     }
 
     #[test]

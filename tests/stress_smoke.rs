@@ -2,9 +2,12 @@
 //! `Stress` topology with a 10⁵-chunk Zipf catalog solves end to end —
 //! oracle priming, greedy placement, route-to-nearest-replica cost —
 //! without ever materializing a dense |V|² distance matrix, and the
-//! resulting cost is bit-identical across worker counts.
+//! resulting cost is bit-identical across worker counts. A second draw
+//! pins that cost's checksum and work counters as literals, and an
+//! ignored full-scale draw (512 active items) repeats the width check:
+//! `cargo test --release --test stress_smoke -- --ignored`.
 //!
-//! The same instance also runs the shortest-path placement baseline, whose
+//! The smoke instance also runs the shortest-path placement baseline, whose
 //! §4.3.1 LP is built over the requested items only: 96 of the 10⁵ items.
 //!
 //! This is the beyond-paper scale the flat-memory refactor exists for:
@@ -13,31 +16,64 @@
 //! a few dozen cached rows and a few hundred request triples instead.
 
 use jcr::core::prelude::*;
+use jcr::ctx::par::par_map;
 use jcr::ctx::SolverContext;
 use jcr::graph::NodeId;
 use jcr::topo::{Topology, TopologyKind};
 use jcr::trace::zipf::zipf_demand_sparse;
 use jcr_ctx::rng::{SeedableRng, StdRng};
 
-const N_ITEMS: usize = 100_000;
-const ACTIVE: usize = 96;
-const PER_ITEM: usize = 2;
-// Smaller than any edge node's active-item count, so placement cannot
-// cover all demand locally and the nearest-replica search has to route.
-const ZETA: usize = 1;
+mod common;
+use common::{assert_pinned, checksum};
 
-fn stress_instance() -> (Instance, Vec<NodeId>) {
-    let topo = Topology::generate(TopologyKind::Stress, 7).expect("stress family generates");
+const N_ITEMS: usize = 100_000;
+
+/// One seeded stress draw over the 10⁵-item catalog.
+struct Draw {
+    topo_seed: u64,
+    demand_seed: u64,
+    total_rate: f64,
+    active: usize,
+    per_item: usize,
+    /// Per-edge-node cache budget, in items.
+    zeta: usize,
+}
+
+/// The smoke draw. ζ is smaller than any edge node's active-item count,
+/// so placement cannot cover all demand locally and the nearest-replica
+/// search has to route.
+const SMOKE: Draw = Draw {
+    topo_seed: 7,
+    demand_seed: 11,
+    total_rate: 1000.0,
+    active: 96,
+    per_item: 2,
+    zeta: 1,
+};
+
+/// The pinned draw: 128 active items, four requesters each.
+const PINNED: Draw = Draw {
+    topo_seed: 5,
+    demand_seed: 41,
+    total_rate: 4000.0,
+    active: 128,
+    per_item: 4,
+    zeta: 4,
+};
+
+fn stress_instance(d: &Draw) -> (Instance, Vec<NodeId>) {
+    let topo =
+        Topology::generate(TopologyKind::Stress, d.topo_seed).expect("stress family generates");
     assert_eq!(topo.graph.node_count(), 1000);
     assert!(topo.graph.edge_count() >= 10_000);
-    let mut rng = StdRng::seed_from_u64(11);
+    let mut rng = StdRng::seed_from_u64(d.demand_seed);
     let triples = zipf_demand_sparse(
         N_ITEMS,
         topo.edge_nodes.len(),
         0.8,
-        1000.0,
-        ACTIVE,
-        PER_ITEM,
+        d.total_rate,
+        d.active,
+        d.per_item,
         &mut rng,
     );
     let requests: Vec<Request> = triples
@@ -50,7 +86,7 @@ fn stress_instance() -> (Instance, Vec<NodeId>) {
         .collect();
     let mut cache_cap = vec![0.0; topo.graph.node_count()];
     for &v in &topo.edge_nodes {
-        cache_cap[v.index()] = ZETA as f64;
+        cache_cap[v.index()] = d.zeta as f64;
     }
     let edge_count = topo.graph.edge_count();
     let edge_nodes = topo.edge_nodes.clone();
@@ -71,8 +107,15 @@ fn stress_instance() -> (Instance, Vec<NodeId>) {
 }
 
 /// Greedy placement + nearest-replica cost through the instance's own
-/// oracle; returns (cost, placement size).
-fn solve(inst: &Instance, edge_nodes: &[NodeId], ctx: &SolverContext) -> (f64, usize) {
+/// oracle. Returns the cost summed over 64 fixed request ranges, one
+/// partial per range in range order (bit-identical at any pool width),
+/// and the placement size.
+fn solve(
+    inst: &Instance,
+    edge_nodes: &[NodeId],
+    zeta: usize,
+    ctx: &SolverContext,
+) -> (Vec<f64>, usize) {
     let ap = inst.all_pairs_with_context(ctx);
     let oracle = ap.oracle();
     assert!(
@@ -95,35 +138,43 @@ fn solve(inst: &Instance, edge_nodes: &[NodeId], ctx: &SolverContext) -> (f64, u
             .map(|r| (r.item, r.rate))
             .collect();
         local.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0)));
-        for &(item, _) in local.iter().take(ZETA) {
+        for &(item, _) in local.iter().take(zeta) {
             placement.set(v, item, true);
         }
     }
     assert!(placement.is_feasible(inst));
 
-    let mut cost = 0.0;
-    for r in &inst.requests {
-        let row = oracle.row(r.node);
-        let mut best = row.dist(origin);
-        for &v in edge_nodes.iter() {
-            if placement.has(v, r.item) {
-                best = best.min(row.dist(v));
+    let n_req = inst.requests.len();
+    let ranges: Vec<(usize, usize)> = (0..64)
+        .map(|k| (k * n_req / 64, (k + 1) * n_req / 64))
+        .collect();
+    let partials = par_map(ctx, &ranges, |_, _, &(lo, hi)| {
+        let mut sum = 0.0;
+        for r in &inst.requests[lo..hi] {
+            let row = oracle.row(r.node);
+            let mut best = row.dist(origin);
+            for &v in edge_nodes {
+                if placement.has(v, r.item) {
+                    best = best.min(row.dist(v));
+                }
             }
+            assert!(best.is_finite(), "request {r:?} unservable");
+            sum += r.rate * best;
         }
-        assert!(best.is_finite(), "request {r:?} unservable");
-        cost += r.rate * best;
-    }
-    (cost, placement.len())
+        sum
+    });
+    (partials, placement.len())
 }
 
 #[test]
 fn thousand_node_catalog_solves_without_dense_matrix() {
-    let (inst, edge_nodes) = stress_instance();
+    let (inst, edge_nodes) = stress_instance(&SMOKE);
     assert_eq!(inst.num_items(), N_ITEMS);
-    assert_eq!(inst.requests.len(), ACTIVE * PER_ITEM);
+    assert_eq!(inst.requests.len(), SMOKE.active * SMOKE.per_item);
 
     let ctx = SolverContext::new().with_workers(1);
-    let (cost, placed) = solve(&inst, &edge_nodes, &ctx);
+    let (partials, placed) = solve(&inst, &edge_nodes, SMOKE.zeta, &ctx);
+    let cost: f64 = partials.iter().sum();
     assert!(cost.is_finite() && cost > 0.0);
     assert!(placed > 0);
 
@@ -138,24 +189,51 @@ fn thousand_node_catalog_solves_without_dense_matrix() {
     assert!(cost < origin_only);
 }
 
-#[test]
-fn stress_cost_is_bit_identical_across_widths() {
-    let (inst, edge_nodes) = stress_instance();
-    let mut seen: Option<(u64, usize)> = None;
-    for workers in [1usize, 2, 8] {
-        // A fresh clone per width: the oracle's row cache starts cold.
+/// Solves `d` on a fresh clone per pool width (so the oracle's row cache
+/// starts cold every time) and asserts every width returns the same
+/// partial-cost bits and placement size.
+fn assert_width_independent(d: &Draw, widths: &[usize]) {
+    let (inst, edge_nodes) = stress_instance(d);
+    let mut seen: Option<(Vec<u64>, usize)> = None;
+    for &workers in widths {
         let inst = inst.clone();
         let ctx = SolverContext::new().with_workers(workers);
-        let (cost, placed) = solve(&inst, &edge_nodes, &ctx);
-        match seen {
-            None => seen = Some((cost.to_bits(), placed)),
-            Some(expect) => assert_eq!(
-                (cost.to_bits(), placed),
-                expect,
-                "stress cost diverged at {workers} workers"
-            ),
+        let (partials, placed) = solve(&inst, &edge_nodes, d.zeta, &ctx);
+        let got = (partials.iter().map(|p| p.to_bits()).collect(), placed);
+        match &seen {
+            None => seen = Some(got),
+            Some(expect) => assert_eq!(&got, expect, "stress cost diverged at {workers} workers"),
         }
     }
+}
+
+#[test]
+fn stress_cost_is_bit_identical_across_widths() {
+    assert_width_independent(&SMOKE, &[1, 2, 8]);
+}
+
+/// The pinned draw's partial costs and placement size hash to a literal,
+/// and priming one oracle row per edge node plus the origin takes exactly
+/// 65 Dijkstra runs and nothing else.
+#[test]
+fn stress_route_cost_is_pinned() {
+    let (inst, edge_nodes) = stress_instance(&PINNED);
+    assert_pinned("f9f9c134ecd8c76b", [0, 0, 65, 0, 0, 0], |ctx| {
+        let (partials, placed) = solve(&inst.clone(), &edge_nodes, PINNED.zeta, ctx);
+        checksum(partials.into_iter().chain([placed as f64]))
+    });
+}
+
+/// Full scale: 512 active items on the same topology, still on-demand
+/// rows only and width-independent.
+#[test]
+#[ignore = "full scale; run with --release --test stress_smoke -- --ignored"]
+fn full_scale_stress_is_width_independent() {
+    let full = Draw {
+        active: 512,
+        ..PINNED
+    };
+    assert_width_independent(&full, &[1, 2, 8]);
 }
 
 /// SP's placement LP at catalog scale: x columns for the 96 requested
@@ -164,7 +242,7 @@ fn stress_cost_is_bit_identical_across_widths() {
 /// LP must move neither.
 #[test]
 fn shortest_path_placement_solves_over_requested_items() {
-    let (inst, _) = stress_instance();
+    let (inst, _) = stress_instance(&SMOKE);
     let ctx = SolverContext::new().with_workers(1);
     let sol = ShortestPathPlacement
         .solve_with_context(&inst, &ctx)
