@@ -236,12 +236,8 @@ impl Algorithm1 {
 /// benchmarks: `F = Σ λ (w_max − w_{nearest replica})`.
 pub fn f_rnr(inst: &Instance, placement: &Placement) -> f64 {
     let w_max = inst.w_max();
-    inst.requests
-        .iter()
-        .map(|r| {
-            let d = rnr::nearest_replica(inst, placement, r.item, r.node).map_or(w_max, |(_, d)| d);
-            r.rate * (w_max - d)
-        })
+    rnr::nearest_replicas(inst, placement)
+        .map(|(r, best)| r.rate * (w_max - best.map_or(w_max, |(_, d)| d)))
         .sum()
 }
 

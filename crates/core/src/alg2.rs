@@ -66,7 +66,7 @@ pub fn solve_binary_caches_with_context(
         msufp::solve_msufp_with_context(&aux.graph, &aux.cost, &aux.cap, vs, &demands, k, ctx)?;
     let paths = msufp
         .paths
-        .iter()
+        .into_iter()
         .map(|p| aux.strip_virtual(p))
         .collect::<Vec<_>>();
     let placement = binary_placement(inst, storers);
@@ -246,6 +246,94 @@ mod tests {
                 "K={k}"
             );
         }
+    }
+
+    /// FNV-1a over every routed path's edge indices, each path closed by
+    /// `u32::MAX`.
+    fn path_hash(routing: &Routing) -> u64 {
+        let mut bytes = Vec::new();
+        for flows in &routing.per_request {
+            for pf in flows {
+                for e in pf.path.edges() {
+                    bytes.extend_from_slice(&(e.index() as u32).to_le_bytes());
+                }
+                bytes.extend_from_slice(&u32::MAX.to_le_bytes());
+            }
+        }
+        crate::state::fnv1a(&bytes)
+    }
+
+    /// The same kind of pins at the benchmark's `lp_free` scale: one
+    /// seeded capped Deltacom with 400 sized items (thousands of
+    /// commodities to a handful of destinations). Algorithm 2 at
+    /// K ∈ {2, 1000} pins cost bits, splittable-cost bits, decomposition
+    /// paths and the path hash; nearest-replica routing of the binary
+    /// placement and of the greedy placement pins its path hash and cost
+    /// bits.
+    #[test]
+    fn answers_are_pinned_at_lp_free_scale() {
+        use jcr_ctx::rng::{Rng, SeedableRng, StdRng};
+        let mut rng = StdRng::seed_from_u64(19);
+        let sizes: Vec<f64> = (0..400).map(|_| rng.gen_range(1.0..5.0)).collect();
+        let inst = InstanceBuilder::new(Topology::generate(TopologyKind::Deltacom, 19).unwrap())
+            .item_sizes(sizes)
+            .cache_capacity(60.0)
+            .zipf_demand(0.8, 10_000.0, 19)
+            .link_capacity_fraction(0.007)
+            .build()
+            .unwrap();
+        let storer = inst.cache_nodes()[0];
+        // (K, cost bits, splittable-cost bits, decomposition paths, path hash)
+        let pins: [(u32, u64, u64, u64, u64); 2] = [
+            (
+                2,
+                0x413710b2f45883dc,
+                0x41377b747bcf313e,
+                22,
+                0x25fb2af06b5592e4,
+            ),
+            (
+                1000,
+                0x4135dc7b5184bb9d,
+                0x41377b747bcf313e,
+                22,
+                0x03d93ae39569a8ba,
+            ),
+        ];
+        for (k, cost_bits, split_bits, decomposition_paths, hash) in pins {
+            let ctx = SolverContext::new();
+            let sol = solve_binary_caches_with_context(&inst, &[storer], k, &ctx).unwrap();
+            let got = (
+                sol.solution.cost(&inst).to_bits(),
+                sol.splittable_cost.to_bits(),
+                ctx.stats().decomposition_paths,
+                path_hash(&sol.solution.routing),
+            );
+            assert_eq!(
+                got,
+                (cost_bits, split_bits, decomposition_paths, hash),
+                "K={k}"
+            );
+        }
+
+        let rnr = rnr_binary(&inst, &[storer]).unwrap();
+        let greedy = crate::hetero::greedy_placement_rnr(&inst);
+        let greedy_routing = crate::rnr::route_to_nearest_replica(&inst, &greedy).unwrap();
+        let got = (
+            path_hash(&rnr.routing),
+            rnr.cost(&inst).to_bits(),
+            path_hash(&greedy_routing),
+            greedy_routing.cost(&inst).to_bits(),
+        );
+        assert_eq!(
+            got,
+            (
+                0xf1fe38ccb1849a45,
+                0x411902686924cbf6,
+                0xe5a257fa13e7a3c4,
+                0x412522b1b98f365b
+            )
+        );
     }
 
     #[test]

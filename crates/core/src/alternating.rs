@@ -338,7 +338,7 @@ impl Alternating {
                 Routing {
                     per_request: greedy
                         .paths
-                        .iter()
+                        .into_iter()
                         .zip(&inst.requests)
                         .map(|(p, r)| {
                             vec![jcr_flow::PathFlow {
@@ -374,7 +374,7 @@ impl Alternating {
                 Routing {
                     per_request: rounded
                         .paths
-                        .iter()
+                        .into_iter()
                         .zip(&inst.requests)
                         .map(|(p, r)| {
                             vec![jcr_flow::PathFlow {
@@ -391,12 +391,12 @@ impl Alternating {
                 Routing {
                     per_request: mcf
                         .path_flows
-                        .iter()
+                        .into_iter()
                         .map(|flows| {
                             flows
-                                .iter()
+                                .into_iter()
                                 .map(|pf| jcr_flow::PathFlow {
-                                    path: aux.strip_virtual(&pf.path),
+                                    path: aux.strip_virtual(pf.path),
                                     amount: pf.amount,
                                 })
                                 .collect()

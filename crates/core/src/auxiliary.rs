@@ -92,16 +92,13 @@ impl AuxiliaryGraph {
         }
     }
 
-    /// Strips virtual edges from an auxiliary-graph path, returning the
-    /// real path (whose source is the selected real content source).
-    pub fn strip_virtual(&self, path: &Path) -> Path {
-        Path::new(
-            path.edges()
-                .iter()
-                .copied()
-                .filter(|e| e.index() < self.original_edges)
-                .collect(),
-        )
+    /// Strips virtual edges from an auxiliary-graph path in place,
+    /// returning the real path (whose source is the selected real content
+    /// source) in the same buffer.
+    pub fn strip_virtual(&self, path: Path) -> Path {
+        let mut edges = path.into_edges();
+        edges.retain(|e| e.index() < self.original_edges);
+        Path::new(edges)
     }
 }
 
@@ -161,7 +158,7 @@ mod tests {
         let tree = jcr_graph::shortest::dijkstra(&aux.graph, vs, &aux.cost);
         let req = inst.requests[0];
         let path = tree.path(req.node).unwrap();
-        let real = aux.strip_virtual(&path);
+        let real = aux.strip_virtual(path.clone());
         assert_eq!(real.len(), path.len() - 1);
         assert!(real.is_valid(&inst.graph));
         assert_eq!(real.source(&inst.graph), Some(inst.origin.unwrap()));

@@ -100,6 +100,31 @@ impl Placement {
             .map(NodeId::new)
     }
 
+    /// Every item's holders in ascending node order, in one buffer: item
+    /// `i`'s are `nodes[start[i]..start[i + 1]]`, the order
+    /// [`Placement::holders`] yields them in. Built with two passes over
+    /// the set bits instead of one node scan per item.
+    pub(crate) fn holders_by_item(&self) -> (Vec<usize>, Vec<NodeId>) {
+        let mut start = vec![0; self.n_items + 1];
+        for v in 0..self.n_nodes {
+            for i in self.items_at(NodeId::new(v)) {
+                start[i + 1] += 1;
+            }
+        }
+        for i in 1..start.len() {
+            start[i] += start[i - 1];
+        }
+        let mut next = start.clone();
+        let mut nodes = vec![NodeId::new(0); start[self.n_items]];
+        for v in 0..self.n_nodes {
+            for i in self.items_at(NodeId::new(v)) {
+                nodes[next[i]] = NodeId::new(v);
+                next[i] += 1;
+            }
+        }
+        (start, nodes)
+    }
+
     /// Size-weighted occupancy of node `v`'s cache.
     pub fn occupancy(&self, inst: &Instance, v: NodeId) -> f64 {
         self.items_at(v).map(|i| inst.item_size[i]).sum()

@@ -152,11 +152,25 @@ pub fn decompose_single_source_with_context(
 /// from one search to the next: `seen` is stamped per search, and
 /// `parent` is written before it is read, so no search clears an O(|V|)
 /// array. Decomposition and Skutella's rounding both route through it.
+///
+/// The stack pops the last node pushed and pushes each node's unseen
+/// out-neighbours in out-edge order, and a node's parent is set once, when
+/// it is first pushed. So a search depends only on which edges carry
+/// `min_flow`, and the path to a node is fixed the moment the node is
+/// pushed. [`FlowPathSearch::find`] stops when it pops its destination;
+/// [`FlowPathSearch::grow`] runs the same search to completion and keeps
+/// its tree. Until the next search on this scratch,
+/// [`FlowPathSearch::tree_path`] returns for every node exactly what
+/// `find` would return on the same flow and threshold, and it stays exact
+/// for as long as the set of edges carrying `min_flow` does not change.
 pub(crate) struct FlowPathSearch {
     stamp: u32,
     seen: Vec<u32>,
     parent: Vec<Option<EdgeId>>,
     stack: Vec<NodeId>,
+    /// Whether the last search was a [`FlowPathSearch::grow`] run to
+    /// completion, so its tree may be read.
+    grown: bool,
 }
 
 impl FlowPathSearch {
@@ -167,13 +181,12 @@ impl FlowPathSearch {
             seen: vec![0; nodes],
             parent: vec![None; nodes],
             stack: Vec::new(),
+            grown: false,
         }
     }
 
     /// Finds a simple `source -> dest` path over edges carrying at least
-    /// `min_flow`. The stack pops the last node pushed and pushes each
-    /// node's unseen out-neighbours in out-edge order, so the path depends
-    /// only on `flow`, never on earlier searches.
+    /// `min_flow`, or `None` if `dest` is unreachable over them.
     pub(crate) fn find(
         &mut self,
         g: &DiGraph,
@@ -182,40 +195,75 @@ impl FlowPathSearch {
         dest: NodeId,
         min_flow: f64,
     ) -> Option<Path> {
+        self.grown = false;
+        self.start(source);
+        while let Some(v) = self.stack.pop() {
+            if v == dest {
+                return Some(self.path_to(g, dest));
+            }
+            self.expand(g, flow, v, min_flow);
+        }
+        None
+    }
+
+    /// Runs [`FlowPathSearch::find`]'s search from `source` to
+    /// completion, over edges carrying at least `min_flow`, and keeps the
+    /// search tree for [`FlowPathSearch::tree_path`].
+    pub(crate) fn grow(&mut self, g: &DiGraph, flow: &[f64], source: NodeId, min_flow: f64) {
+        self.start(source);
+        while let Some(v) = self.stack.pop() {
+            self.expand(g, flow, v, min_flow);
+        }
+        self.grown = true;
+    }
+
+    /// The tree path from the last [`FlowPathSearch::grow`]'s source to
+    /// `dest`: the path `find` returns for `dest` on the flow and
+    /// threshold the tree was grown on, `None` if `dest` is unreachable.
+    pub(crate) fn tree_path(&self, g: &DiGraph, dest: NodeId) -> Option<Path> {
+        debug_assert!(self.grown, "tree_path read without a completed grow");
+        (self.seen[dest.index()] == self.stamp).then(|| self.path_to(g, dest))
+    }
+
+    /// Starts a search at `source` under a fresh stamp.
+    fn start(&mut self, source: NodeId) {
         self.stamp = self.stamp.wrapping_add(1);
         if self.stamp == 0 {
             self.seen.fill(0);
             self.stamp = 1;
         }
-        let stamp = self.stamp;
         self.stack.clear();
         self.stack.push(source);
-        self.seen[source.index()] = stamp;
+        self.seen[source.index()] = self.stamp;
         self.parent[source.index()] = None;
-        while let Some(v) = self.stack.pop() {
-            if v == dest {
-                let mut edges = Vec::new();
-                let mut cur = dest;
-                while let Some(e) = self.parent[cur.index()] {
-                    edges.push(e);
-                    cur = g.src(e);
-                }
-                edges.reverse();
-                return Some(Path::new(edges));
+    }
+
+    /// Pushes `v`'s unseen out-neighbours over edges carrying `min_flow`.
+    fn expand(&mut self, g: &DiGraph, flow: &[f64], v: NodeId, min_flow: f64) {
+        for &e in g.out_edges(v) {
+            if flow[e.index()] < min_flow {
+                continue;
             }
-            for &e in g.out_edges(v) {
-                if flow[e.index()] < min_flow {
-                    continue;
-                }
-                let w = g.dst(e);
-                if self.seen[w.index()] != stamp {
-                    self.seen[w.index()] = stamp;
-                    self.parent[w.index()] = Some(e);
-                    self.stack.push(w);
-                }
+            let w = g.dst(e);
+            if self.seen[w.index()] != self.stamp {
+                self.seen[w.index()] = self.stamp;
+                self.parent[w.index()] = Some(e);
+                self.stack.push(w);
             }
         }
-        None
+    }
+
+    /// The parent-pointer path from the search's source to the reached
+    /// node `dest`.
+    fn path_to(&self, g: &DiGraph, dest: NodeId) -> Path {
+        let mut edges = Vec::new();
+        let mut cur = dest;
+        while let Some(e) = self.parent[cur.index()] {
+            edges.push(e);
+            cur = g.src(e);
+        }
+        edges.reverse();
+        Path::new(edges)
     }
 }
 
@@ -329,5 +377,49 @@ mod tests {
         let err =
             decompose_single_source_with_context(&g, &flow, s, &[(t, 2.0)], &ctx).unwrap_err();
         assert!(matches!(err, FlowError::Numerical(_)));
+    }
+
+    /// A grown tree hands out, for every node (the source and unreachable
+    /// nodes included), the path a targeted search finds, on seeded
+    /// random flows with parallel and opposite edges and several
+    /// thresholds; the tree scratch is reused across all of them.
+    #[test]
+    fn grown_tree_paths_match_targeted_searches() {
+        use jcr_ctx::rng::{Rng, SeedableRng, StdRng};
+        let mut rng = StdRng::seed_from_u64(0x7472_6565);
+        let mut tree = FlowPathSearch::new(16);
+        let mut targeted = FlowPathSearch::new(16);
+        let (mut reached, mut unreached) = (0, 0);
+        for case in 0..200 {
+            let n = rng.gen_range(1..17usize);
+            let mut g = DiGraph::new();
+            let nodes = g.add_nodes(n);
+            for _ in 0..rng.gen_range(0..4 * n) {
+                g.add_edge(nodes[rng.gen_range(0..n)], nodes[rng.gen_range(0..n)]);
+            }
+            let flow: Vec<f64> = (0..g.edge_count())
+                .map(|_| {
+                    if rng.gen_range(0..4u32) == 0 {
+                        0.0
+                    } else {
+                        rng.gen_range(0.0..3.0)
+                    }
+                })
+                .collect();
+            let source = nodes[rng.gen_range(0..n)];
+            for min_flow in [FLOW_EPS, 0.5, 1.0, 2.5] {
+                tree.grow(&g, &flow, source, min_flow);
+                for &v in &nodes {
+                    let want = targeted.find(&g, &flow, source, v, min_flow);
+                    assert_eq!(tree.tree_path(&g, v), want, "case {case}, {min_flow}");
+                    if want.is_some() {
+                        reached += 1;
+                    } else {
+                        unreached += 1;
+                    }
+                }
+            }
+        }
+        assert!(reached > 0 && unreached > 0, "{reached} / {unreached}");
     }
 }

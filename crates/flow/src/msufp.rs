@@ -18,12 +18,14 @@
 //! `K = ⌈1/log₂(1+ε)⌉` and `λ_max ≪ c_min` this is a `(1+ε, 1)`
 //! bicriteria approximation; `K = 2` recovers the state of the art \[33\].
 
+use std::ops::Range;
+
 use jcr_ctx::SolverContext;
 use jcr_graph::{DiGraph, EdgeId, NodeId, Path};
 
 use crate::decompose::decompose_single_source_with_context;
 use crate::mincost::single_source_min_cost_flow_with_context;
-use crate::unsplittable::{round_to_unsplittable, ClassCommodity};
+use crate::unsplittable::{ClassCommodity, Rounding};
 use crate::{FlowError, PathFlow, FLOW_EPS};
 
 /// A commodity of the MSUFP instance: demand `demand` from the common
@@ -112,10 +114,13 @@ pub fn solve_msufp_with_context(
     let mcf = single_source_min_cost_flow_with_context(g, cost, cap, source, &agg_demands, ctx)?;
 
     // Line 2: per-destination path decomposition, then allocation of each
-    // destination's path flows to its commodities.
+    // destination's path flows to its commodities. Decomposed paths are
+    // numbered destination by destination, and each is costed once.
     let dest_paths = decompose_single_source_with_context(g, &mcf.flow, source, &agg_demands, ctx)?;
     let holders = holders_by_dest(demands, &agg_demands);
-    let mut per_commodity = allocate_paths_to_commodities(demands, holders, dest_paths);
+    let mut shares = allocate_paths_to_commodities(demands, &holders, &dest_paths);
+    let decomposed: Vec<&Path> = dest_paths.iter().flatten().map(|pf| &pf.path).collect();
+    let path_cost: Vec<f64> = decomposed.iter().map(|p| p.cost(cost)).collect();
 
     // Line 3: round demands per Eq. (11) via class offsets t_i:
     // t_i = −⌊K·log2(λ_i/λ_max)⌋ for λ_i < λ_max, and t_i = 1 for
@@ -138,44 +143,47 @@ pub fn solve_msufp_with_context(
     }
 
     // Line 4: reduce each commodity's most expensive paths first.
-    for (idx, flows) in per_commodity.iter_mut().enumerate() {
-        reduce_to(flows, rounded[idx], cost);
+    for (idx, range) in shares.range.iter_mut().enumerate() {
+        let kept = reduce_to(&mut shares.shares[range.clone()], rounded[idx], &path_cost);
+        range.end = range.start + kept;
     }
 
     // Lines 5–7: partition by (t_i + j) ≡ 0 (mod K) and Skutella-round
     // each class. One `class_flow` buffer serves every class: it holds
     // `+0.0` off the class's support (the edges its members' paths use),
     // and only the support is zeroed again after the rounding, which
-    // never writes off it.
+    // never writes off it. The rounding's scratch (its search tree, class
+    // buckets and path slots) and the commodity buffer are reused from
+    // class to class.
     let mut paths: Vec<Option<Path>> = vec![None; demands.len()];
     let mut class_flow = vec![0.0; g.edge_count()];
     let mut support: Vec<EdgeId> = Vec::new();
+    let mut rounding = Rounding::new(g.node_count());
+    let mut class_commodities: Vec<ClassCommodity> = Vec::new();
     for members in class_members(&t_of, k) {
         if members.is_empty() {
             continue;
         }
         support.clear();
         for &i in &members {
-            for pf in &per_commodity[i] {
-                for &e in pf.path.edges() {
+            for share in &shares.shares[shares.range[i].clone()] {
+                for &e in decomposed[share.path].edges() {
                     let f = &mut class_flow[e.index()];
                     if *f == 0.0 {
                         support.push(e);
                     }
-                    *f += pf.amount;
+                    *f += share.amount;
                 }
             }
         }
         support.sort_unstable();
         support.dedup();
-        let class_commodities: Vec<ClassCommodity> = members
-            .iter()
-            .map(|&i| ClassCommodity {
-                dest: demands[i].dest,
-                demand: rounded[i],
-            })
-            .collect();
-        let class_paths = round_to_unsplittable(
+        class_commodities.clear();
+        class_commodities.extend(members.iter().map(|&i| ClassCommodity {
+            dest: demands[i].dest,
+            demand: rounded[i],
+        }));
+        let class_paths = rounding.round(
             g,
             cost,
             &mut class_flow,
@@ -186,7 +194,7 @@ pub fn solve_msufp_with_context(
         for &e in &support {
             class_flow[e.index()] = 0.0;
         }
-        for (path, &i) in class_paths.into_iter().zip(&members) {
+        for (path, &i) in class_paths.zip(&members) {
             paths[i] = Some(path);
         }
     }
@@ -237,18 +245,37 @@ fn holders_by_dest(demands: &[Demand], agg_demands: &[(NodeId, f64)]) -> Vec<Vec
     holders
 }
 
+/// One commodity's share of a decomposed path: `amount` along path number
+/// `path`, counting destination by destination in decomposition order.
+#[derive(Clone, Copy, Debug, PartialEq)]
+struct PathShare {
+    path: usize,
+    amount: f64,
+}
+
+/// Every commodity's path shares in one buffer: commodity `i` owns
+/// `shares[range[i]]`.
+#[derive(Debug, PartialEq)]
+struct Shares {
+    shares: Vec<PathShare>,
+    range: Vec<Range<usize>>,
+}
+
 /// Splits each destination's path flows among its commodities `holders`
 /// (in input order), preserving total amounts.
 fn allocate_paths_to_commodities(
     demands: &[Demand],
-    holders: Vec<Vec<usize>>,
-    dest_paths: Vec<Vec<PathFlow>>,
-) -> Vec<Vec<PathFlow>> {
-    let mut result: Vec<Vec<PathFlow>> = vec![Vec::new(); demands.len()];
-    for (holders, paths) in holders.into_iter().zip(dest_paths) {
+    holders: &[Vec<usize>],
+    dest_paths: &[Vec<PathFlow>],
+) -> Shares {
+    let mut shares = Vec::new();
+    let mut range = vec![0..0; demands.len()];
+    let mut first = 0;
+    for (holders, paths) in holders.iter().zip(dest_paths) {
         let mut path_idx = 0;
         let mut path_left = paths.first().map_or(0.0, |p| p.amount);
-        for &ci in &holders {
+        for &ci in holders {
+            let begin = shares.len();
             let mut need = demands[ci].demand;
             while need > FLOW_EPS {
                 if path_left <= FLOW_EPS {
@@ -259,41 +286,50 @@ fn allocate_paths_to_commodities(
                     path_left = paths[path_idx].amount;
                 }
                 let take = need.min(path_left);
-                result[ci].push(PathFlow {
-                    path: paths[path_idx].path.clone(),
+                shares.push(PathShare {
+                    path: first + path_idx,
                     amount: take,
                 });
                 need -= take;
                 path_left -= take;
             }
+            range[ci] = begin..shares.len();
         }
+        first += paths.len();
     }
-    result
+    Shares { shares, range }
 }
 
-/// Reduces a commodity's path flows — most expensive paths first — until
-/// the total equals `target`.
-fn reduce_to(flows: &mut Vec<PathFlow>, target: f64, cost: &[f64]) {
-    let total: f64 = flows.iter().map(|f| f.amount).sum();
+/// Reduces a commodity's path shares — most expensive paths first, by
+/// `path_cost` — until the total equals `target`. Returns how many shares
+/// still carry flow; they are moved, in order, to the front.
+fn reduce_to(shares: &mut [PathShare], target: f64, path_cost: &[f64]) -> usize {
+    let total: f64 = shares.iter().map(|s| s.amount).sum();
     let mut excess = total - target;
     if excess <= 0.0 {
-        return;
+        return shares.len();
     }
-    flows.sort_by(|a, b| {
-        b.path
-            .cost(cost)
-            .partial_cmp(&a.path.cost(cost))
+    shares.sort_by(|a, b| {
+        path_cost[b.path]
+            .partial_cmp(&path_cost[a.path])
             .unwrap_or(std::cmp::Ordering::Equal)
     });
-    for f in flows.iter_mut() {
+    for s in shares.iter_mut() {
         if excess <= 0.0 {
             break;
         }
-        let cut = f.amount.min(excess);
-        f.amount -= cut;
+        let cut = s.amount.min(excess);
+        s.amount -= cut;
         excess -= cut;
     }
-    flows.retain(|f| f.amount > FLOW_EPS);
+    let mut kept = 0;
+    for i in 0..shares.len() {
+        if shares[i].amount > FLOW_EPS {
+            shares[kept] = shares[i];
+            kept += 1;
+        }
+    }
+    kept
 }
 
 #[cfg(test)]
@@ -389,8 +425,8 @@ mod tests {
                 let holders = holders_by_dest(&demands, &agg_demands);
                 assert_eq!(holders, scanned_holders);
                 assert_eq!(
-                    allocate_paths_to_commodities(&demands, holders, dest_paths.clone()),
-                    allocate_paths_to_commodities(&demands, scanned_holders, dest_paths)
+                    allocate_paths_to_commodities(&demands, &holders, &dest_paths),
+                    allocate_paths_to_commodities(&demands, &scanned_holders, &dest_paths)
                 );
             }
         }

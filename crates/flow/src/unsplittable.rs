@@ -8,9 +8,12 @@
 //! non-`d`-integral arcs in the cost-non-increasing direction until every
 //! arc flow is a multiple of `d` (flow conservation modulo `d` guarantees
 //! such cycles exist), then (b) routes each class-`d` commodity on a
-//! positive-flow path and subtracts `d` along it. The result never costs
-//! more than the input flow, and the load it adds beyond any arc's input
-//! flow is less than the largest demand crossing the arc (Lemma 4.6).
+//! positive-flow path and subtracts `d` along it. The paths come from one
+//! search tree per class, grown again only when a routed path leaves an
+//! arc below `d`, so each is the path a fresh search would find. The
+//! result never costs more than the input flow, and the load it adds
+//! beyond any arc's input flow is less than the largest demand crossing
+//! the arc (Lemma 4.6).
 
 use jcr_graph::{DiGraph, EdgeId, NodeId, Path};
 
@@ -63,79 +66,182 @@ pub fn round_to_unsplittable(
     source: NodeId,
     commodities: &[ClassCommodity],
 ) -> Result<Vec<Path>, FlowError> {
-    debug_assert!(
-        support.windows(2).all(|w| w[0] < w[1]),
-        "support must be strictly ascending"
-    );
-    debug_assert!(
-        zero_off_support(flow, support),
-        "flow must be +0.0 on every edge off the support"
-    );
-    if commodities.is_empty() {
-        return Ok(Vec::new());
-    }
-    let base = commodities
-        .iter()
-        .map(|c| c.demand)
-        .fold(f64::INFINITY, f64::min);
-    if base.is_nan() || base <= 0.0 {
-        return Err(FlowError::Numerical("non-positive demand".into()));
-    }
-    // Group commodity indices by class exponent q.
-    let mut max_q = 0u32;
-    let mut class_of = Vec::with_capacity(commodities.len());
-    for c in commodities {
-        let ratio = c.demand / base;
-        let q = ratio.log2().round();
-        if q < 0.0 || (ratio - (2f64).powi(q as i32)).abs() > 1e-6 * ratio {
-            return Err(FlowError::Numerical(format!(
-                "demand {} is not base 2^q times {base}",
-                c.demand
-            )));
+    Ok(Rounding::new(g.node_count())
+        .round(g, cost, flow, support, source, commodities)?
+        .collect())
+}
+
+/// Scratch for [`round_to_unsplittable`], kept across the roundings of
+/// one solve so that no class or commodity allocates search state.
+pub(crate) struct Rounding {
+    walk: CycleWalk,
+    /// The flow-path tree the current class's commodities are served from.
+    search: FlowPathSearch,
+    /// A second search that re-derives every tree path from scratch.
+    #[cfg(debug_assertions)]
+    check: FlowPathSearch,
+    /// Each commodity's class exponent q.
+    class_of: Vec<u32>,
+    /// Each commodity's path, filled class by class.
+    paths: Vec<Option<Path>>,
+    /// Commodity indices grouped by q, ascending within each class:
+    /// class q is `by_class[class_start[q]..class_start[q + 1]]`.
+    by_class: Vec<usize>,
+    class_start: Vec<usize>,
+}
+
+impl Rounding {
+    /// Scratch for roundings on a graph with `nodes` nodes.
+    pub(crate) fn new(nodes: usize) -> Self {
+        Self {
+            walk: CycleWalk::new(nodes),
+            search: FlowPathSearch::new(nodes),
+            #[cfg(debug_assertions)]
+            check: FlowPathSearch::new(nodes),
+            class_of: Vec::new(),
+            paths: Vec::new(),
+            by_class: Vec::new(),
+            class_start: Vec::new(),
         }
-        let q = q as u32;
-        max_q = max_q.max(q);
-        class_of.push(q);
     }
 
-    let scale = commodities.iter().map(|c| c.demand).sum::<f64>().max(1.0);
-    let mut paths: Vec<Option<Path>> = vec![None; commodities.len()];
-    let mut walk = CycleWalk::new(g.node_count());
-    let mut search = FlowPathSearch::new(g.node_count());
+    /// [`round_to_unsplittable`]: the commodities' paths, in input order.
+    ///
+    /// Each class is served from one flow-path tree grown after the class
+    /// is made `d`-integral. Routing a commodity only lowers flow, and only
+    /// on its tree path, so the edges carrying `d·(1−1e-6)` — all a search
+    /// reads — stay the same until one of that path's edges drops below
+    /// the threshold. Only then is the tree grown again, so every
+    /// commodity gets the path a fresh search would find.
+    pub(crate) fn round(
+        &mut self,
+        g: &DiGraph,
+        cost: &[f64],
+        flow: &mut [f64],
+        support: &[EdgeId],
+        source: NodeId,
+        commodities: &[ClassCommodity],
+    ) -> Result<impl Iterator<Item = Path> + '_, FlowError> {
+        debug_assert!(
+            support.windows(2).all(|w| w[0] < w[1]),
+            "support must be strictly ascending"
+        );
+        debug_assert!(
+            zero_off_support(flow, support),
+            "flow must be +0.0 on every edge off the support"
+        );
+        self.paths.clear();
+        self.paths.resize(commodities.len(), None);
+        if !commodities.is_empty() {
+            self.route_classes(g, cost, flow, support, source, commodities)?;
+        }
+        Ok(self
+            .paths
+            .drain(..)
+            .map(|p| p.expect("every class routes all of its commodities")))
+    }
 
-    for q in 0..=max_q {
-        let d = base * (2f64).powi(q as i32);
-        make_d_integral(g, cost, flow, support, d, scale, &mut walk)?;
-        for (idx, c) in commodities.iter().enumerate() {
-            if class_of[idx] != q {
-                continue;
-            }
-            let Some(path) = search.find(g, flow, source, c.dest, d * (1.0 - 1e-6)) else {
-                return Err(FlowError::Numerical(format!(
-                    "no flow-carrying path to {:?} at class {d}",
-                    c.dest
-                )));
-            };
-            for e in path.edges() {
-                flow[e.index()] -= d;
-                if flow[e.index()] < FLOW_EPS * scale {
-                    flow[e.index()] = 0.0;
+    /// Makes the flow `d`-integral and routes class `d`'s commodities, for
+    /// each class in increasing order, into `self.paths`.
+    fn route_classes(
+        &mut self,
+        g: &DiGraph,
+        cost: &[f64],
+        flow: &mut [f64],
+        support: &[EdgeId],
+        source: NodeId,
+        commodities: &[ClassCommodity],
+    ) -> Result<(), FlowError> {
+        let base = commodities
+            .iter()
+            .map(|c| c.demand)
+            .fold(f64::INFINITY, f64::min);
+        if base.is_nan() || base <= 0.0 {
+            return Err(FlowError::Numerical("non-positive demand".into()));
+        }
+        self.bucket_by_class(commodities, base)?;
+
+        let scale = commodities.iter().map(|c| c.demand).sum::<f64>().max(1.0);
+        for q in 0..self.class_start.len() - 1 {
+            let d = base * (2f64).powi(q as i32);
+            make_d_integral(g, cost, flow, support, d, scale, &mut self.walk)?;
+            let min_flow = d * (1.0 - 1e-6);
+            let mut stale = true;
+            for &idx in &self.by_class[self.class_start[q]..self.class_start[q + 1]] {
+                let dest = commodities[idx].dest;
+                if stale {
+                    self.search.grow(g, flow, source, min_flow);
+                    stale = false;
                 }
+                let path = self.search.tree_path(g, dest);
+                #[cfg(debug_assertions)]
+                debug_assert_eq!(
+                    path,
+                    self.check.find(g, flow, source, dest, min_flow),
+                    "tree path to {dest:?} differs from a targeted search"
+                );
+                let Some(path) = path else {
+                    return Err(FlowError::Numerical(format!(
+                        "no flow-carrying path to {dest:?} at class {d}"
+                    )));
+                };
+                for e in path.edges() {
+                    let f = &mut flow[e.index()];
+                    *f -= d;
+                    if *f < FLOW_EPS * scale {
+                        *f = 0.0;
+                    }
+                    stale |= *f < min_flow;
+                }
+                self.paths[idx] = Some(path);
             }
-            paths[idx] = Some(path);
         }
+        Ok(())
     }
-    // Every commodity was visited at its own class `q`; if float trouble
-    // ever breaks that, report it instead of panicking.
-    paths
-        .into_iter()
-        .enumerate()
-        .map(|(i, p)| {
-            p.ok_or_else(|| {
-                FlowError::Numerical(format!("commodity {i} never routed by its class"))
-            })
-        })
-        .collect()
+
+    /// Sets each commodity's class exponent q, with `demand = base · 2^q`,
+    /// and buckets the commodities by q in one counting pass.
+    fn bucket_by_class(
+        &mut self,
+        commodities: &[ClassCommodity],
+        base: f64,
+    ) -> Result<(), FlowError> {
+        self.class_of.clear();
+        let mut max_q = 0u32;
+        for c in commodities {
+            let ratio = c.demand / base;
+            let q = ratio.log2().round();
+            if q < 0.0 || (ratio - (2f64).powi(q as i32)).abs() > 1e-6 * ratio {
+                return Err(FlowError::Numerical(format!(
+                    "demand {} is not base 2^q times {base}",
+                    c.demand
+                )));
+            }
+            let q = q as u32;
+            max_q = max_q.max(q);
+            self.class_of.push(q);
+        }
+        // Count class q into class_start[q + 1] and sum up to each class's
+        // start; placing then advances class_start[q] to class q's end, so
+        // one shift right restores the starts.
+        self.class_start.clear();
+        self.class_start.resize(max_q as usize + 2, 0);
+        for &q in &self.class_of {
+            self.class_start[q as usize + 1] += 1;
+        }
+        for q in 1..self.class_start.len() {
+            self.class_start[q] += self.class_start[q - 1];
+        }
+        self.by_class.clear();
+        self.by_class.resize(commodities.len(), 0);
+        for (idx, &q) in self.class_of.iter().enumerate() {
+            self.by_class[self.class_start[q as usize]] = idx;
+            self.class_start[q as usize] += 1;
+        }
+        self.class_start.copy_within(..=max_q as usize, 1);
+        self.class_start[0] = 0;
+        Ok(())
+    }
 }
 
 /// Whether every edge of `flow` missing from the ascending `support` holds

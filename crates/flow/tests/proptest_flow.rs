@@ -616,14 +616,42 @@ fn random_path(g: &DiGraph, rng: &mut StdRng, source: NodeId, dest: NodeId) -> O
     go(g, rng, source, dest, &mut on_path, &mut edges).then_some(edges)
 }
 
+/// The commodities a [`random_class_flow`] draws.
+struct Family {
+    /// How many commodities.
+    commodities: std::ops::Range<usize>,
+    /// How many power-of-two demand classes.
+    classes: std::ops::Range<i32>,
+    /// At most this many distinct destinations, or any node but the
+    /// source when `None`.
+    dests: Option<usize>,
+}
+
+/// A few commodities to any nodes, in one to four classes.
+const SPARSE: Family = Family {
+    commodities: 1..9,
+    classes: 1..5,
+    dests: None,
+};
+
+/// Many commodities crowded onto at most three destinations in at most
+/// three classes, so one class sends several commodities to one
+/// destination, the shape Algorithm 2 produces.
+const CROWDED: Family = Family {
+    commodities: 10..41,
+    classes: 1..4,
+    dests: Some(3),
+};
+
 /// A random single-source class flow: a graph with parallel and opposite
-/// edges and tie-heavy integer costs (zeros make zero-cost cycles), one
-/// to four power-of-two classes of commodities, each demand split over up
-/// to three random paths, plus fractional circulations around random
-/// directed cycles. One case in eight under-serves its first commodity, so
-/// the error paths are compared too.
+/// edges and tie-heavy integer costs (zeros make zero-cost cycles),
+/// power-of-two classes of commodities drawn from `family`, each demand
+/// split over up to three random paths, plus fractional circulations
+/// around random directed cycles. One case in eight under-serves its first
+/// commodity, so the error paths are compared too.
 fn random_class_flow(
     rng: &mut StdRng,
+    family: &Family,
 ) -> (DiGraph, Vec<f64>, Vec<f64>, NodeId, Vec<ClassCommodity>) {
     let n = rng.gen_range(3..12usize);
     let mut g = DiGraph::new();
@@ -642,13 +670,19 @@ fn random_class_flow(
         .map(|_| f64::from(rng.gen_range(0..3u32)))
         .collect();
     let base = [1.0, 0.25, 0.37, 3.0][rng.gen_range(0..4usize)];
-    let classes = rng.gen_range(1..5i32);
+    let classes = rng.gen_range(family.classes.clone());
     let source = nodes[0];
+    let dests: Option<Vec<NodeId>> = family
+        .dests
+        .map(|k| (0..k).map(|_| nodes[rng.gen_range(1..n)]).collect());
     let mut flow = vec![0.0; g.edge_count()];
     let mut commodities = Vec::new();
     let mut short = rng.gen_range(0..8u32) == 0;
-    for _ in 0..rng.gen_range(1..9usize) {
-        let dest = nodes[rng.gen_range(1..n)];
+    for _ in 0..rng.gen_range(family.commodities.clone()) {
+        let dest = match &dests {
+            Some(dests) => dests[rng.gen_range(0..dests.len())],
+            None => nodes[rng.gen_range(1..n)],
+        };
         let demand = base * (2f64).powi(rng.gen_range(0..classes));
         let splits = rng.gen_range(1..4usize);
         let mut left = demand;
@@ -693,7 +727,7 @@ fn support_only_rounding_matches_dense_scans() {
     let (mut routed, mut failed) = (0, 0);
     for case in 0..4 * CASES {
         let mut rng = StdRng::seed_from_u64(0x736b_7574 + case);
-        let (g, cost, flow, source, commodities) = random_class_flow(&mut rng);
+        let (g, cost, flow, source, commodities) = random_class_flow(&mut rng, &SPARSE);
         let support: Vec<EdgeId> = g.edges().filter(|e| flow[e.index()] != 0.0).collect();
         let mut sparse_flow = flow.clone();
         let sparse =
@@ -723,5 +757,48 @@ fn support_only_rounding_matches_dense_scans() {
         routed >= 2 * CASES && failed > 0,
         "{routed} of {} cases routed, {failed} failed",
         4 * CASES
+    );
+}
+
+/// Crowded classes: many same-class commodities per destination, which
+/// the rounding serves from one flow-path tree until a routed path drops
+/// an arc below the class demand. It returns the dense rounding's paths,
+/// flow bits and errors, and the outputs show both branches ran: some
+/// class routes two commodities for one destination on the same path
+/// (the tree was reused), and some on different paths (it was rebuilt).
+#[test]
+fn crowded_classes_reuse_and_rebuild_the_path_tree() {
+    let (mut reused, mut rebuilt, mut failed) = (0, 0, 0);
+    for case in 0..2 * CASES {
+        let mut rng = StdRng::seed_from_u64(0x6372_6f77 + case);
+        let (g, cost, flow, source, commodities) = random_class_flow(&mut rng, &CROWDED);
+        let support: Vec<EdgeId> = g.edges().filter(|e| flow[e.index()] != 0.0).collect();
+        let mut sparse_flow = flow.clone();
+        let sparse =
+            round_to_unsplittable(&g, &cost, &mut sparse_flow, &support, source, &commodities);
+        let (dense, dense_flow) =
+            dense::round_to_unsplittable(&g, &cost, flow.clone(), source, &commodities);
+        assert_eq!(sparse, dense, "case {case}");
+        let bits = |f: &[f64]| f.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&sparse_flow), bits(&dense_flow), "case {case}: flow");
+        let Ok(paths) = sparse else {
+            failed += 1;
+            continue;
+        };
+        for (i, (ci, pi)) in commodities.iter().zip(&paths).enumerate() {
+            for (cj, pj) in commodities.iter().zip(&paths).skip(i + 1) {
+                if ci.dest == cj.dest && ci.demand == cj.demand {
+                    if pi == pj {
+                        reused += 1;
+                    } else {
+                        rebuilt += 1;
+                    }
+                }
+            }
+        }
+    }
+    assert!(
+        reused > 0 && rebuilt > 0 && failed > 0,
+        "{reused} same-path pairs, {rebuilt} different-path pairs, {failed} failed cases"
     );
 }
