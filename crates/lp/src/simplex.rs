@@ -11,12 +11,16 @@
 //! of bound violations of basic variables (no big-M), and phase 2 optimizes
 //! the true objective.
 //!
-//! The basis is represented by a **sparse LU factorization**
-//! ([`crate::factor`]): Markowitz-flavoured column ordering with threshold
-//! partial pivoting, product-form eta updates between refactorizations,
-//! and sparse ftran/btran. Pricing is **Devex** (reference-framework
-//! weights reset per phase) with a Bland anti-cycling fallback, and the
-//! ratio test is Harris two-pass. Pricing and the Devex update are
+//! The structural columns of `A` live in one **compressed-column store**
+//! (`col_start`, `u32` row indices, `f64` values; model entry order,
+//! explicit zeros dropped); slack columns are implicit. The basis is
+//! represented by a **sparse LU factorization** ([`crate::factor`]):
+//! Markowitz-flavoured column ordering with threshold partial pivoting
+//! and a reach-ordered left-looking elimination, product-form eta updates
+//! in one flat eta file between refactorizations, and sparse ftran/btran.
+//! Pricing is **Devex** (reference-framework weights reset per phase)
+//! with a Bland anti-cycling fallback, and the ratio test is Harris
+//! two-pass. Pricing and the Devex update are
 //! **hypersparse**: a row-wise index of `A` lets each pass visit only the
 //! columns that a nonzero of the dual (or pivot-row) vector touches,
 //! since every other column's dot product is exactly zero. Warm starts
@@ -30,7 +34,7 @@ use std::time::Instant;
 use jcr_ctx::{BudgetExceeded, Counter, ScratchArena, SolverContext};
 
 use crate::basis::{Basis, SnapStatus};
-use crate::factor::{Eta, LuFactors};
+use crate::factor::{EtaFile, LuFactors};
 use crate::model::Model;
 
 /// `Nanos` histogram of per-iteration pivot-loop latency (pricing, ratio
@@ -219,9 +223,15 @@ pub struct Simplex {
     c: Vec<f64>,
     lo: Vec<f64>,
     up: Vec<f64>,
-    /// Structural columns (sparse); slack columns are implicit `−1` at
-    /// their row.
-    cols: Vec<Vec<(usize, f64)>>,
+    /// Structural columns in compressed-column form: column `j`'s
+    /// nonzeros are `col_row`/`col_val` over `col_start[j]..col_start[j +
+    /// 1]`, in model entry order with explicit zeros dropped. Slack
+    /// columns are implicit `−1` at their row.
+    col_start: Vec<usize>,
+    /// Row of each stored structural nonzero.
+    col_row: Vec<u32>,
+    /// Value of each stored structural nonzero, parallel to `col_row`.
+    col_val: Vec<f64>,
     basis: Vec<usize>,
     status: Vec<ColStatus>,
     /// Value of every column (basic values refreshed after each pivot).
@@ -229,9 +239,7 @@ pub struct Simplex {
     /// Sparse LU factors of the current basis.
     lu: LuFactors,
     /// Product-form eta file accumulated since the last refactorization.
-    etas: Vec<Eta>,
-    /// Total nonzeros stored in the eta file (refactorization trigger).
-    eta_nnz: usize,
+    etas: EtaFile,
     /// Devex reference weights, one per column; reset at each phase entry.
     devex: Vec<f64>,
     /// Dense m-length buffer reused by the ftran/btran entry points.
@@ -240,8 +248,6 @@ pub struct Simplex {
     /// Row-wise index of the structural columns: per row, the ascending
     /// ids of the columns with a nonzero there.
     rows: Vec<Vec<u32>>,
-    /// Structural nonzeros (the total length of `rows`).
-    nnz: usize,
     /// Structural columns with a nonzero phase-2 cost, rebuilt per phase.
     cost_cols: Vec<u32>,
     /// Columns the current pricing or Devex pass visits (see
@@ -286,13 +292,6 @@ impl Simplex {
         let mut up = model.upper.clone();
         lo.extend_from_slice(&model.row_lower);
         up.extend_from_slice(&model.row_upper);
-        let cols = model.cols.clone();
-        let mut rows = vec![Vec::new(); m];
-        let mut nnz = 0;
-        for (j, col) in cols.iter().enumerate() {
-            nnz += index_column(&mut rows, col, j);
-        }
-
         let mut s = Simplex {
             m,
             n_struct: n,
@@ -300,18 +299,18 @@ impl Simplex {
             c,
             lo,
             up,
-            cols,
+            col_start: vec![0],
+            col_row: Vec::new(),
+            col_val: Vec::new(),
             basis: Vec::new(),
             status: Vec::new(),
             xval: Vec::new(),
             lu: LuFactors::default(),
-            etas: Vec::new(),
-            eta_nnz: 0,
+            etas: EtaFile::default(),
             devex: Vec::new(),
             rhs_buf: vec![0.0; m],
             pivots_since_refactor: 0,
-            rows,
-            nnz,
+            rows: vec![Vec::new(); m],
             cost_cols: Vec::new(),
             cand: Vec::new(),
             cand_all: false,
@@ -319,8 +318,26 @@ impl Simplex {
             #[cfg(test)]
             hooks: TestHooks::default(),
         };
+        for col in &model.cols {
+            s.push_column(col);
+        }
         s.reset_cold();
         s
+    }
+
+    /// Appends a structural column to the compressed store and the
+    /// row-wise index, skipping explicit zeros.
+    fn push_column(&mut self, col: &[(usize, f64)]) {
+        let j = u32::try_from(self.col_start.len() - 1).expect("column count fits in u32");
+        for &(r, v) in col {
+            if v != 0.0 {
+                self.col_row
+                    .push(u32::try_from(r).expect("row count fits in u32"));
+                self.col_val.push(v);
+                self.rows[r].push(j);
+            }
+        }
+        self.col_start.push(self.col_row.len());
     }
 
     /// Registers a column added to the model after construction; the column
@@ -338,8 +355,7 @@ impl Simplex {
         self.c.insert(j_internal, obj);
         self.lo.insert(j_internal, model.lower[var]);
         self.up.insert(j_internal, model.upper[var]);
-        self.nnz += index_column(&mut self.rows, &model.cols[var], j_internal);
-        self.cols.push(model.cols[var].clone());
+        self.push_column(&model.cols[var]);
         let st = initial_status(model.lower[var], model.upper[var]);
         self.status.insert(j_internal, st);
         let v0 = match st {
@@ -462,7 +478,6 @@ impl Simplex {
             Some(lu) => {
                 self.lu = lu;
                 self.etas.clear();
-                self.eta_nnz = 0;
                 self.pivots_since_refactor = 0;
                 self.set_nonbasic_values();
                 self.recompute_basic_values(&ScratchArena::default());
@@ -493,7 +508,6 @@ impl Simplex {
             .factor_basis()
             .expect("the slack basis B = -I is always nonsingular");
         self.etas.clear();
-        self.eta_nnz = 0;
         self.pivots_since_refactor = 0;
         self.set_nonbasic_values();
         self.recompute_basic_values(&ScratchArena::default());
@@ -509,10 +523,9 @@ impl Simplex {
         if let Some(r) = self.slack_of(j) {
             f(r, -1.0);
         } else {
-            for &(r, v) in &self.cols[j] {
-                if v != 0.0 {
-                    f(r, v);
-                }
+            let span = self.col_start[j]..self.col_start[j + 1];
+            for (&r, &v) in self.col_row[span.clone()].iter().zip(&self.col_val[span]) {
+                f(r as usize, v);
             }
         }
     }
@@ -522,6 +535,7 @@ impl Simplex {
         LuFactors::factorize(self.m, PIVOT_TOL, |pos, f| {
             self.for_col(self.basis[pos], f);
         })
+        .ok()
     }
 
     /// Applies `B⁻¹` (LU solve plus the eta file) to a row-space vector,
@@ -529,9 +543,7 @@ impl Simplex {
     fn apply_basis_inverse(&mut self, rhs: &[f64], out: &mut [f64]) {
         debug_assert_eq!(self.lu.dim(), self.m);
         self.lu.ftran(rhs, out);
-        for eta in &self.etas {
-            eta.apply(out);
-        }
+        self.etas.apply(out);
     }
 
     /// `B⁻¹ · A_j`, written into `out` (reused across pivots).
@@ -550,9 +562,7 @@ impl Simplex {
         let mut u = std::mem::take(&mut self.rhs_buf);
         u.resize(self.m, 0.0);
         u.copy_from_slice(&cb[..self.m]);
-        for eta in self.etas.iter().rev() {
-            eta.apply_transposed(&mut u);
-        }
+        self.etas.apply_transposed(&mut u);
         self.lu.btran(&u, y);
         self.rhs_buf = u;
     }
@@ -579,7 +589,7 @@ impl Simplex {
                 touched += self.rows[r].len() + 1;
             }
         }
-        let dense = touched as f64 > DENSE_SHARE * (self.nnz + self.m) as f64;
+        let dense = touched as f64 > DENSE_SHARE * (self.col_row.len() + self.m) as f64;
         #[cfg(test)]
         let dense = dense || self.hooks.force_dense;
         #[cfg(test)]
@@ -668,7 +678,6 @@ impl Simplex {
             .ok_or_else(|| LpError::Numerical("singular basis".into()))?;
         self.lu = lu;
         self.etas.clear();
-        self.eta_nnz = 0;
         self.pivots_since_refactor = 0;
         self.set_nonbasic_values();
         self.recompute_basic_values(scratch);
@@ -720,7 +729,7 @@ impl Simplex {
     /// numerical breakdown.
     fn residual_ladder(&mut self, ctx: &SolverContext) -> Result<(), LpError> {
         let periodic_due =
-            self.pivots_since_refactor >= REFACTOR_EVERY || self.eta_nnz > eta_budget(self.m);
+            self.pivots_since_refactor >= REFACTOR_EVERY || self.etas.nnz() > eta_budget(self.m);
         let probe_due = periodic_due
             || self
                 .pivots_since_refactor
@@ -1109,20 +1118,8 @@ impl Simplex {
                     self.devex.iter_mut().for_each(|w| *w = 1.0);
                 }
                 // Update the factorization: append the product-form eta
-                // for this pivot (O(nnz(α)) — no dense m² update).
-                let mut entries = Vec::new();
-                for (i, &a) in alpha.iter().enumerate() {
-                    if i != r && a != 0.0 {
-                        entries.push((i, a));
-                    }
-                }
-                let eta = Eta {
-                    r,
-                    pivot: arq,
-                    entries,
-                };
-                self.eta_nnz += eta.nnz();
-                self.etas.push(eta);
+                // for this pivot (O(m) scan of α — no dense m² update).
+                self.etas.push(r, alpha);
                 ctx.count(Counter::SimplexPivots, 1);
                 self.pivots_since_refactor += 1;
                 self.residual_ladder(ctx)?;
@@ -1171,20 +1168,6 @@ impl Simplex {
             certificate: jcr_ctx::cert::Certificate::new("lp"),
         }
     }
-}
-
-/// Appends structural column `j` to the row-wise index; returns the
-/// number of nonzeros indexed.
-fn index_column(rows: &mut [Vec<u32>], col: &[(usize, f64)], j: usize) -> usize {
-    let j = u32::try_from(j).expect("column count fits in u32");
-    let mut nnz = 0;
-    for &(r, v) in col {
-        if v != 0.0 {
-            rows[r].push(j);
-            nnz += 1;
-        }
-    }
-    nnz
 }
 
 fn initial_status(lo: f64, up: f64) -> ColStatus {
@@ -1657,6 +1640,90 @@ mod tests {
             2 * optimal > solves,
             "only {optimal} of {solves} solves optimal"
         );
+    }
+
+    #[test]
+    fn explicit_zero_coefficients_solve_like_absent_ones() {
+        use super::Simplex;
+        use jcr_ctx::rng::{Rng, SeedableRng};
+        use jcr_ctx::Counter;
+        // `set_coeff(.., 0.0)` over an existing entry leaves an explicit
+        // zero in the model's column; the simplex's column store drops it.
+        // Each build draws the same LP; `zeros` adds, per row, one entry
+        // that is then overwritten with 0.0 (and one such entry in a
+        // column added between two solves).
+        let build = |zeros: bool| {
+            let mut rng = jcr_ctx::rng::StdRng::seed_from_u64(31);
+            let mut m = Model::new(Sense::Minimize);
+            let n = 14;
+            let vars: Vec<_> = (0..n)
+                .map(|_| m.add_var(0.0, rng.gen_range(0.5..4.0), rng.gen_range(-2.0..3.0)))
+                .collect();
+            let mut rows = Vec::new();
+            for i in 0..9 {
+                let mut entries = Vec::new();
+                for &v in &vars {
+                    if rng.gen_bool(0.5) {
+                        entries.push((v, rng.gen_range(0.1..2.0)));
+                    }
+                }
+                let dropped = vars[(3 * i + 1) % n];
+                entries.retain(|&(v, _)| v != dropped);
+                let at = entries.len() / 2;
+                if zeros {
+                    entries.insert(at, (dropped, 1.75));
+                }
+                let row = m.add_row(f64::NEG_INFINITY, rng.gen_range(1.0..6.0), &entries);
+                if zeros {
+                    m.set_coeff(row, dropped, 0.0);
+                }
+                rows.push(row);
+            }
+            let mut column = vec![(rows[0], 1.0), (rows[4], 0.5)];
+            if zeros {
+                column.insert(1, (rows[2], -3.0));
+            }
+            (m, rows, column)
+        };
+        let solve = |zeros: bool| {
+            let (mut model, rows, column) = build(zeros);
+            let mut simplex = Simplex::new(&model);
+            let store = (simplex.col_start.clone(), simplex.col_row.clone());
+            let mut outcomes = Vec::new();
+            for round in 0..2 {
+                if round == 1 {
+                    let var = model.add_var_with_column(0.0, f64::INFINITY, -40.0, &column);
+                    if zeros {
+                        model.set_coeff(rows[2], var, 0.0);
+                    }
+                    simplex.add_column(&model, var.index());
+                }
+                let ctx = SolverContext::new();
+                let sol = simplex.resolve_with_context(&model, &ctx).unwrap();
+                outcomes.push((
+                    sol.x.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                    sol.objective.to_bits(),
+                    sol.duals.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                    ctx.stats().counter(Counter::SimplexPivots),
+                ));
+            }
+            (model, store, outcomes)
+        };
+        let (with_zeros, store, got) = solve(true);
+        let (without, want_store, want) = solve(false);
+        assert!(
+            with_zeros
+                .columns()
+                .flatten()
+                .filter(|e| e.1 == 0.0)
+                .count()
+                == 10,
+            "the model keeps its explicit zeros"
+        );
+        assert!(without.columns().flatten().all(|e| e.1 != 0.0));
+        assert_eq!(store, want_store);
+        assert!(want.iter().all(|o| o.3 > 0), "both rounds pivot");
+        assert_eq!(got, want);
     }
 
     #[test]
