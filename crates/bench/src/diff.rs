@@ -23,17 +23,17 @@
 //!
 //! Reports render two ways: an aligned human table
 //! ([`DiffReport::print`]) and canonical JSON ([`DiffReport::to_json`])
-//! following the `crate::json` conventions.
+//! following the `jcr_ctx::json` conventions.
 //!
 //! Everything here is deterministic: same two documents in, same
 //! report out, bit for bit.
 
 use std::collections::BTreeMap;
 
+use jcr_ctx::json::Json;
 use jcr_ctx::obs::wire::{WireHistogram, WireSnapshot};
 use jcr_ctx::obs::Unit;
 
-use crate::json::Json;
 use crate::{fmt, print_table};
 
 /// Options for [`run`] (the `experiments diff` subcommand).

@@ -13,11 +13,11 @@
 
 use std::collections::BTreeMap;
 
+use jcr_ctx::json::Json;
 use jcr_ctx::obs::wire::WireSnapshot;
 use jcr_ctx::obs::{ObsSnapshot, SpanEvent, Unit};
 
 use crate::exp::ExpConfig;
-use crate::json::Json;
 use crate::{build_instance, fmt, print_table, Scenario};
 
 /// Renders a snapshot as a Chrome Trace Event document: one `M`

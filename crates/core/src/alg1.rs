@@ -210,8 +210,7 @@ impl Algorithm1 {
             .map(|&v| inst.cache_cap[v.index()].floor())
             .collect();
         {
-            let _s = ctx.span("alg1.pipage");
-            let _t = ctx.time(jcr_ctx::Phase::Rounding);
+            let _s = ctx.phase_span("alg1.pipage", jcr_ctx::Phase::Rounding);
             ctx.count(jcr_ctx::Counter::RoundingPasses, 1);
             jcr_submodular::pipage::pipage_round(&mut coords, &groups, &capacity, |c, _| {
                 flat_weight[c]

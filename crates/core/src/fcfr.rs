@@ -164,7 +164,7 @@ pub fn solve_fcfr_cg_with_context(
     inst: &Instance,
     ctx: &SolverContext,
 ) -> Result<FcfrSolution, JcrError> {
-    let _t = ctx.time(Phase::ColumnGeneration);
+    let _s = ctx.phase_span("cg.fcfr", Phase::ColumnGeneration);
     let cache_nodes = inst.cache_nodes();
     let graph = &inst.graph;
     let big = 1e3

@@ -136,8 +136,7 @@ pub struct AnytimeConfig {
     pub budget: Budget,
     /// Structured-event sink: rung transitions are emitted as `"rung"`
     /// events, and every per-rung [`SolverContext`] mirrors its counters
-    /// and phase timings here (e.g. a
-    /// [`JsonLinesProbe`](jcr_ctx::probe::JsonLinesProbe)).
+    /// and phase timings here (one `Rc` may back every rung's context).
     pub probe: Option<Rc<dyn Probe>>,
 }
 

@@ -291,7 +291,7 @@ pub(crate) fn optimize_placement_warm(
         })
         .collect();
     {
-        let _t = ctx.time(jcr_ctx::Phase::Rounding);
+        let _s = ctx.phase_span("submodular.pipage", jcr_ctx::Phase::Rounding);
         ctx.count(jcr_ctx::Counter::RoundingPasses, 1);
         jcr_submodular::pipage::pipage_round(&mut x, &groups, &capacity, |c, xs| {
             let terms: &[usize] = x_col(c).map_or(&[], |v| &term_of_col[v.index()]);

@@ -58,11 +58,9 @@ pub fn to_text(inst: &Instance) -> String {
     out
 }
 
-/// Largest node count [`from_text`] accepts, checked before any per-node
-/// allocation so a corrupt or hostile count fails cleanly instead of
-/// exhausting memory. It is far above any topology the generators build
-/// (the Stress graph has 1000 nodes).
-pub const MAX_NODES: usize = 1 << 20;
+/// Largest node count [`from_text`] accepts (shared with the edge-list
+/// format).
+pub use jcr_topo::MAX_NODES;
 
 /// Parses an instance from the plain-text format.
 ///
@@ -285,6 +283,75 @@ mod tests {
             from_text(&over),
             Err(JcrError::InvalidInstance(_))
         ));
+    }
+
+    /// Feeds `check` every prefix of `text` and 4000 seeded single-bit
+    /// flips of it.
+    fn corruptions(text: &str, seed: u64, mut check: impl FnMut(&str)) {
+        use jcr_ctx::rng::{Rng, SeedableRng, StdRng};
+
+        for len in 0..text.len() {
+            check(&text[..len]);
+        }
+        let bytes = text.as_bytes();
+        let mut rng = StdRng::seed_from_u64(seed);
+        for _ in 0..4000 {
+            let mut corrupt = bytes.to_vec();
+            corrupt[rng.gen_range(0..bytes.len())] ^= 1u8 << rng.gen_range(0..8u32);
+            check(&String::from_utf8_lossy(&corrupt));
+        }
+    }
+
+    /// `to_text` → `from_text` reproduces `inst`'s rendering.
+    fn assert_round_trips(inst: &Instance) {
+        let text = to_text(inst);
+        let back = from_text(&text).unwrap_or_else(|e| panic!("{e} on {text:?}"));
+        assert_eq!(to_text(&back), text);
+    }
+
+    /// The untrusted-text parsers — the instance format and the topology
+    /// edge list — return `Ok` or `Err` on every truncation and bit flip,
+    /// never a panic; whatever parses survives a text round trip.
+    #[test]
+    fn truncations_and_bit_flips_never_panic() {
+        let mut parsed = 0;
+        corruptions(&to_text(&sample()), 5, |doc| {
+            if let Ok(inst) = from_text(doc) {
+                assert_round_trips(&inst);
+                parsed += 1;
+            }
+        });
+        assert!(parsed > 500, "only {parsed} instance texts parsed");
+        let mut parsed = 0;
+        let edges = "# a small mesh\norigin 0\nedge 3\nedge 4\nlink 0 1 100 150\n\
+                     link 1 2 5.5 6 2.5\nlink 2 3 1e1 7\nlink 1 4 3 3 inf\nlink 3 4 0.25 8 12\n";
+        corruptions(edges, 3, |doc| {
+            let Ok(t) = Topology::from_edge_list(doc) else {
+                return;
+            };
+            let n = t.graph.node_count();
+            let requests = t.edge_nodes.iter().map(|&node| Request {
+                item: 0,
+                node,
+                rate: 1.0,
+            });
+            let (cache, items) = (vec![1.0; n], vec![1.0]);
+            let origin = Some(t.origin);
+            let built = Instance::new(
+                t.graph,
+                t.cost,
+                t.capacity,
+                cache,
+                items,
+                requests.collect(),
+                origin,
+            );
+            if let Ok(inst) = built {
+                assert_round_trips(&inst);
+                parsed += 1;
+            }
+        });
+        assert!(parsed > 500, "only {parsed} edge lists built an instance");
     }
 
     #[test]

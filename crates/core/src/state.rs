@@ -35,10 +35,13 @@
 //! whole snapshot.
 //!
 //! For debugging there is also a lossless JSON dump
-//! ([`SolverState::to_debug_json`]) — human-readable, never parsed back.
+//! ([`SolverState::to_debug_json`]) — human-readable, rendered through
+//! the workspace's JSON codec, never parsed back by the solver.
 
 use std::fmt;
 use std::path::Path as FsPath;
+
+use jcr_ctx::json::Json;
 
 /// Leading magic of every snapshot file.
 pub const MAGIC: [u8; 8] = *b"JCRSNAP1";
@@ -345,57 +348,52 @@ impl SolverState {
     }
 
     /// A lossless, human-readable JSON rendering for debugging and chaos
-    /// artifacts. Never parsed back — the binary format is the contract.
+    /// artifacts, through [`jcr_ctx::json`]. Placement words and flow
+    /// amounts are 16-hex-digit bit strings, so a NaN or infinite amount
+    /// survives exactly; ids and counts are plain numbers (exact, since
+    /// all but `hour` are `u32`s or lengths, and `hour` is exact below
+    /// 2⁵³). Never parsed back by the solver — the binary format is the
+    /// contract.
     pub fn to_debug_json(&self) -> String {
-        let mut s = String::new();
-        s.push_str("{\n");
-        s.push_str(&format!("  \"hour\": {},\n", self.hour));
-        s.push_str(&format!(
-            "  \"dims\": {{\"nodes\": {}, \"items\": {}, \"edges\": {}, \"requests\": {}}},\n",
-            self.n_nodes, self.n_items, self.n_edges, self.n_requests
-        ));
-        match &self.placement {
-            Some(words) => {
-                let hex: Vec<String> = words.iter().map(|w| format!("\"{w:#018x}\"")).collect();
-                s.push_str(&format!("  \"placement\": [{}],\n", hex.join(", ")));
-            }
-            None => s.push_str("  \"placement\": null,\n"),
-        }
-        match &self.routing {
-            Some(routing) => {
-                s.push_str("  \"routing\": [\n");
-                for (i, flows) in routing.iter().enumerate() {
-                    let rendered: Vec<String> = flows
-                        .iter()
-                        .map(|f| {
-                            format!(
-                                "{{\"amount\": {}, \"edges\": {:?}}}",
-                                f64::from_bits(f.amount_bits),
-                                f.edges
-                            )
-                        })
-                        .collect();
-                    let sep = if i + 1 < routing.len() { "," } else { "" };
-                    s.push_str(&format!("    [{}]{}\n", rendered.join(", "), sep));
-                }
-                s.push_str("  ],\n");
-            }
-            None => s.push_str("  \"routing\": null,\n"),
-        }
-        s.push_str(&format!(
-            "  \"basis_bytes\": {},\n",
-            self.basis.as_ref().map_or(0, Vec::len)
-        ));
-        s.push_str("  \"columns\": [\n");
-        for (i, col) in self.columns.iter().enumerate() {
-            let sep = if i + 1 < self.columns.len() { "," } else { "" };
-            s.push_str(&format!(
-                "    {{\"commodity\": {}, \"nodes\": {:?}}}{}\n",
-                col.commodity, col.nodes, sep
-            ));
-        }
-        s.push_str("  ]\n}\n");
-        s
+        let bits = |w: u64| Json::Str(format!("{w:016x}"));
+        let num = |v: u32| Json::Num(f64::from(v));
+        let ids = |ids: &[u32]| Json::Arr(ids.iter().map(|&i| num(i)).collect());
+        let placement = self.placement.as_ref().map_or(Json::Null, |words| {
+            Json::Arr(words.iter().map(|&w| bits(w)).collect())
+        });
+        let routing = self.routing.as_ref().map_or(Json::Null, |routing| {
+            let flow = |f: &FlowRecord| {
+                Json::obj([("amount", bits(f.amount_bits)), ("edges", ids(&f.edges))])
+            };
+            Json::Arr(
+                routing
+                    .iter()
+                    .map(|flows| Json::Arr(flows.iter().map(flow).collect()))
+                    .collect(),
+            )
+        });
+        let columns = self
+            .columns
+            .iter()
+            .map(|c| Json::obj([("commodity", num(c.commodity)), ("nodes", ids(&c.nodes))]));
+        let dims = Json::obj([
+            ("nodes", num(self.n_nodes)),
+            ("items", num(self.n_items)),
+            ("edges", num(self.n_edges)),
+            ("requests", num(self.n_requests)),
+        ]);
+        Json::obj([
+            ("hour", Json::Num(self.hour as f64)),
+            ("dims", dims),
+            ("placement", placement),
+            ("routing", routing),
+            (
+                "basis_bytes",
+                Json::Num(self.basis.as_ref().map_or(0, Vec::len) as f64),
+            ),
+            ("columns", Json::Arr(columns.collect())),
+        ])
+        .render()
     }
 }
 
@@ -665,5 +663,23 @@ mod tests {
         ] {
             assert!(json.contains(needle), "missing {needle} in {json}");
         }
+    }
+
+    #[test]
+    fn debug_json_is_valid_json_with_exact_amounts() {
+        let amounts = [f64::NAN, f64::INFINITY, -0.0];
+        let mut state = sample();
+        let flows = amounts.iter().map(|a| FlowRecord {
+            amount_bits: a.to_bits(),
+            edges: vec![1],
+        });
+        state.routing = Some(vec![flows.collect()]);
+        let doc = Json::parse(&state.to_debug_json()).expect("debug dump parses");
+        let routed = doc.get("routing").and_then(Json::as_arr).unwrap();
+        let back: Vec<u64> = (routed[0].as_arr().unwrap().iter())
+            .map(|f| f.get("amount").and_then(Json::as_str).unwrap())
+            .map(|hex| u64::from_str_radix(hex, 16).unwrap())
+            .collect();
+        assert_eq!(back, amounts.map(f64::to_bits));
     }
 }

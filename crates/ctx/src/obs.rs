@@ -1,6 +1,6 @@
 //! Hierarchical span tracing and a metrics registry for the solver stack.
 //!
-//! The flat [`Counter`](crate::Counter)/[`Phase`](crate::Phase) stream
+//! The flat [`Counter`](crate::Counter)/[`Phase`] stream
 //! answers *whether* a solve stayed within budget; this module answers
 //! *where the time went*. Three pieces:
 //!
@@ -33,10 +33,9 @@
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 use std::time::Instant;
 
-use crate::SolverContext;
+use crate::{Phase, SolverContext};
 
 #[path = "wire.rs"]
 pub mod wire;
@@ -544,40 +543,7 @@ impl ObsSnapshot {
     /// are reproducibility-equivalent iff their shapes are equal;
     /// durations, gauges, and `Nanos` histograms are excluded.
     pub fn shape(&self) -> String {
-        let mut out = String::new();
-        self.shape_node(0, 0, &mut out);
-        for (name, by) in &self.counters {
-            let _ = writeln!(out, "counter {name} = {by}");
-        }
-        for (name, hist) in &self.histograms {
-            if hist.unit() == Unit::Count {
-                let _ = write!(out, "hist {name} n={} sum={}", hist.count(), hist.sum());
-                for (i, &c) in hist.buckets().iter().enumerate() {
-                    if c > 0 {
-                        let _ = write!(out, " b{i}:{c}");
-                    }
-                }
-                let _ = writeln!(out);
-            }
-        }
-        out
-    }
-
-    fn shape_node(&self, node: usize, depth: usize, out: &mut String) {
-        let n = &self.nodes[node];
-        let label = if n.name.is_empty() { "<root>" } else { n.name };
-        let _ = writeln!(
-            out,
-            "{:indent$}{label} x{}",
-            "",
-            n.count,
-            indent = depth * 2
-        );
-        let mut kids = n.children.clone();
-        kids.sort_by_key(|&c| self.nodes[c].name);
-        for c in kids {
-            self.shape_node(c, depth + 1, out);
-        }
+        wire::WireSnapshot::from_snapshot(self).shape()
     }
 
     /// Total wall time recorded at the root's direct children (the
@@ -590,14 +556,6 @@ impl ObsSnapshot {
             .sum()
     }
 
-    /// Canonical, versioned serialization of the aggregate state —
-    /// span tree, counters, gauges (exact f64 bits), and histograms.
-    /// The event log is *not* serialized; export it via the
-    /// Chrome-trace path instead. See [`wire`] for the format.
-    pub fn to_wire(&self) -> String {
-        wire::WireSnapshot::from_snapshot(self).render()
-    }
-
     /// Deterministic deep equality on the aggregate state: the span
     /// tree (canonically ordered, exact counts and nanosecond totals),
     /// counters, gauge bit patterns, and full histogram contents. The
@@ -608,20 +566,23 @@ impl ObsSnapshot {
     }
 }
 
-/// RAII guard returned by [`SolverContext::span`]; closes the span when
-/// dropped.
+/// RAII guard returned by [`SolverContext::span`] and
+/// [`SolverContext::phase_span`]; closes the span when dropped, charging
+/// the same interval to its [`Phase`], if any.
 pub struct SpanGuard<'a> {
     ctx: &'a SolverContext,
     node: usize,
+    phase: Option<Phase>,
     start: Instant,
 }
 
 impl<'a> SpanGuard<'a> {
-    pub(crate) fn enter(ctx: &'a SolverContext, name: &'static str) -> Self {
+    pub(crate) fn enter(ctx: &'a SolverContext, name: &'static str, phase: Option<Phase>) -> Self {
         let node = ctx.obs().enter(name);
         SpanGuard {
             ctx,
             node,
+            phase,
             start: Instant::now(),
         }
     }
@@ -635,7 +596,12 @@ impl Drop for SpanGuard<'_> {
             t.checked_duration_since(obs.epoch())
                 .map_or(0, |d| d.as_nanos().min(u64::MAX as u128) as u64)
         };
-        obs.exit(self.node, nanos_since(self.start), nanos_since(end));
+        let (start, end) = (nanos_since(self.start), nanos_since(end));
+        obs.exit(self.node, start, end);
+        if let Some(phase) = self.phase {
+            self.ctx
+                .record_phase_nanos(phase, end.saturating_sub(start));
+        }
     }
 }
 

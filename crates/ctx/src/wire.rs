@@ -9,11 +9,11 @@
 //! `jcr_bench`); the aggregate tree is what differential profiling
 //! compares.
 //!
-//! The rendering follows the bench crate's hand-rolled canonical-JSON
-//! conventions (`jcr_bench::json`): `BTreeMap`-sorted object keys,
-//! two-space indentation, a trailing newline, no external crates. On
-//! top of those, three rules make the format *exact* rather than
-//! approximate:
+//! The document is built as a [`Json`] tree and rendered and parsed by
+//! the workspace's one JSON codec ([`crate::json`]): `BTreeMap`-sorted
+//! object keys, two-space indentation, a trailing newline, no external
+//! crates. On top of those, three rules make the format *exact* rather
+//! than approximate:
 //!
 //! * every `u64`/`u128` quantity (counts, nanosecond totals, bucket
 //!   masses, histogram sums) is a **decimal string**, never a JSON
@@ -33,14 +33,16 @@
 //! serialized artifact (absorbing A then B equals B then A on the
 //! wire).
 //!
-//! The format is versioned by the top-level `"schema"` field; the
-//! parser rejects any version other than [`SCHEMA`] so a future format
-//! change fails loudly instead of mis-reading old artifacts.
+//! The format is versioned by the top-level `"schema"` field, the one
+//! JSON number in the document; the parser rejects anything but the
+//! number [`SCHEMA`] so a future format change fails loudly instead of
+//! mis-reading old artifacts.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use super::{Histogram, ObsSnapshot, Unit, NBUCKETS};
+use crate::json::Json;
 
 /// Wire format version; bump on any change to the rendered schema.
 pub const SCHEMA: u64 = 1;
@@ -208,8 +210,10 @@ impl WireSnapshot {
             .sum()
     }
 
-    /// The deterministic shape string — byte-identical to
-    /// [`ObsSnapshot::shape`] on the snapshot this was projected from.
+    /// The deterministic shape string (see [`ObsSnapshot::shape`], which
+    /// is this on the snapshot's projection): the span tree in canonical
+    /// order with call counts, the named counters, and `Count`-unit
+    /// histogram masses.
     pub fn shape(&self) -> String {
         let mut out = String::new();
         self.shape_node(0, 0, &mut out);
@@ -243,131 +247,80 @@ impl WireSnapshot {
         }
     }
 
-    /// Renders the canonical document. Serialize → [`WireSnapshot::parse`]
-    /// → serialize is byte-identical.
+    /// Renders the canonical document through [`Json::render`].
+    /// Serialize → [`WireSnapshot::parse`] → serialize is byte-identical.
     pub fn render(&self) -> String {
-        let mut out = String::from("{\n");
-        // Top-level keys in sorted order, matching a BTreeMap render:
-        // counters < dropped_events < gauges < histograms < meta <
-        // nodes < schema.
-        render_str_map(
-            &mut out,
-            "counters",
-            self.counters
-                .iter()
-                .map(|(k, v)| (k.clone(), v.to_string())),
-        );
-        out.push_str(",\n");
-        let _ = writeln!(out, "  \"dropped_events\": \"{}\",", self.dropped_events);
-        render_str_map(
-            &mut out,
-            "gauges",
-            self.gauges
-                .iter()
-                .map(|(k, v)| (k.clone(), format!("{v:016x}"))),
-        );
-        out.push_str(",\n");
-        if self.histograms.is_empty() {
-            out.push_str("  \"histograms\": {},\n");
-        } else {
-            out.push_str("  \"histograms\": {\n");
-            let last = self.histograms.len() - 1;
-            for (i, (name, h)) in self.histograms.iter().enumerate() {
-                out.push_str("    ");
-                render_string(&mut out, name);
-                out.push_str(": {\n");
-                let mut buckets = String::new();
-                for (j, (&bi, &c)) in h.buckets.iter().enumerate() {
-                    if j > 0 {
-                        buckets.push(' ');
-                    }
-                    let _ = write!(buckets, "{bi}:{c}");
-                }
-                let _ = writeln!(out, "      \"buckets\": \"{buckets}\",");
-                let _ = writeln!(out, "      \"count\": \"{}\",", h.count);
-                let _ = writeln!(out, "      \"max\": \"{}\",", h.max);
-                let _ = writeln!(out, "      \"min\": \"{}\",", h.min);
-                let _ = writeln!(out, "      \"sum\": \"{}\",", h.sum);
-                let _ = writeln!(out, "      \"unit\": \"{}\"", h.unit.name());
-                out.push_str(if i == last { "    }\n" } else { "    },\n" });
-            }
-            out.push_str("  },\n");
-        }
-        render_str_map(
-            &mut out,
-            "meta",
-            self.meta.iter().map(|(k, v)| (k.clone(), v.clone())),
-        );
-        out.push_str(",\n");
-        out.push_str("  \"nodes\": [\n");
-        let last = self.nodes.len() - 1;
-        for (i, n) in self.nodes.iter().enumerate() {
-            out.push_str("    {\n");
-            let _ = writeln!(out, "      \"child_ns\": \"{}\",", n.child_nanos);
-            let mut children = String::new();
-            for (j, c) in n.children.iter().enumerate() {
-                if j > 0 {
-                    children.push(' ');
-                }
-                let _ = write!(children, "{c}");
-            }
-            let _ = writeln!(out, "      \"children\": \"{children}\",");
-            let _ = writeln!(out, "      \"count\": \"{}\",", n.count);
-            out.push_str("      \"name\": ");
-            render_string(&mut out, &n.name);
-            out.push_str(",\n");
-            let _ = writeln!(out, "      \"total_ns\": \"{}\"", n.total_nanos);
-            out.push_str(if i == last { "    }\n" } else { "    },\n" });
-        }
-        out.push_str("  ],\n");
-        let _ = writeln!(out, "  \"schema\": {}", self.schema);
-        out.push_str("}\n");
-        out
+        let dec = |v: u64| Json::Str(v.to_string());
+        let histograms = self.histograms.iter().map(|(name, h)| {
+            let buckets: Vec<String> = h.buckets.iter().map(|(i, c)| format!("{i}:{c}")).collect();
+            let doc = Json::obj([
+                ("buckets", Json::Str(buckets.join(" "))),
+                ("count", dec(h.count)),
+                ("max", dec(h.max)),
+                ("min", dec(h.min)),
+                ("sum", Json::Str(h.sum.to_string())),
+                ("unit", Json::Str(h.unit.name().to_string())),
+            ]);
+            (name.clone(), doc)
+        });
+        let nodes = self.nodes.iter().map(|n| {
+            let children: Vec<String> = n.children.iter().map(|c| c.to_string()).collect();
+            Json::obj([
+                ("child_ns", dec(n.child_nanos)),
+                ("children", Json::Str(children.join(" "))),
+                ("count", dec(n.count)),
+                ("name", Json::Str(n.name.clone())),
+                ("total_ns", dec(n.total_nanos)),
+            ])
+        });
+        Json::obj([
+            ("counters", str_map(&self.counters, |v| v.to_string())),
+            ("dropped_events", dec(self.dropped_events)),
+            ("gauges", str_map(&self.gauges, |v| format!("{v:016x}"))),
+            ("histograms", Json::Obj(histograms.collect())),
+            ("meta", str_map(&self.meta, String::clone)),
+            ("nodes", Json::Arr(nodes.collect())),
+            ("schema", Json::Num(self.schema as f64)),
+        ])
+        .render()
     }
 
-    /// Parses a canonical document, validating the schema version and
-    /// every structural invariant (child indices in range, bucket mass
-    /// equal to histogram count, known units).
+    /// Parses a canonical document through [`Json::parse`], validating
+    /// the schema version (the number 1, nothing else) and every
+    /// structural invariant (child indices in range, bucket mass equal to
+    /// histogram count, known units).
     pub fn parse(text: &str) -> Result<WireSnapshot, String> {
-        let val = parse_document(text)?;
-        let top = val.as_obj("document")?;
-        let schema = get(top, "schema")?.as_uint("schema")?;
-        if schema != SCHEMA {
-            return Err(format!(
-                "unsupported snapshot schema {schema} (want {SCHEMA})"
-            ));
-        }
-        let counters = parse_str_map(get(top, "counters")?, "counters")?
-            .into_iter()
-            .map(|(k, v)| Ok((k, parse_u64(&v, "counter")?)))
-            .collect::<Result<BTreeMap<_, _>, String>>()?;
-        let gauges = parse_str_map(get(top, "gauges")?, "gauges")?
-            .into_iter()
-            .map(|(k, v)| {
-                if v.len() != 16 {
-                    return Err(format!("gauge {k}: want 16 hex digits, got {v:?}"));
-                }
-                let bits = u64::from_str_radix(&v, 16)
-                    .map_err(|e| format!("gauge {k}: bad hex {v:?}: {e}"))?;
-                Ok((k, bits))
-            })
-            .collect::<Result<BTreeMap<_, _>, String>>()?;
-        let meta = parse_str_map(get(top, "meta")?, "meta")?;
-        let dropped_events = parse_u64(
-            get(top, "dropped_events")?.as_str("dropped_events")?,
-            "dropped_events",
-        )?;
+        let doc = Json::parse(text)?;
+        let top = as_obj(&doc, "document")?;
+        let schema = match get(top, "schema")? {
+            Json::Num(v) if *v == SCHEMA as f64 => SCHEMA,
+            other => {
+                return Err(format!(
+                    "unsupported snapshot schema {} (want {SCHEMA})",
+                    other.render().trim_end()
+                ))
+            }
+        };
+        let counters = parse_str_map(top, "counters", |v| parse_u64(v, "count"))?;
+        let gauges = parse_str_map(top, "gauges", |v| match v.len() {
+            16 => u64::from_str_radix(v, 16).map_err(|e| format!("bad hex {v:?}: {e}")),
+            _ => Err(format!("want 16 hex digits, got {v:?}")),
+        })?;
+        let meta = parse_str_map(top, "meta", |v| Ok(v.to_string()))?;
+        let dropped_events = u64_field(top, "dropped_events")?;
         let mut histograms = BTreeMap::new();
-        for (name, hv) in get(top, "histograms")?.as_obj("histograms")? {
-            let h = hv.as_obj(name)?;
-            let unit = match get(h, "unit")?.as_str("unit")? {
+        for (name, hv) in as_obj(get(top, "histograms")?, "histograms")? {
+            let h = as_obj(hv, name)?;
+            let unit = match str_field(h, "unit")? {
                 "count" => Unit::Count,
                 "nanos" => Unit::Nanos,
                 other => return Err(format!("histogram {name}: unknown unit {other:?}")),
             };
             let mut buckets = BTreeMap::new();
-            let spec = get(h, "buckets")?.as_str("buckets")?;
-            for pair in spec.split(' ').filter(|p| !p.is_empty()) {
+            for pair in str_field(h, "buckets")?
+                .split(' ')
+                .filter(|p| !p.is_empty())
+            {
                 let (i, c) = pair
                     .split_once(':')
                     .ok_or_else(|| format!("histogram {name}: bad bucket {pair:?}"))?;
@@ -384,13 +337,12 @@ impl WireSnapshot {
             let wh = WireHistogram {
                 unit,
                 buckets,
-                count: parse_u64(get(h, "count")?.as_str("count")?, "count")?,
-                sum: get(h, "sum")?
-                    .as_str("sum")?
+                count: u64_field(h, "count")?,
+                sum: str_field(h, "sum")?
                     .parse::<u128>()
                     .map_err(|e| format!("histogram {name}: bad sum: {e}"))?,
-                min: parse_u64(get(h, "min")?.as_str("min")?, "min")?,
-                max: parse_u64(get(h, "max")?.as_str("max")?, "max")?,
+                min: u64_field(h, "min")?,
+                max: u64_field(h, "max")?,
             };
             // from_parts re-checks mass == count and min ≤ max.
             wh.to_histogram()
@@ -398,11 +350,11 @@ impl WireSnapshot {
             histograms.insert(name.clone(), wh);
         }
         let mut nodes = Vec::new();
-        for (i, nv) in get(top, "nodes")?.as_arr("nodes")?.iter().enumerate() {
-            let n = nv.as_obj("node")?;
+        let node_list = get(top, "nodes")?.as_arr().ok_or("nodes: expected array")?;
+        for (i, nv) in node_list.iter().enumerate() {
+            let n = as_obj(nv, "node")?;
             let mut children = Vec::new();
-            for c in get(n, "children")?
-                .as_str("children")?
+            for c in str_field(n, "children")?
                 .split(' ')
                 .filter(|c| !c.is_empty())
             {
@@ -412,11 +364,11 @@ impl WireSnapshot {
                 );
             }
             nodes.push(WireNode {
-                name: get(n, "name")?.as_str("name")?.to_string(),
+                name: str_field(n, "name")?.to_string(),
                 children,
-                count: parse_u64(get(n, "count")?.as_str("count")?, "count")?,
-                total_nanos: parse_u64(get(n, "total_ns")?.as_str("total_ns")?, "total_ns")?,
-                child_nanos: parse_u64(get(n, "child_ns")?.as_str("child_ns")?, "child_ns")?,
+                count: u64_field(n, "count")?,
+                total_nanos: u64_field(n, "total_ns")?,
+                child_nanos: u64_field(n, "child_ns")?,
             });
         }
         if nodes.is_empty() {
@@ -451,251 +403,54 @@ impl WireSnapshot {
     }
 }
 
+/// A `string → string` object of `map`'s entries, values rendered by `f`.
+fn str_map<V>(map: &BTreeMap<String, V>, f: impl Fn(&V) -> String) -> Json {
+    Json::Obj(
+        map.iter()
+            .map(|(k, v)| (k.clone(), Json::Str(f(v))))
+            .collect(),
+    )
+}
+
 fn parse_u64(s: &str, what: &str) -> Result<u64, String> {
     s.parse::<u64>()
         .map_err(|e| format!("bad {what} {s:?}: {e}"))
 }
 
-/// Renders a flat `string → string` object at one level of indent.
-fn render_str_map(out: &mut String, key: &str, entries: impl Iterator<Item = (String, String)>) {
-    let entries: Vec<(String, String)> = entries.collect();
-    let _ = write!(out, "  \"{key}\": ");
-    if entries.is_empty() {
-        out.push_str("{}");
-        return;
-    }
-    out.push_str("{\n");
-    let last = entries.len() - 1;
-    for (i, (k, v)) in entries.iter().enumerate() {
-        out.push_str("    ");
-        render_string(out, k);
-        out.push_str(": ");
-        render_string(out, v);
-        out.push_str(if i == last { "\n" } else { ",\n" });
-    }
-    out.push_str("  }");
+fn as_obj<'a>(val: &'a Json, what: &str) -> Result<&'a BTreeMap<String, Json>, String> {
+    val.as_obj()
+        .ok_or_else(|| format!("{what}: expected object"))
 }
 
-fn render_string(out: &mut String, s: &str) {
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-/// Minimal JSON value for the wire grammar: objects, arrays, strings,
-/// and unsigned integers (the only number the format emits is the
-/// schema version).
-#[derive(Debug)]
-enum Val {
-    Str(String),
-    UInt(u64),
-    Arr(Vec<Val>),
-    Obj(BTreeMap<String, Val>),
-}
-
-impl Val {
-    fn as_obj(&self, what: &str) -> Result<&BTreeMap<String, Val>, String> {
-        match self {
-            Val::Obj(m) => Ok(m),
-            _ => Err(format!("{what}: expected object")),
-        }
-    }
-
-    fn as_arr(&self, what: &str) -> Result<&Vec<Val>, String> {
-        match self {
-            Val::Arr(a) => Ok(a),
-            _ => Err(format!("{what}: expected array")),
-        }
-    }
-
-    fn as_str(&self, what: &str) -> Result<&str, String> {
-        match self {
-            Val::Str(s) => Ok(s),
-            _ => Err(format!("{what}: expected string")),
-        }
-    }
-
-    fn as_uint(&self, what: &str) -> Result<u64, String> {
-        match self {
-            Val::UInt(n) => Ok(*n),
-            _ => Err(format!("{what}: expected unsigned integer")),
-        }
-    }
-}
-
-fn get<'a>(obj: &'a BTreeMap<String, Val>, key: &str) -> Result<&'a Val, String> {
+fn get<'a>(obj: &'a BTreeMap<String, Json>, key: &str) -> Result<&'a Json, String> {
     obj.get(key).ok_or_else(|| format!("missing key {key:?}"))
 }
 
-fn parse_str_map(val: &Val, what: &str) -> Result<BTreeMap<String, String>, String> {
+fn str_field<'a>(obj: &'a BTreeMap<String, Json>, key: &str) -> Result<&'a str, String> {
+    get(obj, key)?
+        .as_str()
+        .ok_or_else(|| format!("{key}: expected string"))
+}
+
+/// A `u64` stored as a decimal string (JSON numbers are f64s).
+fn u64_field(obj: &BTreeMap<String, Json>, key: &str) -> Result<u64, String> {
+    parse_u64(str_field(obj, key)?, key)
+}
+
+/// The `string → string` object at `key`, values decoded by `decode`.
+fn parse_str_map<V>(
+    top: &BTreeMap<String, Json>,
+    key: &str,
+    decode: impl Fn(&str) -> Result<V, String>,
+) -> Result<BTreeMap<String, V>, String> {
     let mut out = BTreeMap::new();
-    for (k, v) in val.as_obj(what)? {
-        out.insert(k.clone(), v.as_str(what)?.to_string());
+    for (k, v) in as_obj(get(top, key)?, key)? {
+        let v = v
+            .as_str()
+            .ok_or_else(|| format!("{key} {k}: expected string"))?;
+        out.insert(k.clone(), decode(v).map_err(|e| format!("{key} {k}: {e}"))?);
     }
     Ok(out)
-}
-
-fn parse_document(text: &str) -> Result<Val, String> {
-    let bytes = text.as_bytes();
-    let mut pos = 0usize;
-    let val = parse_value(bytes, &mut pos, 0)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
-        return Err(format!("trailing garbage at byte {pos}"));
-    }
-    Ok(val)
-}
-
-fn skip_ws(bytes: &[u8], pos: &mut usize) {
-    while *pos < bytes.len() && matches!(bytes[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
-}
-
-/// Deepest array/object nesting the parser accepts; the canonical
-/// document nests three deep, and the cap keeps hostile input from
-/// overflowing the stack of the recursive descent.
-const MAX_DEPTH: usize = 128;
-
-fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Val, String> {
-    skip_ws(bytes, pos);
-    if depth >= MAX_DEPTH && matches!(bytes.get(*pos), Some(b'[' | b'{')) {
-        return Err(format!("nesting deeper than {MAX_DEPTH} at byte {pos}"));
-    }
-    match bytes.get(*pos) {
-        Some(b'{') => {
-            *pos += 1;
-            let mut map = BTreeMap::new();
-            skip_ws(bytes, pos);
-            if bytes.get(*pos) == Some(&b'}') {
-                *pos += 1;
-                return Ok(Val::Obj(map));
-            }
-            loop {
-                skip_ws(bytes, pos);
-                let key = parse_string(bytes, pos)?;
-                skip_ws(bytes, pos);
-                if bytes.get(*pos) != Some(&b':') {
-                    return Err(format!("expected ':' at byte {pos}"));
-                }
-                *pos += 1;
-                let val = parse_value(bytes, pos, depth + 1)?;
-                map.insert(key, val);
-                skip_ws(bytes, pos);
-                match bytes.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b'}') => {
-                        *pos += 1;
-                        return Ok(Val::Obj(map));
-                    }
-                    _ => return Err(format!("expected ',' or '}}' at byte {pos}")),
-                }
-            }
-        }
-        Some(b'[') => {
-            *pos += 1;
-            let mut arr = Vec::new();
-            skip_ws(bytes, pos);
-            if bytes.get(*pos) == Some(&b']') {
-                *pos += 1;
-                return Ok(Val::Arr(arr));
-            }
-            loop {
-                arr.push(parse_value(bytes, pos, depth + 1)?);
-                skip_ws(bytes, pos);
-                match bytes.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b']') => {
-                        *pos += 1;
-                        return Ok(Val::Arr(arr));
-                    }
-                    _ => return Err(format!("expected ',' or ']' at byte {pos}")),
-                }
-            }
-        }
-        Some(b'"') => Ok(Val::Str(parse_string(bytes, pos)?)),
-        Some(c) if c.is_ascii_digit() => {
-            let start = *pos;
-            while *pos < bytes.len() && bytes[*pos].is_ascii_digit() {
-                *pos += 1;
-            }
-            let s = std::str::from_utf8(&bytes[start..*pos]).expect("digits are ascii");
-            s.parse::<u64>()
-                .map(Val::UInt)
-                .map_err(|e| format!("bad number {s:?}: {e}"))
-        }
-        _ => Err(format!("unexpected byte at {pos}")),
-    }
-}
-
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
-    if bytes.get(*pos) != Some(&b'"') {
-        return Err(format!("expected '\"' at byte {pos}"));
-    }
-    *pos += 1;
-    let mut out = String::new();
-    loop {
-        match bytes.get(*pos) {
-            None => return Err("unterminated string".to_string()),
-            Some(b'"') => {
-                *pos += 1;
-                return Ok(out);
-            }
-            Some(b'\\') => {
-                *pos += 1;
-                let esc = bytes
-                    .get(*pos)
-                    .ok_or_else(|| "unterminated escape".to_string())?;
-                *pos += 1;
-                match esc {
-                    b'"' => out.push('"'),
-                    b'\\' => out.push('\\'),
-                    b'/' => out.push('/'),
-                    b'n' => out.push('\n'),
-                    b'r' => out.push('\r'),
-                    b't' => out.push('\t'),
-                    b'u' => {
-                        if *pos + 4 > bytes.len() {
-                            return Err("truncated \\u escape".to_string());
-                        }
-                        let hex = std::str::from_utf8(&bytes[*pos..*pos + 4])
-                            .map_err(|_| "bad \\u escape".to_string())?;
-                        let code = u32::from_str_radix(hex, 16)
-                            .map_err(|_| format!("bad \\u escape {hex:?}"))?;
-                        out.push(
-                            char::from_u32(code)
-                                .ok_or_else(|| format!("bad codepoint \\u{hex}"))?,
-                        );
-                        *pos += 4;
-                    }
-                    other => return Err(format!("unknown escape \\{}", *other as char)),
-                }
-            }
-            Some(&b) if b < 0x20 => {
-                return Err(format!("raw control byte in string at {pos}"));
-            }
-            Some(_) => {
-                // Advance over one UTF-8 scalar.
-                let s = std::str::from_utf8(&bytes[*pos..])
-                    .map_err(|_| format!("invalid UTF-8 at byte {pos}"))?;
-                let ch = s.chars().next().expect("non-empty");
-                out.push(ch);
-                *pos += ch.len_utf8();
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -726,32 +481,6 @@ mod tests {
     }
 
     #[test]
-    fn round_trip_is_byte_identical() {
-        let mut wire = WireSnapshot::from_snapshot(&sample_snapshot());
-        wire.meta.insert("workers".to_string(), "2".to_string());
-        let text = wire.render();
-        let parsed = WireSnapshot::parse(&text).expect("parse canonical render");
-        assert_eq!(parsed, wire);
-        assert_eq!(parsed.render(), text);
-    }
-
-    #[test]
-    fn shape_matches_obs_snapshot_shape() {
-        let snap = sample_snapshot();
-        assert_eq!(WireSnapshot::from_snapshot(&snap).shape(), snap.shape());
-    }
-
-    #[test]
-    fn gauges_survive_as_exact_bits() {
-        let snap = sample_snapshot();
-        let wire = WireSnapshot::from_snapshot(&snap);
-        let text = wire.render();
-        let parsed = WireSnapshot::parse(&text).unwrap();
-        assert_eq!(parsed.gauge("fill"), Some(0.75));
-        assert_eq!(parsed.gauges["fill"], 0.75f64.to_bits());
-    }
-
-    #[test]
     fn parser_rejects_wrong_schema_and_corruption() {
         let wire = WireSnapshot::from_snapshot(&sample_snapshot());
         let text = wire.render();
@@ -770,9 +499,17 @@ mod tests {
     fn deep_nesting_is_an_error_not_a_stack_overflow() {
         let err = WireSnapshot::parse(&"[".repeat(1_000_000)).unwrap_err();
         assert!(err.contains("nesting deeper than 128"), "{err}");
-        let nest = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
-        assert!(parse_document(&nest(MAX_DEPTH)).is_ok());
-        assert!(parse_document(&nest(MAX_DEPTH + 1)).is_err());
+    }
+
+    #[test]
+    fn schema_is_only_the_number_one() {
+        let text = WireSnapshot::from_snapshot(&sample_snapshot()).render();
+        assert!(WireSnapshot::parse(&text.replace("\"schema\": 1", "\"schema\": 1.0")).is_ok());
+        for bad in ["\"1\"", "true", "1.5", "-1", "null", "[1]"] {
+            let doc = text.replace("\"schema\": 1", &format!("\"schema\": {bad}"));
+            let err = WireSnapshot::parse(&doc).unwrap_err();
+            assert!(err.contains("unsupported snapshot schema"), "{bad}: {err}");
+        }
     }
 
     #[test]
@@ -810,6 +547,117 @@ mod tests {
             corrupt[rng.gen_range(0..bytes.len())] ^= 1u8 << rng.gen_range(0..8u32);
             check(&String::from_utf8_lossy(&corrupt));
         }
+    }
+
+    /// The canonical bytes of a snapshot built field by field: escaped
+    /// span and meta names, empty and non-empty maps, a `Count` and a
+    /// `Nanos` histogram (one with a `u128` sum), and meta.
+    const PINNED_WIRE: &str = r#"{
+  "counters": {},
+  "dropped_events": "5",
+  "gauges": {
+    "fill": "3fe8000000000000"
+  },
+  "histograms": {
+    "lat": {
+      "buckets": "20:1",
+      "count": "1",
+      "max": "1000000",
+      "min": "1000000",
+      "sum": "18446744073709551616",
+      "unit": "nanos"
+    },
+    "sizes": {
+      "buckets": "0:1 4:2",
+      "count": "3",
+      "max": "8",
+      "min": "0",
+      "sum": "16",
+      "unit": "count"
+    }
+  },
+  "meta": {
+    "kind\t": "trace",
+    "workers": "2"
+  },
+  "nodes": [
+    {
+      "child_ns": "30",
+      "children": "1 2",
+      "count": "0",
+      "name": "",
+      "total_ns": "0"
+    },
+    {
+      "child_ns": "0",
+      "children": "",
+      "count": "3",
+      "name": "lp.\"solve\"\\\n\u0001é",
+      "total_ns": "20"
+    },
+    {
+      "child_ns": "0",
+      "children": "",
+      "count": "18446744073709551615",
+      "name": "graph.dijkstra",
+      "total_ns": "10"
+    }
+  ],
+  "schema": 1
+}
+"#;
+
+    #[test]
+    fn render_bytes_are_pinned() {
+        let node = |name: &str, children: Vec<usize>, count, total_nanos, child_nanos| WireNode {
+            name: name.to_string(),
+            children,
+            count,
+            total_nanos,
+            child_nanos,
+        };
+        let hist = |unit, buckets: &[(usize, u64)], count, sum, min, max| WireHistogram {
+            unit,
+            buckets: buckets.iter().copied().collect(),
+            count,
+            sum,
+            min,
+            max,
+        };
+        let strs = |pairs: &[(&str, &str)]| -> BTreeMap<String, String> {
+            pairs
+                .iter()
+                .map(|&(k, v)| (k.to_string(), v.to_string()))
+                .collect()
+        };
+        let wire = WireSnapshot {
+            schema: SCHEMA,
+            meta: strs(&[("workers", "2"), ("kind\t", "trace")]),
+            nodes: vec![
+                node("", vec![1, 2], 0, 0, 30),
+                node("lp.\"solve\"\\\n\u{1}é", vec![], 3, 20, 0),
+                node("graph.dijkstra", vec![], u64::MAX, 10, 0),
+            ],
+            dropped_events: 5,
+            counters: BTreeMap::new(),
+            gauges: [("fill".to_string(), 0.75f64.to_bits())].into(),
+            histograms: [
+                (
+                    "sizes".to_string(),
+                    hist(Unit::Count, &[(0, 1), (4, 2)], 3, 16, 0, 8),
+                ),
+                (
+                    "lat".to_string(),
+                    hist(Unit::Nanos, &[(20, 1)], 1, 1 << 64, 1_000_000, 1_000_000),
+                ),
+            ]
+            .into(),
+        };
+        let text = wire.render();
+        assert_eq!(text, PINNED_WIRE);
+        let back = WireSnapshot::parse(&text).unwrap();
+        assert_eq!(back.gauge("fill"), Some(0.75));
+        assert_eq!(back, wire);
     }
 
     #[test]

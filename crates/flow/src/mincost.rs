@@ -146,8 +146,7 @@ pub fn min_cost_flow_with_context(
     supply: &[f64],
     ctx: &SolverContext,
 ) -> Result<MinCostFlow, FlowError> {
-    let _s = ctx.span("flow.mincost");
-    let _t = ctx.time(Phase::MinCostFlow);
+    let _s = ctx.phase_span("flow.mincost", Phase::MinCostFlow);
     debug_assert!(cost.iter().all(|c| *c >= 0.0), "costs must be non-negative");
     let total: f64 = supply.iter().sum();
     let scale: f64 = supply.iter().map(|s| s.abs()).sum::<f64>().max(1.0);

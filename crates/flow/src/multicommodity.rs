@@ -104,8 +104,7 @@ pub fn min_cost_multicommodity_with_context(
     seeds: &[(usize, Vec<NodeId>)],
     ctx: &SolverContext,
 ) -> Result<(McfSolution, Vec<(usize, Vec<NodeId>)>), FlowError> {
-    let _span = ctx.span("cg.solve");
-    let _t = ctx.time(Phase::ColumnGeneration);
+    let _span = ctx.phase_span("cg.solve", Phase::ColumnGeneration);
     debug_assert!(cost.iter().all(|c| *c >= 0.0));
     if commodities.is_empty() {
         return Ok((
@@ -620,8 +619,7 @@ pub fn randomized_rounding_with_context<R: Rng>(
     ctx: &SolverContext,
 ) -> UnsplittableSolution {
     assert!(draws >= 1, "at least one draw required");
-    let _s = ctx.span("flow.rounding");
-    let _t = ctx.time(Phase::Rounding);
+    let _s = ctx.phase_span("flow.rounding", Phase::Rounding);
     ctx.count(Counter::RoundingPasses, draws as u64);
     let mut best: Option<(f64, f64, Vec<Path>)> = None;
     for _ in 0..draws {
@@ -679,7 +677,7 @@ pub fn greedy_unsplittable_with_context(
     commodities: &[Commodity],
     ctx: &SolverContext,
 ) -> Result<UnsplittableSolution, FlowError> {
-    let _t = ctx.time(Phase::MinCostFlow);
+    let _s = ctx.phase_span("flow.greedy_unsplittable", Phase::MinCostFlow);
     ctx.check_deadline(Phase::MinCostFlow)?;
     let mut order: Vec<usize> = (0..commodities.len()).collect();
     order.sort_by(|&a, &b| {

@@ -293,8 +293,7 @@ pub fn dijkstra_into_with_context(
     scratch: &mut DijkstraScratch,
     ctx: &SolverContext,
 ) {
-    let _s = ctx.span("graph.dijkstra");
-    let _t = ctx.time(Phase::Dijkstra);
+    let _s = ctx.phase_span("graph.dijkstra", Phase::Dijkstra);
     ctx.count(Counter::DijkstraCalls, 1);
     let pops = dijkstra_filtered_into(g, source, cost, |_| true, targets, scratch);
     ctx.metric_value(HEAP_POPS, pops as u64);
@@ -466,8 +465,7 @@ pub fn all_pairs(g: &DiGraph, cost: &[f64]) -> Vec<Vec<f64>> {
 /// per worker; rows are merged by source index, so the result is
 /// bit-identical for any worker count (and identical to [`all_pairs`]).
 pub fn all_pairs_with_context(g: &DiGraph, cost: &[f64], ctx: &SolverContext) -> Vec<Vec<f64>> {
-    let _s = ctx.span("graph.all_pairs");
-    let _t = ctx.time(Phase::Dijkstra);
+    let _s = ctx.phase_span("graph.all_pairs", Phase::Dijkstra);
     let sources: Vec<NodeId> = g.nodes().collect();
     jcr_ctx::par::par_map_init(
         ctx,
@@ -506,8 +504,7 @@ pub fn k_shortest_paths_with_context(
     cost: &[f64],
     ctx: &SolverContext,
 ) -> Vec<Path> {
-    let _s = ctx.span("graph.ksp");
-    let _t = ctx.time(Phase::Dijkstra);
+    let _s = ctx.phase_span("graph.ksp", Phase::Dijkstra);
     k_shortest_paths_impl(g, src, dst, k, cost, Some(ctx))
 }
 

@@ -381,8 +381,7 @@ impl Simplex {
     /// ([`jcr_ctx::Phase::Simplex`] iteration cap and deadline) and records
     /// pivot/refactorization counts and phase wall time.
     pub fn solve_with_context(&mut self, ctx: &SolverContext) -> Result<Solution, LpError> {
-        let _s = ctx.span("lp.solve");
-        let _t = ctx.time(jcr_ctx::Phase::Simplex);
+        let _s = ctx.phase_span("lp.solve", jcr_ctx::Phase::Simplex);
         {
             let _p1 = ctx.span("lp.phase1");
             self.run(Phase::One, ctx)?;

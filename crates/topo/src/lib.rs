@@ -97,6 +97,13 @@ pub enum NodeRole {
     Internal,
 }
 
+/// Largest node count the text formats accept ([`Topology::from_edge_list`]
+/// and `jcr_core::serial::from_text`), checked before any per-node
+/// allocation so a corrupt or hostile index fails cleanly instead of
+/// overflowing or exhausting memory. It is far above any topology the
+/// generators build (the Stress graph has 1000 nodes).
+pub const MAX_NODES: usize = 1 << 20;
+
 /// Errors from topology construction.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum TopoError {
@@ -296,8 +303,8 @@ impl Topology {
     ///
     /// # Errors
     ///
-    /// [`TopoError::Parse`] on malformed lines, missing `origin`, or
-    /// out-of-range node references.
+    /// [`TopoError::Parse`] on malformed lines, missing `origin`, or a
+    /// node index of [`MAX_NODES`] or more.
     pub fn from_edge_list(text: &str) -> Result<Self, TopoError> {
         let mut links: Vec<(usize, usize, f64, f64, f64)> = Vec::new();
         let mut origin: Option<usize> = None;
@@ -358,6 +365,11 @@ impl Topology {
         max_node = max_node
             .max(origin)
             .max(edges_decl.iter().copied().max().unwrap_or(0));
+        if max_node >= MAX_NODES {
+            return Err(TopoError::Parse(format!(
+                "node {max_node} exceeds the format's limit of {MAX_NODES} nodes"
+            )));
+        }
 
         let mut graph = DiGraph::with_capacity(max_node + 1, 2 * links.len());
         let nodes = graph.add_nodes(max_node + 1);
@@ -763,6 +775,19 @@ link 1 2 5 6 2.5
             Topology::from_edge_list("origin 0\nfrobnicate 1"),
             Err(TopoError::Parse(_))
         ));
+        // Hostile node indices: an overflowing `max_node + 1` and a
+        // multi-gigabyte node allocation are errors, not panics.
+        for bad in [
+            "origin 18446744073709551615",
+            "origin 0\nlink 0 18446744073709551615 1 1",
+            "origin 4000000000",
+            "origin 0\nedge 1048576",
+        ] {
+            assert!(
+                matches!(Topology::from_edge_list(bad), Err(TopoError::Parse(_))),
+                "{bad:?} was accepted"
+            );
+        }
     }
 
     #[test]

@@ -29,6 +29,7 @@
 //! JCR_RECORD_LP_EQUIVALENCE=1 cargo test --test lp_equivalence
 //! ```
 
+use jcr::ctx::json::Json;
 use jcr::ctx::rng::{Rng, SeedableRng, StdRng};
 use jcr::ctx::SolverContext;
 use jcr::flow::multicommodity::{min_cost_multicommodity_with_context, Commodity};
@@ -37,7 +38,6 @@ use jcr::graph::{DiGraph, NodeId};
 use jcr::lp::{LpError, Model, Sense};
 use jcr::topo::{Topology, TopologyKind};
 use jcr_bench::adversary::{build_case, FAMILIES};
-use jcr_bench::json::Json;
 
 /// One corpus entry: a named LP instance and its recorded outcome.
 #[derive(Debug, Clone, PartialEq)]
