@@ -362,16 +362,51 @@ fn parse_hex4(bytes: &[u8], pos: &mut usize) -> Result<u32, String> {
     Ok(u32::from_str_radix(hex, 16).expect("four hex digits"))
 }
 
+/// Parses a number by RFC 8259's grammar,
+/// `-?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?`. A number beyond the
+/// `f64` range is an error: it would parse to `±inf`, which
+/// [`Json::render`] writes as `null`.
 fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<f64, String> {
     let start = *pos;
-    while *pos < bytes.len()
-        && matches!(bytes[*pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
-    {
+    let digits = |pos: &mut usize| {
+        let from = *pos;
+        while bytes.get(*pos).is_some_and(u8::is_ascii_digit) {
+            *pos += 1;
+        }
+        *pos > from
+    };
+    let invalid = || format!("invalid number at byte {start}");
+    if bytes.get(*pos) == Some(&b'-') {
         *pos += 1;
     }
-    let text = std::str::from_utf8(&bytes[start..*pos]).map_err(|_| "invalid number")?;
-    text.parse::<f64>()
-        .map_err(|_| format!("invalid number {text:?} at byte {start}"))
+    match bytes.get(*pos) {
+        Some(b'0') => *pos += 1,
+        Some(b'1'..=b'9') => {
+            digits(pos);
+        }
+        _ => return Err(invalid()),
+    }
+    if bytes.get(*pos) == Some(&b'.') {
+        *pos += 1;
+        if !digits(pos) {
+            return Err(invalid());
+        }
+    }
+    if matches!(bytes.get(*pos), Some(b'e' | b'E')) {
+        *pos += 1;
+        if matches!(bytes.get(*pos), Some(b'+' | b'-')) {
+            *pos += 1;
+        }
+        if !digits(pos) {
+            return Err(invalid());
+        }
+    }
+    let text = std::str::from_utf8(&bytes[start..*pos]).expect("ASCII grammar");
+    let v: f64 = text.parse().map_err(|_| invalid())?;
+    if v.is_infinite() {
+        return Err(format!("number {text} at byte {start} overflows f64"));
+    }
+    Ok(v)
 }
 
 #[cfg(test)]
@@ -424,6 +459,59 @@ mod tests {
         assert!(Json::parse("[1,]").is_err());
         assert!(Json::parse("12 34").is_err());
         assert!(Json::parse("\"open").is_err());
+    }
+
+    #[test]
+    fn numbers_follow_the_json_grammar() {
+        for (text, want) in [
+            ("0", 0.0),
+            ("-0", -0.0),
+            ("7", 7.0),
+            ("-12", -12.0),
+            ("10.25", 10.25),
+            ("-0.5", -0.5),
+            ("1e3", 1000.0),
+            ("1E+3", 1000.0),
+            ("25e-1", 2.5),
+            ("0.0e0", 0.0),
+            ("1.7976931348623157e308", f64::MAX),
+            ("1e-400", 0.0),
+            ("-1e-400", -0.0),
+        ] {
+            let got = Json::parse(text).unwrap_or_else(|e| panic!("{text:?}: {e}"));
+            assert_eq!(
+                got.as_f64().map(f64::to_bits),
+                Some(want.to_bits()),
+                "{text:?}"
+            );
+        }
+        for text in [
+            "+1",
+            "1.",
+            ".5",
+            "01",
+            "-01",
+            "00",
+            "-",
+            "--1",
+            "1e",
+            "1e+",
+            "1E-",
+            "1.e5",
+            "1.5.",
+            "0x10",
+            "1e999",
+            "-1e999",
+            "2e308",
+            "Infinity",
+            "-Infinity",
+            "NaN",
+            "[01]",
+            "[1.]",
+            "{\"a\": +1}",
+        ] {
+            assert!(Json::parse(text).is_err(), "{text:?} was accepted");
+        }
     }
 
     #[test]

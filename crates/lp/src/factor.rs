@@ -40,12 +40,35 @@
 //! * The eta file — flat arrays: per eta its position `r`, its pivot and
 //!   the start of its off-pivot entries in one shared `u32` position
 //!   array and one `f64` value array.
+//! * Reach indices, built with the factors in `O(m + nnz)`: `row_step`
+//!   and `pos_step` (the step of each row and of each basis position),
+//!   `u_rows[t]` (the steps whose U column lists `t`), `l_rows[s]` (the
+//!   steps whose L column lists `pivot_row[s]`), and the signed-zero
+//!   template `zero_out[col_at[k]] = 0.0 / u_diag[k]`.
 //!
 //! `ftran` solves `B·x = a` (row-space input, position-space output);
 //! `btran` solves `Bᵀ·y = c` (position-space input, row-space output).
-//! Both exploit sparsity of the right-hand side: the `L`-forward pass
-//! skips steps whose pivot entry is exactly zero, which is where the
-//! ftran-fill histograms come from.
+//! Both visit every step; the `L`-forward pass skips steps whose pivot
+//! entry is exactly zero.
+//!
+//! The simplex's pivot column and Devex row have a few nonzeros each, so
+//! their solves, `ftran_sparse` and `btran_sparse`, are *hypersparse*
+//! (Hall–McKinnon): they visit only the steps the right-hand side's
+//! nonzeros reach, popped from a heap in the dense loops' order.
+//!
+//! * **ftran, bit-identical for any input.** The L pass pops ascending
+//!   and the U pass descending, so every reached value sees the same
+//!   updates in the same order. A step outside the reach holds `+0.0` in
+//!   the dense loops, which skip it; its U division still leaves `0.0 /
+//!   u_diag`, `-0.0` under a negative diagonal, which is the template's
+//!   value at that position.
+//! * **btran, for the Devex row.** The Uᵀ pass pops ascending and the Lᵀ
+//!   pass descending; a reached step gathers its whole stored column in
+//!   order. The dense loops add the same nonzero terms in the same order,
+//!   plus `±0.0` products that move no nonzero sum, so the result has the
+//!   dense zero pattern and bits at every nonzero. Only a zero's sign may
+//!   differ. The pricing duals keep the dense btran, so the reported duals
+//!   stay bit-identical.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -97,14 +120,15 @@ impl EtaFile {
     }
 
     /// Appends the eta of a basis change on position `r` with pivot
-    /// column `alpha` (position space): every nonzero `alpha[i]`, `i ≠ r`,
-    /// in ascending position.
-    pub fn push(&mut self, r: usize, alpha: &[f64]) {
+    /// column `alpha` (position space), given the ascending positions `nz`
+    /// of its nonzeros: it stores every nonzero `alpha[i]`, `i ≠ r`, in
+    /// ascending position.
+    pub fn push(&mut self, r: usize, alpha: &[f64], nz: &[u32]) {
         assert!(u32::try_from(alpha.len()).is_ok(), "positions fit in u32");
-        for (i, &a) in alpha.iter().enumerate() {
-            if i != r && a != 0.0 {
-                self.pos.push(i as u32);
-                self.val.push(a);
+        for &i in nz {
+            if i as usize != r {
+                self.pos.push(i);
+                self.val.push(alpha[i as usize]);
             }
         }
         self.r.push(r);
@@ -118,16 +142,34 @@ impl EtaFile {
         self.pos.len() + self.r.len()
     }
 
+    /// Basis position of each eta, oldest first.
+    pub fn positions(&self) -> &[usize] {
+        &self.r
+    }
+
     /// Applies `E_K ⋯ E_1 · v` in place (ftran direction): each eta in
     /// ascending order, `v` in position space.
     pub fn apply(&self, v: &mut [f64]) {
+        self.apply_tracked(v, |_| {});
+    }
+
+    /// [`EtaFile::apply`], calling `touch(i)` whenever it updates a
+    /// position `i` that holds a zero. So every position it leaves
+    /// nonzero was nonzero on entry or went through `touch` (maybe more
+    /// than once). An eta's own position `r` turns nonzero only from a
+    /// nonzero `v[r]`.
+    pub fn apply_tracked<F: FnMut(usize)>(&self, v: &mut [f64], mut touch: F) {
         for e in 0..self.r.len() {
             let r = self.r[e];
             let vr = v[r] / self.pivot[e];
             if vr != 0.0 {
                 let span = self.start[e]..self.start[e + 1];
                 for (&i, &a) in self.pos[span.clone()].iter().zip(&self.val[span]) {
-                    v[i as usize] -= a * vr;
+                    let vi = &mut v[i as usize];
+                    if *vi == 0.0 {
+                        touch(i as usize);
+                    }
+                    *vi -= a * vr;
                 }
             }
             v[r] = vr;
@@ -149,6 +191,69 @@ impl EtaFile {
     }
 }
 
+/// Per-step lists of steps in one compressed store: list `i` is
+/// `step[start[i]..start[i + 1]]`.
+#[derive(Clone, Debug, Default)]
+struct StepLists {
+    start: Vec<u32>,
+    step: Vec<u32>,
+}
+
+impl StepLists {
+    /// Lists over `m` owners from `(owner, step)` pairs.
+    fn build<I: Iterator<Item = (usize, usize)> + Clone>(m: usize, pairs: I) -> StepLists {
+        let mut start = vec![0u32; m + 1];
+        for (i, _) in pairs.clone() {
+            start[i + 1] += 1;
+        }
+        for i in 0..m {
+            start[i + 1] += start[i];
+        }
+        let mut next = start.clone();
+        let mut step = vec![0u32; start[m] as usize];
+        for (i, s) in pairs {
+            step[next[i] as usize] = s as u32;
+            next[i] += 1;
+        }
+        StepLists { start, step }
+    }
+
+    fn of(&self, i: usize) -> &[u32] {
+        &self.step[self.start[i] as usize..self.start[i + 1] as usize]
+    }
+}
+
+/// Scratch of the hypersparse solves. Between solves `z` is all `+0.0`,
+/// `queued` all `false` and both heaps are empty.
+#[derive(Clone, Debug, Default)]
+struct Reach {
+    /// Step-space values of the solve in progress.
+    z: Vec<f64>,
+    queued: Vec<bool>,
+    /// Reached steps, popped ascending.
+    up: BinaryHeap<Reverse<u32>>,
+    /// Reached steps, popped descending.
+    down: BinaryHeap<u32>,
+    /// Steps reached by the first pass of the solve in progress.
+    steps: Vec<u32>,
+}
+
+impl Reach {
+    fn push_up(&mut self, s: usize) {
+        if !self.queued[s] {
+            self.queued[s] = true;
+            self.up.push(Reverse(s as u32));
+        }
+    }
+
+    fn push_down(&mut self, s: usize) {
+        if !self.queued[s] {
+            self.queued[s] = true;
+            self.down.push(s as u32);
+        }
+    }
+}
+
 /// Sparse LU factors of one basis matrix, plus scratch for the solves.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct LuFactors {
@@ -164,10 +269,27 @@ pub(crate) struct LuFactors {
     pivot_row: Vec<usize>,
     /// Basis position eliminated at step `k`.
     col_at: Vec<usize>,
+    /// Step at which each original row is pivotal (inverse of `pivot_row`).
+    row_step: Vec<u32>,
+    /// Step at which each basis position is eliminated (inverse of
+    /// `col_at`).
+    pos_step: Vec<u32>,
+    /// Per step `t`, the steps whose U column lists `t`.
+    u_rows: StepLists,
+    /// Per step `s`, the steps whose L column lists `pivot_row[s]`.
+    l_rows: StepLists,
+    /// What the dense ftran leaves at each basis position its U pass never
+    /// reaches: `0.0 / u_diag`, so `-0.0` where the diagonal is negative.
+    zero_out: Vec<f64>,
     /// Dense workspace reused across solves (row or position space).
     work: Vec<f64>,
     /// Second workspace for the two-stage solves.
     work2: Vec<f64>,
+    /// Scratch of the hypersparse solves.
+    reach: Reach,
+    /// Positions (after an ftran) or rows (after a btran) that the last
+    /// hypersparse solve left nonzero, unsorted.
+    nz: Vec<u32>,
 }
 
 impl LuFactors {
@@ -182,6 +304,7 @@ impl LuFactors {
     where
         F: Fn(usize, &mut dyn FnMut(usize, f64)),
     {
+        assert!(u32::try_from(m).is_ok(), "steps fit in u32");
         // Gather the columns once into one compressed store; static
         // counts drive both orderings.
         let mut col_start = Vec::with_capacity(m + 1);
@@ -213,6 +336,7 @@ impl LuFactors {
             col_at: Vec::with_capacity(m),
             work: vec![0.0; m],
             work2: vec![0.0; m],
+            ..LuFactors::default()
         };
         // `row_step[r]` = step at which original row `r` became pivotal.
         let mut row_step = vec![usize::MAX; m];
@@ -311,7 +435,37 @@ impl LuFactors {
             lu.u_diag.push(piv);
             lu.col_at.push(j);
         }
+        lu.build_reach_indices(&row_step);
         Ok(lu)
+    }
+
+    /// Builds the indices the hypersparse solves walk: the inverse step
+    /// maps, the transposed U and L patterns and the signed-zero template,
+    /// in `O(m + nnz)`.
+    fn build_reach_indices(&mut self, row_step: &[usize]) {
+        let m = self.m;
+        self.row_step = row_step.iter().map(|&s| s as u32).collect();
+        self.pos_step = vec![0; m];
+        self.zero_out = vec![0.0; m];
+        for k in 0..m {
+            self.pos_step[self.col_at[k]] = k as u32;
+            self.zero_out[self.col_at[k]] = 0.0 / self.u_diag[k];
+        }
+        let u_cols = &self.u_cols;
+        self.u_rows = StepLists::build(
+            m,
+            (0..m).flat_map(|k| u_cols[k].iter().map(move |&(t, _)| (t, k))),
+        );
+        let l_cols = &self.l_cols;
+        self.l_rows = StepLists::build(
+            m,
+            (0..m).flat_map(|t| l_cols[t].iter().map(move |&(r, _)| (row_step[r], t))),
+        );
+        self.reach = Reach {
+            z: vec![0.0; m],
+            queued: vec![false; m],
+            ..Reach::default()
+        };
     }
 
     /// Dimension of the factored basis.
@@ -353,6 +507,89 @@ impl LuFactors {
         }
     }
 
+    /// [`LuFactors::ftran`] of the vector that `(rows[i], vals[i])` sum to
+    /// in order from all `+0.0` (a row may repeat), visiting only the
+    /// steps its nonzeros reach. [`LuFactors::nonzeros`] then lists every
+    /// position it left nonzero.
+    pub fn ftran_sparse(&mut self, rows: &[u32], vals: &[f64], out: &mut [f64]) {
+        for (&r, &v) in rows.iter().zip(vals) {
+            let s = self.row_step[r as usize] as usize;
+            self.reach.z[s] += v;
+            self.reach.push_up(s);
+        }
+        self.ftran_reach(out);
+        #[cfg(debug_assertions)]
+        {
+            let mut a = vec![0.0; self.m];
+            for (&r, &v) in rows.iter().zip(vals) {
+                a[r as usize] += v;
+            }
+            let mut want = vec![0.0; self.m];
+            self.ftran(&a, &mut want);
+            for (p, (g, w)) in out.iter().zip(&want).enumerate() {
+                assert_eq!(
+                    g.to_bits(),
+                    w.to_bits(),
+                    "hypersparse ftran differs from the dense solve at position {p}: {g:e} vs {w:e}"
+                );
+            }
+        }
+    }
+
+    /// Positions (after [`LuFactors::ftran_sparse`]) or rows (after
+    /// [`LuFactors::btran_sparse`]) the last hypersparse solve left
+    /// nonzero, unsorted. Every other entry of its result is zero.
+    pub fn nonzeros(&self) -> &[u32] {
+        &self.nz
+    }
+
+    /// The ftran of the right-hand side seeded into `reach` (its steps
+    /// queued on `up`), visiting only the steps it reaches. The L pass
+    /// pops them ascending and the U pass descending, which is the order
+    /// of the dense loops; every step the dense loops visit but the reach
+    /// does not holds `+0.0` there, which they skip, so `out` equals the
+    /// dense result bit for bit once each unreached position holds
+    /// `zero_out`.
+    fn ftran_reach(&mut self, out: &mut [f64]) {
+        let reach = &mut self.reach;
+        self.nz.clear();
+        while let Some(Reverse(t)) = reach.up.pop() {
+            let t = t as usize;
+            reach.queued[t] = false;
+            reach.steps.push(t as u32);
+            let v = reach.z[t];
+            if v != 0.0 {
+                for &(r, mult) in &self.l_cols[t] {
+                    let s = self.row_step[r] as usize;
+                    reach.z[s] -= mult * v;
+                    reach.push_up(s);
+                }
+            }
+        }
+        // A U column only lists earlier steps, so the pops come out
+        // strictly descending.
+        for i in 0..reach.steps.len() {
+            let s = reach.steps[i] as usize;
+            reach.push_down(s);
+        }
+        reach.steps.clear();
+        out[..self.m].copy_from_slice(&self.zero_out);
+        while let Some(k) = reach.down.pop() {
+            let k = k as usize;
+            reach.queued[k] = false;
+            let y = reach.z[k] / self.u_diag[k];
+            reach.z[k] = 0.0;
+            out[self.col_at[k]] = y;
+            if y != 0.0 {
+                self.nz.push(self.col_at[k] as u32);
+                for &(t, u) in &self.u_cols[k] {
+                    reach.z[t] -= u * y;
+                    reach.push_down(t);
+                }
+            }
+        }
+    }
+
     /// Solves `Bᵀ·y = c`: `c` indexed by basis position, `y` by original
     /// row. `out` must have length `m`; it is fully overwritten.
     pub fn btran(&mut self, c: &[f64], out: &mut [f64]) {
@@ -383,6 +620,95 @@ impl LuFactors {
                 acc -= mult * out[r];
             }
             out[self.pivot_row[t]] = acc;
+        }
+    }
+
+    /// [`LuFactors::btran`] of a `c` that is zero at every position
+    /// `support` does not list (repeats allowed), visiting only the steps
+    /// its nonzeros reach. [`LuFactors::nonzeros`] then lists the rows it
+    /// left nonzero.
+    ///
+    /// `out` has `btran`'s zero pattern and its bits at every nonzero;
+    /// only the sign of a zero may differ. A reached step gathers its
+    /// whole stored column in order, so its nonzero terms come in the
+    /// dense order; the terms the dense loop adds on top are `±0.0`
+    /// products, which move no nonzero sum.
+    pub fn btran_sparse<I: IntoIterator<Item = usize>>(
+        &mut self,
+        c: &[f64],
+        support: I,
+        out: &mut [f64],
+    ) {
+        for p in support {
+            if c[p] != 0.0 {
+                let s = self.pos_step[p] as usize;
+                self.reach.z[s] = c[p];
+                self.reach.push_up(s);
+            }
+        }
+        self.btran_reach(out);
+        #[cfg(debug_assertions)]
+        {
+            let mut want = vec![0.0; self.m];
+            self.btran(c, &mut want);
+            for (r, (g, w)) in out.iter().zip(&want).enumerate() {
+                assert!(
+                    (*g == 0.0 && *w == 0.0) || g.to_bits() == w.to_bits(),
+                    "hypersparse btran differs from the dense solve at row {r}: {g:e} vs {w:e}"
+                );
+            }
+        }
+    }
+
+    /// The btran of the right-hand side seeded into `reach` (its steps
+    /// queued on `up`), visiting only the steps it reaches.
+    fn btran_reach(&mut self, out: &mut [f64]) {
+        let reach = &mut self.reach;
+        self.nz.clear();
+        // Uᵀ: a step's column lists only earlier steps, and the steps
+        // listing it come later, so the pops come out strictly ascending.
+        while let Some(Reverse(k)) = reach.up.pop() {
+            let k = k as usize;
+            reach.queued[k] = false;
+            let mut acc = reach.z[k];
+            for &(t, u) in &self.u_cols[k] {
+                acc -= u * reach.z[t];
+            }
+            let zk = acc / self.u_diag[k];
+            if zk != 0.0 {
+                reach.z[k] = zk;
+                reach.steps.push(k as u32);
+                for &k2 in self.u_rows.of(k) {
+                    reach.push_up(k2 as usize);
+                }
+            } else {
+                reach.z[k] = 0.0;
+            }
+        }
+        // Lᵀ in row space, descending.
+        out[..self.m].fill(0.0);
+        for i in 0..reach.steps.len() {
+            let k = reach.steps[i] as usize;
+            out[self.pivot_row[k]] = reach.z[k];
+            reach.z[k] = 0.0;
+            reach.push_down(k);
+        }
+        reach.steps.clear();
+        while let Some(t) = reach.down.pop() {
+            let t = t as usize;
+            reach.queued[t] = false;
+            let pr = self.pivot_row[t];
+            let mut acc = out[pr];
+            for &(r, mult) in &self.l_cols[t] {
+                acc -= mult * out[r];
+            }
+            out[pr] = acc;
+            if acc != 0.0 {
+                self.nz.push(pr as u32);
+                for &t2 in self.l_rows.of(t) {
+                    reach.push_down(t2 as usize);
+                }
+            }
         }
     }
 
@@ -515,7 +841,7 @@ mod tests {
     fn eta_apply_matches_explicit_pivot() {
         // E from pivoting on position 1 with alpha = [0.5, 2.0, -1.0].
         let mut etas = EtaFile::default();
-        etas.push(1, &[0.5, 2.0, -1.0]);
+        etas.push(1, &[0.5, 2.0, -1.0], &[0, 1, 2]);
         assert_eq!(etas.nnz(), 3);
         let mut v = [1.0, 4.0, 3.0];
         etas.apply(&mut v);
@@ -542,6 +868,13 @@ mod tests {
         assert_eq!(w, [1.0, 4.0, 3.0]);
     }
 
+    /// Ascending positions of `v`'s nonzeros.
+    fn nonzeros(v: &[f64]) -> Vec<u32> {
+        (0..v.len() as u32)
+            .filter(|&i| v[i as usize] != 0.0)
+            .collect()
+    }
+
     fn bits(v: &[f64]) -> Vec<u64> {
         v.iter().map(|x| x.to_bits()).collect()
     }
@@ -556,7 +889,7 @@ mod tests {
             // Reuse one file across cases: a cleared file must behave
             // like a fresh one.
             if case % 2 == 1 {
-                file.push(0, &vec![1.0; m]);
+                file.push(0, &vec![1.0; m], &nonzeros(&vec![1.0; m]));
                 file.clear();
             }
             let mut reference = Vec::new();
@@ -574,7 +907,7 @@ mod tests {
                 if alpha[r] == 0.0 {
                     alpha[r] = rng.gen_range(0.25..2.0);
                 }
-                file.push(r, &alpha);
+                file.push(r, &alpha, &nonzeros(&alpha));
                 reference.push(RefEta::new(r, &alpha));
                 let want: usize = reference.iter().map(|e| e.entries.len() + 1).sum();
                 assert_eq!(file.nnz(), want, "case {case}");
@@ -836,6 +1169,121 @@ mod tests {
             ok > 50 && failed > 50,
             "{ok} nonsingular, {failed} singular"
         );
+    }
+
+    /// `count` seeded etas over `m` positions: sparse columns whose
+    /// values (mostly `±1`, `2`, `0.5`) make exact cancellations common,
+    /// each with a nonzero pivot.
+    fn random_etas(rng: &mut StdRng, m: usize, count: usize) -> EtaFile {
+        let mut file = EtaFile::default();
+        for _ in 0..count {
+            let mut alpha = vec![0.0; m];
+            for _ in 0..rng.gen_range(0..4) {
+                alpha[rng.gen_range(0..m)] = match rng.gen_range(0..4) {
+                    0 => 1.0,
+                    1 => -1.0,
+                    2 => 0.5,
+                    _ => rng.gen_range(-2.0..2.0),
+                };
+            }
+            let r = rng.gen_range(0..m);
+            if alpha[r] == 0.0 {
+                alpha[r] = if rng.gen_bool(0.5) { 2.0 } else { -1.0 };
+            }
+            file.push(r, &alpha, &nonzeros(&alpha));
+        }
+        file
+    }
+
+    #[test]
+    fn hypersparse_solves_match_the_dense_ones() {
+        let mut rng = StdRng::seed_from_u64(2205);
+        let value = |rng: &mut StdRng| match rng.gen_range(0..6) {
+            0 => 1.0,
+            1 => -1.0,
+            2 => -0.0,
+            3 => 0.5,
+            _ => rng.gen_range(-2.0..2.0),
+        };
+        let (mut solves, mut negative_zeros, mut negative_diags) = (0, 0, 0);
+        for case in 0..300 {
+            let m = rng.gen_range(1..70usize);
+            let Ok(mut lu) = factor_cols(m, &random_basis(&mut rng, m)) else {
+                continue;
+            };
+            negative_diags += lu.u_diag.iter().filter(|&&d| d < 0.0).count();
+            let count = rng.gen_range(0..=20);
+            let etas = random_etas(&mut rng, m, count);
+            for round in 0..4 {
+                let what = format!("case {case}, round {round}");
+                // A right-hand side of a few entries: repeated rows, and
+                // `-0.0` or `(v, −v)` pairs that sum to a zero.
+                let mut rows = Vec::new();
+                let mut vals = Vec::new();
+                for _ in 0..rng.gen_range(0..4) {
+                    let (r, v) = (rng.gen_range(0..m), value(&mut rng));
+                    rows.push(r as u32);
+                    vals.push(v);
+                    if rng.gen_bool(0.2) {
+                        rows.push(r as u32);
+                        vals.push(-v);
+                    }
+                }
+                let mut dense_rhs = vec![0.0; m];
+                for (&r, &v) in rows.iter().zip(&vals) {
+                    dense_rhs[r as usize] += v;
+                }
+                let mut want = vec![f64::NAN; m];
+                lu.ftran(&dense_rhs, &mut want);
+                etas.apply(&mut want);
+                negative_zeros += want
+                    .iter()
+                    .filter(|x| x.to_bits() == (-0.0f64).to_bits())
+                    .count();
+                let mut got = vec![f64::NAN; m];
+                lu.ftran_sparse(&rows, &vals, &mut got);
+                let mut pattern = lu.nonzeros().to_vec();
+                etas.apply_tracked(&mut got, |i| pattern.push(i as u32));
+                assert_eq!(bits(&got), bits(&want), "{what}: ftran_sparse");
+                for (i, &x) in got.iter().enumerate() {
+                    assert!(
+                        x == 0.0 || pattern.contains(&(i as u32)),
+                        "{what}: pattern misses {i}"
+                    );
+                }
+
+                // The Devex row: e_r through the eta transposes, then Bᵀ.
+                let r = rng.gen_range(0..m);
+                let mut c = vec![0.0; m];
+                c[r] = 1.0;
+                etas.apply_transposed(&mut c);
+                let mut want = vec![f64::NAN; m];
+                lu.btran(&c, &mut want);
+                let mut got = vec![f64::NAN; m];
+                let support = std::iter::once(r).chain(etas.positions().iter().copied());
+                lu.btran_sparse(&c, support, &mut got);
+                for (i, (&g, &w)) in got.iter().zip(&want).enumerate() {
+                    assert_eq!(g == 0.0, w == 0.0, "{what}: btran zero pattern at {i}");
+                    if w != 0.0 {
+                        assert_eq!(g.to_bits(), w.to_bits(), "{what}: btran at {i}");
+                    }
+                    assert_eq!(
+                        g != 0.0,
+                        lu.nonzeros().contains(&(i as u32)),
+                        "{what}: btran rows"
+                    );
+                }
+                solves += 1;
+            }
+        }
+        // The battery reaches what it is for: the solves over a reach,
+        // negative diagonals and the `-0.0` they leave behind.
+        assert!(solves > 600, "{solves} solves");
+        assert!(
+            negative_diags > 100,
+            "{negative_diags} negative U diagonals"
+        );
+        assert!(negative_zeros > 100, "{negative_zeros} -0.0 outputs");
     }
 
     #[test]

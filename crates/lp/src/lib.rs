@@ -12,8 +12,9 @@
 //!   bounded slacks;
 //! * a **phase-1 infeasibility minimization** start (no big-M constants);
 //! * a **sparse LU basis factorization** with threshold partial pivoting,
-//!   product-form eta updates between refactorizations, and sparse
-//!   ftran/btran;
+//!   product-form eta updates between refactorizations, and hypersparse
+//!   ftran/btran that visit only the steps a sparse right-hand side
+//!   reaches;
 //! * **Devex pricing** with a Bland anti-cycling fallback;
 //! * **duals and reduced costs**, **incremental column addition**, and
 //!   **warm starts from a saved [`Basis`]** — the primitives column

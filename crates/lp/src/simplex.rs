@@ -17,16 +17,17 @@
 //! represented by a **sparse LU factorization** ([`crate::factor`]):
 //! Markowitz-flavoured column ordering with threshold partial pivoting
 //! and a reach-ordered left-looking elimination, product-form eta updates
-//! in one flat eta file between refactorizations, and sparse ftran/btran.
-//! Pricing is **Devex** (reference-framework weights reset per phase)
-//! with a Bland anti-cycling fallback, and the ratio test is Harris
-//! two-pass. Pricing and the Devex update are
+//! in one flat eta file between refactorizations, and a hypersparse ftran
+//! of the pivot column and btran of the Devex row that visit only the LU
+//! steps their right-hand side reaches. Pricing is **Devex**
+//! (reference-framework weights reset per phase) with a Bland
+//! anti-cycling fallback, and the ratio test is Harris two-pass over the
+//! pivot column's nonzeros. Pricing and the Devex update are
 //! **hypersparse**: a row-wise index of `A` lets each pass visit only the
 //! columns that a nonzero of the dual (or pivot-row) vector touches,
 //! since every other column's dot product is exactly zero. Warm starts
-//! restore a
-//! [`Basis`](crate::Basis) snapshot and let phase 1 repair whatever
-//! feasibility the new data broke.
+//! restore a [`Basis`](crate::Basis) snapshot and let phase 1 repair
+//! whatever feasibility the new data broke.
 
 use std::fmt;
 use std::time::Instant;
@@ -70,8 +71,8 @@ pub const WARM_FALLBACK: &str = "lp.warm_fallback";
 
 /// Entries with magnitude above the fill tolerance, for the fill
 /// histograms (deterministic: pure arithmetic on deterministic state).
-fn fill_count(v: &[f64]) -> u64 {
-    v.iter().filter(|x| x.abs() > 1e-12).count() as u64
+fn fill_count<'a, I: IntoIterator<Item = &'a f64>>(v: I) -> u64 {
+    v.into_iter().filter(|x| x.abs() > 1e-12).count() as u64
 }
 
 /// Feasibility tolerance on variable bounds and row activities.
@@ -250,6 +251,9 @@ pub struct Simplex {
     rows: Vec<Vec<u32>>,
     /// Structural columns with a nonzero phase-2 cost, rebuilt per phase.
     cost_cols: Vec<u32>,
+    /// Rows where the vector of the current pricing or Devex pass is
+    /// nonzero.
+    v_rows: Vec<u32>,
     /// Columns the current pricing or Devex pass visits (see
     /// [`Simplex::collect_candidates`]).
     cand: Vec<u32>,
@@ -258,6 +262,8 @@ pub struct Simplex {
     /// Per-column dedup flag used while collecting `cand` (all `false`
     /// between collections).
     marked: Vec<bool>,
+    /// Ascending positions where the current pivot column is nonzero.
+    alpha_nz: Vec<u32>,
     #[cfg(test)]
     hooks: TestHooks,
 }
@@ -312,9 +318,11 @@ impl Simplex {
             pivots_since_refactor: 0,
             rows: vec![Vec::new(); m],
             cost_cols: Vec::new(),
+            v_rows: Vec::new(),
             cand: Vec::new(),
             cand_all: false,
             marked: Vec::new(),
+            alpha_nz: Vec::new(),
             #[cfg(test)]
             hooks: TestHooks::default(),
         };
@@ -545,14 +553,34 @@ impl Simplex {
         self.etas.apply(out);
     }
 
-    /// `B⁻¹ · A_j`, written into `out` (reused across pivots).
+    /// `B⁻¹ · A_j`, written into `out` (reused across pivots), with the
+    /// ascending positions of its nonzeros in `alpha_nz`.
     fn ftran_into(&mut self, j: usize, out: &mut [f64]) {
-        let mut rhs = std::mem::take(&mut self.rhs_buf);
-        rhs.resize(self.m, 0.0);
-        rhs.fill(0.0);
-        self.for_col(j, |r, v| rhs[r] += v);
-        self.apply_basis_inverse(&rhs, out);
-        self.rhs_buf = rhs;
+        let slack_row;
+        let (rows, vals) = match self.slack_of(j) {
+            Some(r) => {
+                slack_row = [r as u32];
+                (&slack_row[..], &[-1.0][..])
+            }
+            None => {
+                let span = self.col_start[j]..self.col_start[j + 1];
+                (&self.col_row[span.clone()], &self.col_val[span])
+            }
+        };
+        self.lu.ftran_sparse(rows, vals, out);
+        // The LU solve's nonzeros plus every position an eta turns from
+        // zero, ascending and deduplicated.
+        let nz = &mut self.alpha_nz;
+        nz.clear();
+        nz.extend_from_slice(self.lu.nonzeros());
+        self.etas.apply_tracked(out, |i| nz.push(i as u32));
+        nz.sort_unstable();
+        nz.dedup();
+        nz.retain(|&i| out[i as usize] != 0.0);
+        debug_assert!(
+            (0..self.m).all(|i| (out[i] != 0.0) == nz.binary_search(&(i as u32)).is_ok()),
+            "the nonzero list of B⁻¹·A_{j} is not its pattern"
+        );
     }
 
     /// `yᵀ = cbᵀ · B⁻¹` written into `y` (reused across pivots): eta
@@ -566,6 +594,24 @@ impl Simplex {
         self.rhs_buf = u;
     }
 
+    /// Row `r` of `B⁻¹`, `ρᵀ = e_rᵀ · B⁻¹`, written into `rho` (reused
+    /// across pivots) through the hypersparse btran, with its nonzero rows
+    /// in `v_rows`: `e_r` after the eta transposes is zero off `r` and the
+    /// etas' positions. `rho` matches [`Simplex::btran_into`] up to the
+    /// signs of its zeros, which the Devex update cannot observe.
+    fn btran_row_into(&mut self, r: usize, rho: &mut [f64]) {
+        let mut u = std::mem::take(&mut self.rhs_buf);
+        u.resize(self.m, 0.0);
+        u.fill(0.0);
+        u[r] = 1.0;
+        self.etas.apply_transposed(&mut u);
+        let support = std::iter::once(r).chain(self.etas.positions().iter().copied());
+        self.lu.btran_sparse(&u, support, rho);
+        self.v_rows.clear();
+        self.v_rows.extend_from_slice(self.lu.nonzeros());
+        self.rhs_buf = u;
+    }
+
     fn dot_col(&self, y: &[f64], j: usize) -> f64 {
         let mut acc = 0.0;
         self.for_col(j, |r, v| acc += y[r] * v);
@@ -573,20 +619,19 @@ impl Simplex {
     }
 
     /// Fills `cand` with every column whose [`Simplex::dot_col`] against
-    /// `v` can be nonzero: the structural columns with a nonzero in a row
-    /// where `v[r] != 0`, that row's slack, and (with `with_cost`) the
+    /// a vector `v` can be nonzero, given the rows `v_rows` where `v` is
+    /// nonzero (each once, any order): the structural columns with a
+    /// nonzero in such a row, that row's slack, and (with `with_cost`) the
     /// structural columns of nonzero cost. Any other column's dot product
     /// is exactly `+0.0`, so its reduced cost is its own cost and the
     /// Devex update leaves its weight alone. The order is arbitrary; when
     /// the touched rows hold more than [`DENSE_SHARE`] of the nonzeros,
     /// `cand` is every column instead.
-    fn collect_candidates(&mut self, v: &[f64], with_cost: bool) {
+    fn collect_candidates(&mut self, with_cost: bool) {
         let ncols = self.n_struct + self.m;
         let mut touched = if with_cost { self.cost_cols.len() } else { 0 };
-        for (r, &vr) in v.iter().enumerate() {
-            if vr != 0.0 {
-                touched += self.rows[r].len() + 1;
-            }
+        for &r in &self.v_rows {
+            touched += self.rows[r as usize].len() + 1;
         }
         let dense = touched as f64 > DENSE_SHARE * (self.col_row.len() + self.m) as f64;
         #[cfg(test)]
@@ -612,13 +657,11 @@ impl Simplex {
                 cand.push(j);
             }
         };
-        for (r, &vr) in v.iter().enumerate() {
-            if vr != 0.0 {
-                for &j in &self.rows[r] {
-                    mark(j, &mut self.cand);
-                }
-                mark((self.n_struct + r) as u32, &mut self.cand);
+        for &r in &self.v_rows {
+            for &j in &self.rows[r as usize] {
+                mark(j, &mut self.cand);
             }
+            mark(self.n_struct as u32 + r, &mut self.cand);
         }
         if with_cost {
             for &j in &self.cost_cols {
@@ -835,7 +878,9 @@ impl Simplex {
     /// `f(i, rate, bound, v, to_upper)` for every basis position whose
     /// value blocks the step (phase-1 violated rows chase their violated
     /// bound; otherwise rows block at their finite bound in the direction
-    /// of motion). Shared by both passes of the Harris ratio test.
+    /// of motion). Walks `alpha`'s nonzero positions `alpha_nz` in
+    /// ascending order: a zero entry never blocks. Shared by both passes
+    /// of the Harris ratio test.
     fn ratio_candidates<F: FnMut(usize, f64, f64, f64, bool)>(
         &self,
         phase: Phase,
@@ -843,7 +888,8 @@ impl Simplex {
         alpha: &[f64],
         mut f: F,
     ) {
-        for i in 0..self.m {
+        for &i in &self.alpha_nz {
+            let i = i as usize;
             let rate = -dir * alpha[i]; // d x_B[i] / dt
             if rate.abs() < PIVOT_TOL {
                 continue;
@@ -931,7 +977,7 @@ impl Simplex {
                 return Ok(());
             }
             self.btran_into(cb, y);
-            ctx.metric_value(BTRAN_FILL, fill_count(y));
+            ctx.metric_value(BTRAN_FILL, fill_count(y.iter()));
 
             #[cfg(not(test))]
             let stall_limit = STALL_LIMIT;
@@ -947,7 +993,10 @@ impl Simplex {
             // smallest index (plain Bland smallest-index under the
             // anti-cycling fallback, where every score is zero). The
             // rule does not depend on the order of `cand`.
-            self.collect_candidates(y, phase == Phase::Two);
+            self.v_rows.clear();
+            self.v_rows
+                .extend((0..self.m as u32).filter(|&r| y[r as usize] != 0.0));
+            self.collect_candidates(phase == Phase::Two);
             let mut enter: Option<(usize, f64, i8)> = None; // (col, score, dir)
             for &j in &self.cand {
                 let j = j as usize;
@@ -982,7 +1031,10 @@ impl Simplex {
             let dir = dir as f64;
 
             self.ftran_into(q, alpha);
-            ctx.metric_value(FTRAN_FILL, fill_count(alpha));
+            ctx.metric_value(
+                FTRAN_FILL,
+                fill_count(self.alpha_nz.iter().map(|&i| &alpha[i as usize])),
+            );
             // Harris two-pass ratio test. Pass 1: the largest step
             // admissible when every blocking bound is relaxed by half the
             // feasibility tolerance. Pass 2: among rows whose *exact*
@@ -1062,17 +1114,13 @@ impl Simplex {
 
                 // Devex reference-framework update (Forrest–Goldfarb):
                 // the pivot row `α_r· = eᵣᵀB⁻¹N` prices every nonbasic
-                // weight against the entering column's weight. `cb` is
-                // recomputed next iteration, so it doubles as the unit
-                // vector here.
+                // weight against the entering column's weight.
                 let arq = alpha[r];
                 let wq = self.devex[q];
                 let mut w_overflow = false;
                 if !bland {
-                    cb.fill(0.0);
-                    cb[r] = 1.0;
-                    self.btran_into(cb, rho);
-                    self.collect_candidates(rho, false);
+                    self.btran_row_into(r, rho);
+                    self.collect_candidates(false);
                     for &j in &self.cand {
                         let j = j as usize;
                         if self.status[j] == ColStatus::Basic || j == q {
@@ -1117,8 +1165,8 @@ impl Simplex {
                     self.devex.iter_mut().for_each(|w| *w = 1.0);
                 }
                 // Update the factorization: append the product-form eta
-                // for this pivot (O(m) scan of α — no dense m² update).
-                self.etas.push(r, alpha);
+                // for this pivot (α's nonzeros only — no dense m² update).
+                self.etas.push(r, alpha, &self.alpha_nz);
                 ctx.count(Counter::SimplexPivots, 1);
                 self.pivots_since_refactor += 1;
                 self.residual_ladder(ctx)?;

@@ -299,12 +299,15 @@ impl Topology {
     /// ```
     ///
     /// Nodes are dense indices starting at 0. Each `link` line creates two
-    /// directed edges; capacity defaults to infinity.
+    /// directed edges; costs are finite and non-negative, and capacity is
+    /// non-negative and defaults to infinity.
     ///
     /// # Errors
     ///
-    /// [`TopoError::Parse`] on malformed lines, missing `origin`, or a
-    /// node index of [`MAX_NODES`] or more.
+    /// [`TopoError::Parse`] on malformed lines (a missing, unparsable or
+    /// extra token, a negative or non-finite cost, a negative or NaN
+    /// capacity), missing `origin`, or a node index of [`MAX_NODES`] or
+    /// more.
     pub fn from_edge_list(text: &str) -> Result<Self, TopoError> {
         let mut links: Vec<(usize, usize, f64, f64, f64)> = Vec::new();
         let mut origin: Option<usize> = None;
@@ -329,9 +332,19 @@ impl Topology {
                     .parse()
                     .map_err(|_| TopoError::Parse(format!("line {}: bad {what}", lineno + 1)))
             };
+            let bad = |what: &str| TopoError::Parse(format!("line {}: {what}", lineno + 1));
             match keyword {
-                "origin" => origin = Some(next_usize("origin node")?),
-                "edge" => edges_decl.push(next_usize("edge node")?),
+                "origin" | "edge" => {
+                    let node = next_usize("node")?;
+                    if parts.next().is_some() {
+                        return Err(bad("trailing tokens after the node"));
+                    }
+                    if keyword == "origin" {
+                        origin = Some(node);
+                    } else {
+                        edges_decl.push(node);
+                    }
+                }
                 "link" => {
                     let u = next_usize("u")?;
                     let v = next_usize("v")?;
@@ -348,7 +361,13 @@ impl Topology {
                             lineno + 1
                         )));
                     }
+                    if !rest[..2].iter().all(|c| c.is_finite() && *c >= 0.0) {
+                        return Err(bad("link costs must be finite and non-negative"));
+                    }
                     let cap = rest.get(2).copied().unwrap_or(f64::INFINITY);
+                    if cap.is_nan() || cap < 0.0 {
+                        return Err(bad("link capacity must be non-negative"));
+                    }
                     max_node = max_node.max(u).max(v);
                     links.push((u, v, rest[0], rest[1], cap));
                 }
@@ -788,6 +807,33 @@ link 1 2 5 6 2.5
                 "{bad:?} was accepted"
             );
         }
+        // Costs every shortest path relies on, capacities, and trailing
+        // tokens; each error names its line.
+        for (bad, line) in [
+            ("origin 0 5\nlink 0 1 1 1", 1),
+            ("origin 0\nedge 1 2\nlink 0 1 1 1", 2),
+            ("origin 0\nlink 0 1 -1 1", 2),
+            ("origin 0\nlink 0 1 1 nan", 2),
+            ("origin 0\nlink 0 1 inf 1", 2),
+            ("origin 0\nlink 0 1 1 -inf", 2),
+            ("origin 0\nlink 0 1 1 1 -0.5", 2),
+            ("origin 0\nlink 0 1 1 1 NaN", 2),
+            ("origin 0\nlink 0 1 1 1 -inf", 2),
+            ("origin 0\nlink 0 1 1 1 1 1", 2),
+        ] {
+            match Topology::from_edge_list(bad) {
+                Err(TopoError::Parse(msg)) => {
+                    assert!(msg.starts_with(&format!("line {line}:")), "{bad:?}: {msg}")
+                }
+                other => panic!("{bad:?} gave {other:?}"),
+            }
+        }
+        // The edge cases that stay valid: zero costs, an explicit infinite
+        // capacity (the default) and a zero one.
+        let t = Topology::from_edge_list("origin 0\nedge 1\nlink 0 1 0 0 inf\nlink 1 2 1 1 0")
+            .expect("valid edge list");
+        assert_eq!(t.cost, vec![0.0, 0.0, 1.0, 1.0]);
+        assert_eq!(t.capacity, vec![f64::INFINITY, f64::INFINITY, 0.0, 0.0]);
     }
 
     #[test]
