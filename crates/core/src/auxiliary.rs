@@ -155,7 +155,7 @@ mod tests {
         let inst = inst();
         let aux = AuxiliaryGraph::single_source(&inst, &[]);
         let vs = aux.item_source[0];
-        let tree = jcr_graph::shortest::dijkstra(&aux.graph, vs, &aux.cost);
+        let tree = jcr_graph::shortest::dijkstra_filtered(&aux.graph, vs, &aux.cost, |_| true);
         let req = inst.requests[0];
         let path = tree.path(req.node).unwrap();
         let real = aux.strip_virtual(path.clone());
@@ -173,7 +173,7 @@ mod tests {
         let storer = inst.cache_nodes()[2];
         let aux = AuxiliaryGraph::single_source(&inst, &[storer]);
         let vs = aux.item_source[0];
-        let tree = jcr_graph::shortest::dijkstra(&aux.graph, vs, &aux.cost);
+        let tree = jcr_graph::shortest::dijkstra_filtered(&aux.graph, vs, &aux.cost, |_| true);
         let ap = inst.all_pairs();
         let o = inst.origin.unwrap();
         for r in &inst.requests {

@@ -8,6 +8,7 @@
 //! from each replica to the requester) is checked against the link
 //! capacities, keeping the cheapest feasible assignment.
 
+use jcr_ctx::SolverContext;
 use jcr_graph::{shortest, Path};
 
 use crate::error::JcrError;
@@ -98,6 +99,9 @@ impl ExactIcIr {
         // Candidate paths per request: the cheapest simple paths from every
         // replica (cache holders + origin).
         let mut candidates: Vec<Vec<Path>> = Vec::with_capacity(inst.requests.len());
+        // A private context: the enumeration's Dijkstra runs are not part
+        // of any caller's counters.
+        let ctx = SolverContext::new();
         for req in &inst.requests {
             let mut paths: Vec<Path> = Vec::new();
             let mut sources: Vec<_> = placement.holders(req.item).collect();
@@ -107,12 +111,13 @@ impl ExactIcIr {
                 }
             }
             for src in sources {
-                for p in shortest::k_shortest_paths(
+                for p in shortest::k_shortest_paths_with_context(
                     &inst.graph,
                     src,
                     req.node,
                     self.max_paths,
                     &inst.link_cost,
+                    &ctx,
                 ) {
                     if !paths.contains(&p) {
                         paths.push(p);

@@ -46,8 +46,8 @@ pub struct Instance {
     /// Origin server storing the entire catalog, if any.
     pub origin: Option<NodeId>,
     all_pairs: OnceLock<AllPairs>,
-    /// Explicit dense-mode node threshold for the distance oracle
-    /// (`None` = environment / library default). See
+    /// Explicit node threshold for the distance oracle's eager fill
+    /// (`None` = [`jcr_graph::oracle::DEFAULT_DENSE_MAX`]). See
     /// [`Instance::with_oracle_dense_max`].
     oracle_dense_max: Option<usize>,
 }
@@ -70,10 +70,10 @@ impl Clone for Instance {
 
 /// Cached all-pairs shortest-path structure (`w_{v→s}` and the paths).
 ///
-/// Backed by a [`DistanceOracle`]: paper-scale instances hold one flat
-/// row-major distance/parent block, while instances past the oracle's
-/// node threshold answer from an LRU row cache and never materialize the
-/// |V|² matrix (see [`Instance::with_oracle_dense_max`]).
+/// Backed by a [`DistanceOracle`]: paper-scale instances fill every
+/// source's row up front, while instances past the oracle's node
+/// threshold fill only the rows asked for and never materialize the |V|²
+/// matrix (see [`Instance::with_oracle_dense_max`]).
 #[derive(Debug)]
 pub struct AllPairs {
     oracle: DistanceOracle,
@@ -90,8 +90,8 @@ impl AllPairs {
         self.oracle.path(v, s)
     }
 
-    /// Maximum finite pairwise cost (computed lazily; on-demand oracles
-    /// stream it without storing the full matrix).
+    /// Maximum finite pairwise cost (computed lazily; rows not yet filled
+    /// are streamed, not stored).
     pub fn max_cost(&self) -> f64 {
         self.oracle.max_cost()
     }
@@ -135,10 +135,10 @@ impl Instance {
         Ok(inst)
     }
 
-    /// Forces the distance oracle's dense-mode threshold for this
-    /// instance: `0` means every row is computed on demand (no |V|²
-    /// block), `usize::MAX` forces the dense block. Clears any cached
-    /// all-pairs structure.
+    /// Forces the distance oracle's node threshold for this instance: `0`
+    /// means every row is filled on demand (no |V|² table), `usize::MAX`
+    /// fills every row at construction. Clears any cached all-pairs
+    /// structure.
     pub fn with_oracle_dense_max(mut self, dense_max: usize) -> Self {
         self.oracle_dense_max = Some(dense_max);
         self.all_pairs = OnceLock::new();
@@ -222,9 +222,11 @@ impl Instance {
             .collect()
     }
 
-    /// All-pairs least costs (computed once, cached).
+    /// All-pairs least costs (computed once, cached) on one thread,
+    /// recording nothing.
     pub fn all_pairs(&self) -> &AllPairs {
-        self.all_pairs.get_or_init(|| self.compute_all_pairs(None))
+        self.all_pairs
+            .get_or_init(|| self.compute_all_pairs(&jcr_ctx::SolverContext::new().with_workers(1)))
     }
 
     /// [`Instance::all_pairs`], fanning the per-source Dijkstra runs out
@@ -233,8 +235,7 @@ impl Instance {
     /// the serial computation for any worker count; subsequent calls
     /// return the cache without touching `ctx`.
     pub fn all_pairs_with_context(&self, ctx: &jcr_ctx::SolverContext) -> &AllPairs {
-        self.all_pairs
-            .get_or_init(|| self.compute_all_pairs(Some(ctx)))
+        self.all_pairs.get_or_init(|| self.compute_all_pairs(ctx))
     }
 
     /// Seeds this instance's all-pairs cache by carrying forward the rows
@@ -257,20 +258,14 @@ impl Instance {
         if self.all_pairs.get().is_some() {
             return None;
         }
-        let dense_max = self
-            .oracle_dense_max
-            .unwrap_or(jcr_graph::oracle::DEFAULT_DENSE_MAX);
-        let row_capacity = jcr_graph::oracle::DEFAULT_ROW_CAPACITY;
         let mut report = None;
         self.all_pairs.get_or_init(|| {
             let (oracle, r) = DistanceOracle::carry_with_config(
                 prev,
                 &self.graph,
                 &self.link_cost,
-                dense_max,
-                row_capacity,
-                jcr_graph::oracle::DEFAULT_CARRY_VERIFY_SAMPLES,
-                Some(ctx),
+                self.oracle_dense_max(),
+                ctx,
             );
             report = Some(r);
             AllPairs { oracle }
@@ -278,34 +273,23 @@ impl Instance {
         report
     }
 
-    /// A resident-row clone of this instance's oracle, if the all-pairs
-    /// cache has been computed — the handle an hourly driver stores so
-    /// the *next* hour's instance can [`Instance::adopt_all_pairs_from`]
-    /// it. `None` when no solve has touched the cache yet.
+    /// A clone of this instance's oracle, filled rows included, if the
+    /// all-pairs cache has been computed — the handle an hourly driver
+    /// stores so the *next* hour's instance can
+    /// [`Instance::adopt_all_pairs_from`] it. `None` when no solve has
+    /// touched the cache yet.
     pub fn cloned_oracle(&self) -> Option<DistanceOracle> {
-        self.all_pairs.get().map(|ap| ap.oracle().clone_resident())
+        self.all_pairs.get().map(|ap| ap.oracle().clone())
     }
 
-    fn compute_all_pairs(&self, ctx: Option<&jcr_ctx::SolverContext>) -> AllPairs {
-        let serial_ctx;
-        let ctx = match ctx {
-            Some(ctx) => ctx,
-            None => {
-                serial_ctx = jcr_ctx::SolverContext::new().with_workers(1);
-                &serial_ctx
-            }
-        };
-        let dense_max = self
-            .oracle_dense_max
-            .unwrap_or(jcr_graph::oracle::DEFAULT_DENSE_MAX);
-        let row_capacity = jcr_graph::oracle::DEFAULT_ROW_CAPACITY;
-        let oracle = DistanceOracle::with_config(
-            &self.graph,
-            &self.link_cost,
-            dense_max,
-            row_capacity,
-            Some(ctx),
-        );
+    fn oracle_dense_max(&self) -> usize {
+        self.oracle_dense_max
+            .unwrap_or(jcr_graph::oracle::DEFAULT_DENSE_MAX)
+    }
+
+    fn compute_all_pairs(&self, ctx: &jcr_ctx::SolverContext) -> AllPairs {
+        let oracle =
+            DistanceOracle::with_config(&self.graph, &self.link_cost, self.oracle_dense_max(), ctx);
         AllPairs { oracle }
     }
 

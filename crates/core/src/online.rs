@@ -217,8 +217,8 @@ pub struct OnlineSimulator {
     /// so a failed hour keeps the last good state and retries
     /// bit-identically.
     warm: Warm,
-    /// Resident-row clone of the last committed hour's distance oracle,
-    /// offered to the next hour's instance via
+    /// Clone (filled rows included) of the last committed hour's distance
+    /// oracle, offered to the next hour's instance via
     /// [`Instance::adopt_all_pairs_from`]. Speed-only state: carried rows
     /// are bit-identical to fresh ones, so it is not snapshotted.
     prev_oracle: Option<DistanceOracle>,

@@ -2,10 +2,12 @@
 //!
 //! This crate provides the minimal graph machinery the joint caching and
 //! routing algorithms build on: a compact directed multigraph
-//! ([`DiGraph`]), single-source shortest paths ([`shortest::dijkstra`],
-//! [`shortest::bellman_ford`]), all-pairs least costs
-//! ([`shortest::all_pairs`]), Yen's k-shortest simple paths
-//! ([`shortest::k_shortest_paths`]), and path/connectivity utilities.
+//! ([`DiGraph`]), single-source shortest paths
+//! ([`shortest::dijkstra_filtered`], [`shortest::bellman_ford`]), all-pairs
+//! least costs ([`shortest::all_pairs_with_context`], and the row-per-source
+//! [`DistanceOracle`]), Yen's k-shortest simple paths
+//! ([`shortest::k_shortest_paths_with_context`]), and path/connectivity
+//! utilities.
 //!
 //! Everything is indexed by the strongly-typed handles [`NodeId`] and
 //! [`EdgeId`]; per-edge attributes (costs, capacities, flows) are stored by
@@ -30,7 +32,7 @@
 //! cost[bc.index()] = 1.0;
 //! cost[ac.index()] = 5.0;
 //!
-//! let tree = shortest::dijkstra(&g, a, &cost);
+//! let tree = shortest::dijkstra_filtered(&g, a, &cost, |_| true);
 //! assert_eq!(tree.dist(c), 2.0);
 //! assert_eq!(tree.path_to(c).unwrap(), vec![ab, bc]);
 //! ```

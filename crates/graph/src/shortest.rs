@@ -4,9 +4,13 @@
 //! Every Dijkstra entry point wraps one kernel, [`dijkstra_filtered_into`],
 //! which stops once a given set of target nodes is settled. Repeated runs
 //! (all-pairs, CG pricing, Yen spurs) can reuse one [`DijkstraScratch`] to
-//! avoid reallocating the distance/parent/heap buffers per source, and the
-//! `*_with_context` variants record [`Counter::DijkstraCalls`] and
-//! Dijkstra phase time on a [`SolverContext`].
+//! avoid reallocating the distance/parent/heap buffers per source. Each
+//! routine has one entry point: the single-run forms ([`dijkstra_filtered`],
+//! [`dijkstra_filtered_into`], [`bellman_ford`]) take no context, and the
+//! repeated-run forms ([`dijkstra_into_with_context`],
+//! [`all_pairs_with_context`], [`k_shortest_paths_with_context`]) record
+//! [`Counter::DijkstraCalls`] and Dijkstra phase time on a required
+//! [`SolverContext`].
 
 use std::cmp::Ordering;
 
@@ -17,7 +21,7 @@ use crate::graph::{DiGraph, EdgeId, NodeId};
 use crate::path::Path;
 
 /// A shortest-path tree rooted at a source node, as produced by
-/// [`dijkstra`] or [`bellman_ford`].
+/// [`dijkstra_filtered`] or [`bellman_ford`].
 #[derive(Clone, Debug)]
 pub struct ShortestPathTree {
     source: NodeId,
@@ -265,15 +269,6 @@ impl DijkstraScratch {
     }
 }
 
-/// Dijkstra's algorithm from `source` under non-negative edge costs.
-///
-/// # Panics
-///
-/// Panics (in debug builds) if any edge cost is negative or NaN.
-pub fn dijkstra(g: &DiGraph, source: NodeId, cost: &[f64]) -> ShortestPathTree {
-    dijkstra_filtered(g, source, cost, |_| true)
-}
-
 /// `Count` histogram of settled nodes per single-source Dijkstra run.
 /// Every pop settles a node (the heap holds one slot per tentative node),
 /// and a targeted run stops at its last target, so this is the run's
@@ -299,10 +294,16 @@ pub fn dijkstra_into_with_context(
     ctx.metric_value(HEAP_POPS, pops as u64);
 }
 
-/// Dijkstra restricted to edges for which `usable` returns `true`.
+/// Dijkstra from `source` over the edges for which `usable` returns
+/// `true` (`|_| true` for the whole graph), under non-negative edge
+/// costs.
 ///
-/// Used by fault repair and fault simulation to route around failed or
-/// saturated links.
+/// Fault repair and fault simulation use the filter to route around
+/// failed or saturated links.
+///
+/// # Panics
+///
+/// Panics (in debug builds) if any edge cost is negative or NaN.
 pub fn dijkstra_filtered<F: FnMut(EdgeId) -> bool>(
     g: &DiGraph,
     source: NodeId,
@@ -442,28 +443,14 @@ pub fn bellman_ford(
     Ok(ShortestPathTree::from_parts(source, dist, parent, g))
 }
 
-/// All-pairs least costs `w[v][s]` computed by one Dijkstra run per source.
+/// All-pairs least costs `w[v][s]` computed by one Dijkstra run per
+/// source, fanned out over `ctx.workers()` threads, with one Dijkstra
+/// call per source recorded on `ctx`.
 ///
 /// Entry `[v.index()][s.index()]` is the least cost of a `v -> s` path
-/// (`f64::INFINITY` if none exists). One [`DijkstraScratch`] is reused
-/// across all sources, so the only per-source allocation is the output
-/// row itself.
-pub fn all_pairs(g: &DiGraph, cost: &[f64]) -> Vec<Vec<f64>> {
-    let mut scratch = DijkstraScratch::new();
-    g.nodes()
-        .map(|v| {
-            dijkstra_filtered_into(g, v, cost, |_| true, &[], &mut scratch);
-            scratch.dist.clone()
-        })
-        .collect()
-}
-
-/// [`all_pairs`] that records one Dijkstra call per source on `ctx` and
-/// fans the per-source runs out over `ctx.workers()` threads.
-///
-/// Each source is an independent task with its own [`DijkstraScratch`]
-/// per worker; rows are merged by source index, so the result is
-/// bit-identical for any worker count (and identical to [`all_pairs`]).
+/// (`f64::INFINITY` if none exists). Each source is an independent task
+/// with its own [`DijkstraScratch`] per worker; rows are merged by source
+/// index, so the result is bit-identical for any worker count.
 pub fn all_pairs_with_context(g: &DiGraph, cost: &[f64], ctx: &SolverContext) -> Vec<Vec<f64>> {
     let _s = ctx.phase_span("graph.all_pairs", Phase::Dijkstra);
     let sources: Vec<NodeId> = g.nodes().collect();
@@ -480,22 +467,12 @@ pub fn all_pairs_with_context(g: &DiGraph, cost: &[f64], ctx: &SolverContext) ->
     )
 }
 
-/// Yen's algorithm: up to `k` least-cost *simple* paths from `src` to `dst`.
+/// Yen's algorithm: up to `k` least-cost *simple* paths from `src` to
+/// `dst`, recording every internal Dijkstra run (the initial tree plus
+/// one per spur node tried) on `ctx`.
 ///
 /// Returns fewer than `k` paths when fewer simple paths exist. Paths are
 /// returned in non-decreasing cost order. Requires non-negative costs.
-pub fn k_shortest_paths(
-    g: &DiGraph,
-    src: NodeId,
-    dst: NodeId,
-    k: usize,
-    cost: &[f64],
-) -> Vec<Path> {
-    k_shortest_paths_impl(g, src, dst, k, cost, None)
-}
-
-/// [`k_shortest_paths`] that records every internal Dijkstra run (the
-/// initial tree plus one per spur node tried) on `ctx`.
 pub fn k_shortest_paths_with_context(
     g: &DiGraph,
     src: NodeId,
@@ -505,23 +482,10 @@ pub fn k_shortest_paths_with_context(
     ctx: &SolverContext,
 ) -> Vec<Path> {
     let _s = ctx.phase_span("graph.ksp", Phase::Dijkstra);
-    k_shortest_paths_impl(g, src, dst, k, cost, Some(ctx))
-}
-
-fn k_shortest_paths_impl(
-    g: &DiGraph,
-    src: NodeId,
-    dst: NodeId,
-    k: usize,
-    cost: &[f64],
-    ctx: Option<&SolverContext>,
-) -> Vec<Path> {
     if k == 0 {
         return Vec::new();
     }
-    if let Some(ctx) = ctx {
-        ctx.count(Counter::DijkstraCalls, 1);
-    }
+    ctx.count(Counter::DijkstraCalls, 1);
     let mut scratch = DijkstraScratch::new();
     dijkstra_filtered_into(g, src, cost, |_| true, &[dst], &mut scratch);
     let mut spur_buf: Vec<EdgeId> = Vec::new();
@@ -540,14 +504,9 @@ fn k_shortest_paths_impl(
     // Epoch-stamped ban marks: "banned in the current spur" means `mark ==
     // epoch`, so starting a new spur is one counter bump rather than a
     // freshly allocated bool array per spur. The buffers come from the
-    // context's scratch arena when one is available.
-    let (mut edge_mark, mut node_mark) = match ctx {
-        Some(ctx) => (
-            ctx.scratch().take_u32(g.edge_count(), 0),
-            ctx.scratch().take_u32(g.node_count(), 0),
-        ),
-        None => (vec![0u32; g.edge_count()], vec![0u32; g.node_count()]),
-    };
+    // context's scratch arena.
+    let mut edge_mark = ctx.scratch().take_u32(g.edge_count(), 0);
+    let mut node_mark = ctx.scratch().take_u32(g.node_count(), 0);
     let mut epoch = 0u32;
     let mut prev_buf: Vec<EdgeId> = Vec::new();
     let mut prev_nodes: Vec<NodeId> = Vec::new();
@@ -579,9 +538,7 @@ fn k_shortest_paths_impl(
                 node_mark[v.index()] = epoch;
             }
 
-            if let Some(ctx) = ctx {
-                ctx.count(Counter::DijkstraCalls, 1);
-            }
+            ctx.count(Counter::DijkstraCalls, 1);
             dijkstra_filtered_into(
                 g,
                 spur_node,
@@ -637,11 +594,9 @@ fn k_shortest_paths_impl(
         result.push(id);
     }
 
-    if let Some(ctx) = ctx {
-        let pool = ctx.scratch();
-        pool.put_u32(edge_mark);
-        pool.put_u32(node_mark);
-    }
+    let pool = ctx.scratch();
+    pool.put_u32(edge_mark);
+    pool.put_u32(node_mark);
     result.into_iter().map(|id| arena.to_path(id)).collect()
 }
 
@@ -667,7 +622,7 @@ mod tests {
     #[test]
     fn dijkstra_finds_least_costs() {
         let (g, [a, b, c, d], cost) = diamond();
-        let t = dijkstra(&g, a, &cost);
+        let t = dijkstra_filtered(&g, a, &cost, |_| true);
         assert_eq!(t.dist(a), 0.0);
         assert_eq!(t.dist(b), 1.0);
         assert_eq!(t.dist(c), 2.0);
@@ -681,7 +636,7 @@ mod tests {
         let mut g = DiGraph::new();
         let a = g.add_node();
         let b = g.add_node();
-        let t = dijkstra(&g, a, &[]);
+        let t = dijkstra_filtered(&g, a, &[], |_| true);
         assert!(!t.is_reachable(b));
         assert!(t.path_to(b).is_none());
         assert_eq!(t.path_to(a).unwrap(), Vec::<EdgeId>::new());
@@ -695,7 +650,7 @@ mod tests {
         let c = g.add_node();
         g.add_edge(a, b);
         g.add_edge(b, c);
-        let t = dijkstra(&g, a, &[0.0, 0.0]);
+        let t = dijkstra_filtered(&g, a, &[0.0, 0.0], |_| true);
         assert_eq!(t.dist(c), 0.0);
         assert_eq!(t.path_to(c).unwrap().len(), 2);
     }
@@ -738,7 +693,7 @@ mod tests {
     fn bellman_ford_matches_dijkstra_on_nonnegative() {
         let (g, [a, _, _, d], cost) = diamond();
         let bf = bellman_ford(&g, a, &cost).unwrap();
-        let dj = dijkstra(&g, a, &cost);
+        let dj = dijkstra_filtered(&g, a, &cost, |_| true);
         for v in g.nodes() {
             assert!((bf.dist(v) - dj.dist(v)).abs() < 1e-12);
         }
@@ -778,7 +733,7 @@ mod tests {
         let b = g.add_node();
         g.add_edge(a, b);
         g.add_edge(b, a);
-        let d = all_pairs(&g, &[4.0, 4.0]);
+        let d = all_pairs_with_context(&g, &[4.0, 4.0], &SolverContext::new());
         assert_eq!(d.len(), 2);
         assert_eq!(d[a.index()][b.index()], 4.0);
         assert_eq!(d[b.index()][a.index()], 4.0);
@@ -788,7 +743,7 @@ mod tests {
     #[test]
     fn all_pairs_with_context_matches_serial_for_any_worker_count() {
         let (g, _, cost) = diamond();
-        let serial = all_pairs(&g, &cost);
+        let serial = all_pairs_with_context(&g, &cost, &SolverContext::new().with_workers(1));
         for workers in [1, 2, 8] {
             let ctx = SolverContext::new().with_workers(workers);
             let par = all_pairs_with_context(&g, &cost, &ctx);
@@ -805,7 +760,7 @@ mod tests {
     #[test]
     fn yen_enumerates_paths_in_cost_order() {
         let (g, [a, _, _, d], cost) = diamond();
-        let paths = k_shortest_paths(&g, a, d, 5, &cost);
+        let paths = k_shortest_paths_with_context(&g, a, d, 5, &cost, &SolverContext::new());
         assert_eq!(paths.len(), 3);
         let costs: Vec<f64> = paths.iter().map(|p| p.cost(&cost)).collect();
         assert_eq!(costs, vec![2.0, 4.0, 5.0]);
@@ -818,11 +773,12 @@ mod tests {
     #[test]
     fn yen_k_zero_and_unreachable() {
         let (g, [a, _, _, d], cost) = diamond();
-        assert!(k_shortest_paths(&g, a, d, 0, &cost).is_empty());
+        let ctx = SolverContext::new();
+        assert!(k_shortest_paths_with_context(&g, a, d, 0, &cost, &ctx).is_empty());
         let mut g2 = DiGraph::new();
         let x = g2.add_node();
         let y = g2.add_node();
-        assert!(k_shortest_paths(&g2, x, y, 3, &[]).is_empty());
+        assert!(k_shortest_paths_with_context(&g2, x, y, 3, &[], &ctx).is_empty());
     }
 
     #[test]
@@ -835,7 +791,8 @@ mod tests {
         g.add_edge(a, b); // 1
         g.add_edge(b, a); // 0.1
         g.add_edge(b, c); // 1
-        let paths = k_shortest_paths(&g, a, c, 10, &[1.0, 0.1, 1.0]);
+        let paths =
+            k_shortest_paths_with_context(&g, a, c, 10, &[1.0, 0.1, 1.0], &SolverContext::new());
         assert_eq!(paths.len(), 1);
         assert_eq!(paths[0].cost(&[1.0, 0.1, 1.0]), 2.0);
     }

@@ -3,6 +3,7 @@
 //! in-tree seeded PRNG (same cases every run).
 
 use jcr_ctx::rng::{Rng, SeedableRng, StdRng};
+use jcr_ctx::SolverContext;
 use jcr_graph::{shortest, DiGraph, NodeId};
 
 const CASES: u64 = 256;
@@ -35,7 +36,7 @@ fn dijkstra_matches_bellman_ford() {
         let (n, edges, costs) = random_graph(&mut rng);
         let g = build(n, &edges);
         let src = NodeId::new(0);
-        let dj = shortest::dijkstra(&g, src, &costs);
+        let dj = shortest::dijkstra_filtered(&g, src, &costs, |_| true);
         let bf = shortest::bellman_ford(&g, src, &costs).expect("no negative cycles");
         for v in g.nodes() {
             let (a, b) = (dj.dist(v), bf.dist(v));
@@ -56,7 +57,7 @@ fn paths_are_valid_and_cost_consistent() {
         let (n, edges, costs) = random_graph(&mut rng);
         let g = build(n, &edges);
         let src = NodeId::new(0);
-        let tree = shortest::dijkstra(&g, src, &costs);
+        let tree = shortest::dijkstra_filtered(&g, src, &costs, |_| true);
         for v in g.nodes() {
             if let Some(path) = tree.path(v) {
                 assert!(path.is_valid(&g));
@@ -77,7 +78,7 @@ fn all_pairs_triangle_inequality() {
         let mut rng = StdRng::seed_from_u64(0x6170_7370 + case);
         let (n, edges, costs) = random_graph(&mut rng);
         let g = build(n, &edges);
-        let d = shortest::all_pairs(&g, &costs);
+        let d = shortest::all_pairs_with_context(&g, &costs, &SolverContext::new());
         for a in 0..n {
             for b in 0..n {
                 for c in 0..n {
@@ -94,14 +95,15 @@ fn all_pairs_triangle_inequality() {
 /// the true shortest path.
 #[test]
 fn yen_invariants() {
+    let ctx = SolverContext::new();
     for case in 0..CASES {
         let mut rng = StdRng::seed_from_u64(0x7965_6e21 + case);
         let (n, edges, costs) = random_graph(&mut rng);
         let g = build(n, &edges);
         let src = NodeId::new(0);
         let dst = NodeId::new(n - 1);
-        let paths = shortest::k_shortest_paths(&g, src, dst, 5, &costs);
-        let tree = shortest::dijkstra(&g, src, &costs);
+        let paths = shortest::k_shortest_paths_with_context(&g, src, dst, 5, &costs, &ctx);
+        let tree = shortest::dijkstra_filtered(&g, src, &costs, |_| true);
         if let Some(first) = paths.first() {
             assert!(
                 (first.cost(&costs) - tree.dist(dst)).abs() < 1e-6,
@@ -337,7 +339,7 @@ fn dijkstra_dists_match_reference_heap() {
         let mut rng = StdRng::seed_from_u64(0x6872_6566 + case);
         let (n, edges, costs) = random_graph(&mut rng);
         let g = build(n, &edges);
-        let tree = shortest::dijkstra(&g, NodeId::new(0), &costs);
+        let tree = shortest::dijkstra_filtered(&g, NodeId::new(0), &costs, |_| true);
         let reference = reference_dijkstra(n, &edges, &costs);
         for (v, expect) in reference.iter().enumerate() {
             assert_eq!(
@@ -517,7 +519,7 @@ fn yen_matches_pre_refactor_reference() {
         if k == 0 {
             return Vec::new();
         }
-        let tree = shortest::dijkstra(g, src, cost);
+        let tree = shortest::dijkstra_filtered(g, src, cost, |_| true);
         let Some(first) = tree.path(dst) else {
             return Vec::new();
         };
@@ -570,6 +572,7 @@ fn yen_matches_pre_refactor_reference() {
         result
     }
 
+    let ctx = SolverContext::new();
     for case in 0..CASES {
         let mut rng = StdRng::seed_from_u64(0x7965_6e32 + case);
         let (n, edges, costs) = random_graph(&mut rng);
@@ -577,24 +580,24 @@ fn yen_matches_pre_refactor_reference() {
         let src = NodeId::new(0);
         let dst = NodeId::new(n - 1);
         let k = rng.gen_range(1..8usize);
-        let ours = shortest::k_shortest_paths(&g, src, dst, k, &costs);
+        let ours = shortest::k_shortest_paths_with_context(&g, src, dst, k, &costs, &ctx);
         let reference = reference_yen(&g, src, dst, k, &costs);
         assert_eq!(ours, reference, "case {case} (k={k})");
     }
 }
 
-/// On-demand oracle rows are bit-equal to the dense block's — distances
-/// and reconstructed paths — even with a tiny row cache that forces
-/// eviction and recomputation mid-walk.
+/// Rows filled on demand are bit-equal to rows filled at construction —
+/// distances and reconstructed paths.
 #[test]
 fn oracle_on_demand_matches_dense_bitwise() {
     use jcr_graph::DistanceOracle;
+    let ctx = SolverContext::new().with_workers(1);
     for case in 0..CASES {
         let mut rng = StdRng::seed_from_u64(0x6f72_6163 + case);
         let (n, edges, costs) = random_graph(&mut rng);
         let g = build(n, &edges);
-        let dense = DistanceOracle::with_config(&g, &costs, usize::MAX, 4, None);
-        let lazy = DistanceOracle::with_config(&g, &costs, 0, 2, None);
+        let dense = DistanceOracle::with_config(&g, &costs, usize::MAX, &ctx);
+        let lazy = DistanceOracle::with_config(&g, &costs, 0, &ctx);
         assert!(dense.is_dense() && !lazy.is_dense());
         for s in g.nodes() {
             for t in g.nodes() {
@@ -606,7 +609,7 @@ fn oracle_on_demand_matches_dense_bitwise() {
                 assert_eq!(dense.path(s, t), lazy.path(s, t), "case {case}");
             }
         }
-        // A second pass after the cache has churned through every row.
+        // A second pass reads the rows the first one filled.
         for s in g.nodes() {
             let d = lazy.row(s);
             let expect = dense.row(s);

@@ -112,6 +112,18 @@ fn eta_budget(m: usize) -> usize {
     16 * m + 512
 }
 
+/// Anti-cycling stall count: a pivot that does not lower the phase
+/// objective by more than `1e-10` below the best seen extends the stall;
+/// one that does resets it.
+fn track_stall(obj: f64, last_obj: &mut f64, stall: &mut usize) {
+    if obj < *last_obj - 1e-10 {
+        *stall = 0;
+        *last_obj = obj;
+    } else {
+        *stall += 1;
+    }
+}
+
 /// Why an LP could not be solved to optimality.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum LpError {
@@ -856,22 +868,36 @@ impl Simplex {
         }
     }
 
-    fn basic_cost_into(&self, phase: Phase, cb: &mut [f64]) {
-        for (i, &j) in self.basis.iter().enumerate() {
-            cb[i] = match phase {
-                Phase::One => {
-                    let v = self.xval[j];
-                    if v < self.lo[j] - FEAS_TOL {
+    /// Fills `cb` with the basic columns' phase costs. Phase 1 also
+    /// returns [`Simplex::infeasibility`] from the same pass, summed in
+    /// the same order from the same `-0.0` start as its `sum`, so the two
+    /// agree bit for bit; phase 2 returns `-0.0`. Kept out of line: once
+    /// inlined into the pivot loop, the running sum was spilled to the
+    /// stack and the loop ran slower than the two passes it replaces.
+    #[inline(never)]
+    fn basic_cost_into(&self, phase: Phase, cb: &mut [f64]) -> f64 {
+        let mut infeasibility = -0.0;
+        match phase {
+            Phase::One => {
+                for (cb, &j) in cb.iter_mut().zip(&self.basis) {
+                    let (v, lo, up) = (self.xval[j], self.lo[j], self.up[j]);
+                    infeasibility += (lo - v).max(0.0) + (v - up).max(0.0);
+                    *cb = if v < lo - FEAS_TOL {
                         -1.0
-                    } else if v > self.up[j] + FEAS_TOL {
+                    } else if v > up + FEAS_TOL {
                         1.0
                     } else {
                         0.0
-                    }
+                    };
                 }
-                Phase::Two => self.c[j],
-            };
+            }
+            Phase::Two => {
+                for (cb, &j) in cb.iter_mut().zip(&self.basis) {
+                    *cb = self.c[j];
+                }
+            }
         }
+        infeasibility
     }
 
     /// Enumerates ratio-test candidates for an entering move: calls
@@ -966,15 +992,23 @@ impl Simplex {
         let mut stall = 0usize;
         let mut last_obj = f64::INFINITY;
 
-        for _iter in 0..max_iter {
+        for iter in 0..max_iter {
             ctx.check(jcr_ctx::Phase::Simplex)?;
             let iter_t0 = Instant::now();
-            if phase == Phase::One && self.infeasibility() <= FEAS_TOL {
-                return Ok(());
-            }
-            self.basic_cost_into(phase, cb);
-            if phase == Phase::One && cb.iter().all(|&v| v == 0.0) {
-                return Ok(());
+            let infeasibility = self.basic_cost_into(phase, cb);
+            if phase == Phase::One {
+                if infeasibility <= FEAS_TOL {
+                    return Ok(());
+                }
+                // Stall tracking for the previous pivot: phase 1's
+                // objective is the infeasibility it left, and nothing
+                // moves `xval` between a pivot and the next pass.
+                if iter > 0 {
+                    track_stall(infeasibility, &mut last_obj, &mut stall);
+                }
+                if cb.iter().all(|&v| v == 0.0) {
+                    return Ok(());
+                }
             }
             self.btran_into(cb, y);
             ctx.metric_value(BTRAN_FILL, fill_count(y.iter()));
@@ -1172,20 +1206,15 @@ impl Simplex {
                 self.residual_ladder(ctx)?;
             }
 
-            // Stall tracking for anti-cycling.
-            let obj = match phase {
-                Phase::One => self.infeasibility(),
-                Phase::Two => self
+            // Stall tracking for anti-cycling (phase 1's runs at the next
+            // pass's top).
+            if phase == Phase::Two {
+                let obj = self
                     .basis
                     .iter()
                     .map(|&j| self.c[j] * self.xval[j])
-                    .sum::<f64>(),
-            };
-            if obj < last_obj - 1e-10 {
-                stall = 0;
-                last_obj = obj;
-            } else {
-                stall += 1;
+                    .sum::<f64>();
+                track_stall(obj, &mut last_obj, &mut stall);
             }
             ctx.metric_nanos(
                 PIVOT_NS,

@@ -617,7 +617,7 @@ impl Topology {
     /// Total demand-weighted least cost of serving everything from the
     /// origin (a simple upper-bound reference for experiments).
     pub fn origin_only_cost(&self, demand: &[f64]) -> f64 {
-        let tree = shortest::dijkstra(&self.graph, self.origin, &self.cost);
+        let tree = shortest::dijkstra_filtered(&self.graph, self.origin, &self.cost, |_| true);
         self.edge_nodes
             .iter()
             .zip(demand)

@@ -52,7 +52,7 @@ fn all_pairs_costs_bit_identical_across_worker_counts() {
     let inst = capped_instance(9);
     let g = &inst.graph;
     let cost = &inst.link_cost;
-    let baseline = shortest::all_pairs(g, cost);
+    let baseline = shortest::all_pairs_with_context(g, cost, &SolverContext::new().with_workers(1));
     for workers in WORKER_COUNTS {
         let ctx = SolverContext::new().with_workers(workers);
         let rows = shortest::all_pairs_with_context(g, cost, &ctx);

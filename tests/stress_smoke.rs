@@ -13,7 +13,8 @@
 //! This is the beyond-paper scale the flat-memory refactor exists for:
 //! the dense block would be 1000² × (8 + 4) bytes ≈ 12 MB per oracle and
 //! a dense rate matrix 10⁵ × 64 × 8 bytes ≈ 51 MB; the sparse path holds
-//! a few dozen cached rows and a few hundred request triples instead.
+//! a few dozen filled oracle rows and a few hundred request triples
+//! instead.
 
 use jcr::core::prelude::*;
 use jcr::ctx::par::par_map;
@@ -189,8 +190,8 @@ fn thousand_node_catalog_solves_without_dense_matrix() {
     assert!(cost < origin_only);
 }
 
-/// Solves `d` on a fresh clone per pool width (so the oracle's row cache
-/// starts cold every time) and asserts every width returns the same
+/// Solves `d` on a fresh clone per pool width (an instance clone starts
+/// with no oracle rows filled) and asserts every width returns the same
 /// partial-cost bits and placement size.
 fn assert_width_independent(d: &Draw, widths: &[usize]) {
     let (inst, edge_nodes) = stress_instance(d);
