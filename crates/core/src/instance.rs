@@ -5,7 +5,7 @@ use std::sync::OnceLock;
 use jcr_ctx::rng::SeedableRng;
 use jcr_ctx::rng::StdRng;
 
-use jcr_graph::{DiGraph, DistanceOracle, NodeId, Path};
+use jcr_graph::{DiGraph, DistanceOracle, NodeId};
 use jcr_topo::Topology;
 
 use crate::error::JcrError;
@@ -45,7 +45,12 @@ pub struct Instance {
     pub requests: Vec<Request>,
     /// Origin server storing the entire catalog, if any.
     pub origin: Option<NodeId>,
-    all_pairs: OnceLock<AllPairs>,
+    /// The all-pairs least costs `w_{v→s}` and their paths, built on
+    /// first use. Paper-scale instances fill every source's row up front;
+    /// instances past the oracle's node threshold fill only the rows asked
+    /// for and never materialize the |V|² matrix (see
+    /// [`Instance::with_oracle_dense_max`]).
+    all_pairs: OnceLock<DistanceOracle>,
     /// Explicit node threshold for the distance oracle's eager fill
     /// (`None` = [`jcr_graph::oracle::DEFAULT_DENSE_MAX`]). See
     /// [`Instance::with_oracle_dense_max`].
@@ -65,42 +70,6 @@ impl Clone for Instance {
             all_pairs: OnceLock::new(),
             oracle_dense_max: self.oracle_dense_max,
         }
-    }
-}
-
-/// Cached all-pairs shortest-path structure (`w_{v→s}` and the paths).
-///
-/// Backed by a [`DistanceOracle`]: paper-scale instances fill every
-/// source's row up front, while instances past the oracle's node
-/// threshold fill only the rows asked for and never materialize the |V|²
-/// matrix (see [`Instance::with_oracle_dense_max`]).
-#[derive(Debug)]
-pub struct AllPairs {
-    oracle: DistanceOracle,
-}
-
-impl AllPairs {
-    /// Least cost `w_{v→s}`; infinite if unreachable.
-    pub fn dist(&self, v: NodeId, s: NodeId) -> f64 {
-        self.oracle.dist(v, s)
-    }
-
-    /// A least-cost path `v → s`.
-    pub fn path(&self, v: NodeId, s: NodeId) -> Option<Path> {
-        self.oracle.path(v, s)
-    }
-
-    /// Maximum finite pairwise cost (computed lazily; rows not yet filled
-    /// are streamed, not stored).
-    pub fn max_cost(&self) -> f64 {
-        self.oracle.max_cost()
-    }
-
-    /// The backing oracle, for callers that want row handles
-    /// ([`DistanceOracle::row`]) or bulk priming
-    /// ([`DistanceOracle::prime_rows_with_context`]).
-    pub fn oracle(&self) -> &DistanceOracle {
-        &self.oracle
     }
 }
 
@@ -224,7 +193,7 @@ impl Instance {
 
     /// All-pairs least costs (computed once, cached) on one thread,
     /// recording nothing.
-    pub fn all_pairs(&self) -> &AllPairs {
+    pub fn all_pairs(&self) -> &DistanceOracle {
         self.all_pairs
             .get_or_init(|| self.compute_all_pairs(&jcr_ctx::SolverContext::new().with_workers(1)))
     }
@@ -234,43 +203,23 @@ impl Instance {
     /// Dijkstra call per source. The cached result is bit-identical to
     /// the serial computation for any worker count; subsequent calls
     /// return the cache without touching `ctx`.
-    pub fn all_pairs_with_context(&self, ctx: &jcr_ctx::SolverContext) -> &AllPairs {
+    pub fn all_pairs_with_context(&self, ctx: &jcr_ctx::SolverContext) -> &DistanceOracle {
         self.all_pairs.get_or_init(|| self.compute_all_pairs(ctx))
     }
 
-    /// Seeds this instance's all-pairs cache by carrying forward the rows
-    /// of a previous instance's oracle that the per-edge delta
-    /// certificate proves still exact
-    /// ([`DistanceOracle::carry_with_config`]): only rows touched by the
-    /// hour's cost delta (killed or restored links, changed weights) are
-    /// recomputed, and a sampled Dijkstra re-verification gates the
-    /// carry. Carried rows are bit-identical to freshly computed ones, so
-    /// downstream answers do not depend on whether this method was
-    /// called.
-    ///
-    /// Returns the carry report, or `None` if the cache was already
-    /// initialized (in which case nothing changes).
-    pub fn adopt_all_pairs_from(
-        &self,
-        prev: &DistanceOracle,
-        ctx: &jcr_ctx::SolverContext,
-    ) -> Option<jcr_graph::CarryReport> {
+    /// Seeds this instance's all-pairs cache with `prev` — a previous
+    /// hour's oracle — when it answers for this instance's graph and link
+    /// costs exactly ([`DistanceOracle::reuse_for`]): its filled rows are
+    /// shared, none recomputed. Otherwise, or when the cache is already
+    /// set, nothing changes and the instance builds its own oracle on
+    /// first use. Either way the answers are those of a fresh oracle.
+    pub fn adopt_all_pairs_from(&self, prev: &DistanceOracle, ctx: &jcr_ctx::SolverContext) {
         if self.all_pairs.get().is_some() {
-            return None;
+            return;
         }
-        let mut report = None;
-        self.all_pairs.get_or_init(|| {
-            let (oracle, r) = DistanceOracle::carry_with_config(
-                prev,
-                &self.graph,
-                &self.link_cost,
-                self.oracle_dense_max(),
-                ctx,
-            );
-            report = Some(r);
-            AllPairs { oracle }
-        });
-        report
+        if let Some(oracle) = prev.reuse_for(&self.graph, &self.link_cost, ctx) {
+            let _ = self.all_pairs.set(oracle);
+        }
     }
 
     /// A clone of this instance's oracle, filled rows included, if the
@@ -279,7 +228,7 @@ impl Instance {
     /// [`Instance::adopt_all_pairs_from`] it. `None` when no solve has
     /// touched the cache yet.
     pub fn cloned_oracle(&self) -> Option<DistanceOracle> {
-        self.all_pairs.get().map(|ap| ap.oracle().clone())
+        self.all_pairs.get().cloned()
     }
 
     fn oracle_dense_max(&self) -> usize {
@@ -287,10 +236,8 @@ impl Instance {
             .unwrap_or(jcr_graph::oracle::DEFAULT_DENSE_MAX)
     }
 
-    fn compute_all_pairs(&self, ctx: &jcr_ctx::SolverContext) -> AllPairs {
-        let oracle =
-            DistanceOracle::with_config(&self.graph, &self.link_cost, self.oracle_dense_max(), ctx);
-        AllPairs { oracle }
+    fn compute_all_pairs(&self, ctx: &jcr_ctx::SolverContext) -> DistanceOracle {
+        DistanceOracle::with_config(&self.graph, &self.link_cost, self.oracle_dense_max(), ctx)
     }
 
     /// The upper bound `w_max` on pairwise least costs used by Algorithm 1

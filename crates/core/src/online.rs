@@ -45,11 +45,12 @@
 //! [`SolverState`] and [`OnlineSimulator::restore`] rebuilds a simulator
 //! from one, independently validating each component (placement bitset,
 //! routing, LP basis, column pool) and degrading whatever fails to cold
-//! — reported per component in [`RestoreReport`], never an error. Carried
-//! distance-oracle rows are *not* part of the snapshot: they are re-
-//! derived (and re-verified) from each hour's instance, and carried rows
-//! are bit-identical to fresh ones, so a resumed run replays the exact
-//! bits of an uninterrupted one.
+//! — reported per component in [`RestoreReport`], never an error. The
+//! carried distance oracle is *not* part of the snapshot: an hour reuses
+//! it only when its graph and link costs are unchanged, and its rows are
+//! then exactly the ones a fresh oracle computes. So a resumed run, which
+//! builds its first oracle fresh, replays the exact bits of an
+//! uninterrupted one.
 
 use std::fmt;
 use std::rc::Rc;
@@ -219,8 +220,9 @@ pub struct OnlineSimulator {
     warm: Warm,
     /// Clone (filled rows included) of the last committed hour's distance
     /// oracle, offered to the next hour's instance via
-    /// [`Instance::adopt_all_pairs_from`]. Speed-only state: carried rows
-    /// are bit-identical to fresh ones, so it is not snapshotted.
+    /// [`Instance::adopt_all_pairs_from`], which reuses it only on an
+    /// unchanged graph and link costs. Speed-only state: a reused oracle
+    /// answers as a fresh one would, so it is not snapshotted.
     prev_oracle: Option<DistanceOracle>,
     /// A placement restored from a snapshot whose routing component was
     /// degraded: still usable to warm-start the next hour even though no
@@ -620,8 +622,8 @@ impl OnlineSimulator {
     /// semantic checks run where the context to perform them exists: the
     /// LP re-factorizes the basis on first use and falls back cold if it
     /// is singular or mis-shaped, carried columns are re-priced against
-    /// each hour's auxiliary graph and stale ones dropped, and carried
-    /// oracle rows are delta-checked and sample-verified per hour.
+    /// each hour's auxiliary graph and stale ones dropped. No distance
+    /// oracle is restored: the first hour after a restore builds its own.
     pub fn restore(solver: Alternating, state: &SolverState) -> (OnlineSimulator, RestoreReport) {
         let mut sim = OnlineSimulator::new(solver);
         sim.hour = state.hour as usize;
@@ -743,10 +745,10 @@ impl OnlineSimulator {
             || !self.warm.columns.is_empty()
     }
 
-    /// Offers the previous hour's oracle rows to this hour's instance
-    /// (delta invalidation + sampled re-verification; see
-    /// [`Instance::adopt_all_pairs_from`]). Speed-only: adopted rows are
-    /// bit-identical to fresh ones. No-op when nothing is carried or the
+    /// Offers the previous hour's oracle to this hour's instance, which
+    /// adopts it only if its graph and link costs are unchanged (see
+    /// [`Instance::adopt_all_pairs_from`]). Speed-only: an adopted oracle
+    /// answers as a fresh one would. No-op when nothing is carried or the
     /// instance already computed its all-pairs cache.
     fn offer_oracle(&self, decision_inst: &Instance, ctx: &SolverContext) {
         if let Some(oracle) = &self.prev_oracle {

@@ -1,9 +1,9 @@
 //! Route-to-nearest-replica (RNR): the optimal routing under unlimited
 //! link capacities (§4.1).
 
-use jcr_graph::{NodeId, Path};
+use jcr_graph::{DistanceOracle, NodeId, Path};
 
-use crate::instance::{AllPairs, Instance, Request};
+use crate::instance::{Instance, Request};
 use crate::placement::Placement;
 use crate::routing::Routing;
 
@@ -37,7 +37,7 @@ pub fn nearest_replica_path(
 /// The first of `replicas` at the least finite cost to `s`: a later
 /// replica replaces the best only when strictly cheaper.
 fn closest(
-    ap: &AllPairs,
+    ap: &DistanceOracle,
     replicas: impl Iterator<Item = NodeId>,
     s: NodeId,
 ) -> Option<(NodeId, f64)> {

@@ -3,11 +3,11 @@
 //! A [`SolverState`] captures everything the online loop carries between
 //! hours that can change the *bits* of future decisions: the committed
 //! placement, the served routing, the simplex [`Basis`](jcr_lp::Basis) of
-//! the last placement LP, and the active column-generation pool. Distance
-//! -oracle rows are deliberately **not** snapshotted: carried rows are
-//! bit-identical to freshly computed ones (see
-//! [`DistanceOracle::carry_with_config`](jcr_graph::DistanceOracle::carry_with_config)),
-//! so resuming without them changes speed, never answers.
+//! the last placement LP, and the active column-generation pool. The
+//! distance oracle is deliberately **not** snapshotted: an hour reuses
+//! the previous one only when its graph and link costs are unchanged (see
+//! [`DistanceOracle::reuse_for`](jcr_graph::DistanceOracle::reuse_for)),
+//! so resuming without it changes speed, never answers.
 //!
 //! # Wire format
 //!

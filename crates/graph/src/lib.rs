@@ -46,6 +46,6 @@ pub mod structure;
 
 pub use arena::{PathArena, PathId};
 pub use graph::{DiGraph, EdgeId, NodeId};
-pub use oracle::{CarryReport, DistanceOracle};
+pub use oracle::DistanceOracle;
 pub use path::Path;
 pub use shortest::ShortestPathTree;

@@ -26,10 +26,6 @@ const NO_PARENT: u32 = u32::MAX;
 /// [`DistanceOracle::with_config`] takes the threshold explicitly.
 pub const DEFAULT_DENSE_MAX: usize = 600;
 
-/// Number of carried rows [`DistanceOracle::carry_with_config`] re-runs
-/// from scratch and compares bitwise before trusting the carry.
-const CARRY_VERIFY_SAMPLES: usize = 2;
-
 /// One shortest-path row: distances and parent edges from a single
 /// source to every node, exactly what one Dijkstra run produces.
 #[derive(Clone, Debug)]
@@ -50,18 +46,6 @@ impl Row {
                 })
                 .collect(),
         }
-    }
-
-    /// Whether this row equals, bit for bit, the full run held in
-    /// `scratch`.
-    fn matches(&self, scratch: &DijkstraScratch) -> bool {
-        let fresh = Row::from_scratch(scratch, self.dist.len());
-        self.parent == fresh.parent
-            && self
-                .dist
-                .iter()
-                .zip(&fresh.dist)
-                .all(|(a, b)| a.to_bits() == b.to_bits())
     }
 
     /// Least cost from the row's source to `t` (`f64::INFINITY` if
@@ -93,29 +77,9 @@ impl Row {
     }
 }
 
-/// What a carry-forward oracle construction did with the previous
-/// oracle's rows (see [`DistanceOracle::carry_with_config`]).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct CarryReport {
-    /// Rows whose delta certificate held and that were carried verbatim.
-    pub rows_carried: usize,
-    /// Candidate rows invalidated by the cost delta (refilled at once
-    /// below the node threshold, on demand above it).
-    pub rows_dropped: usize,
-    /// Carried rows re-verified bitwise against a fresh Dijkstra.
-    pub rows_verified: usize,
-    /// Whether the previous oracle's graph was structurally identical;
-    /// `false` means nothing was carried.
-    pub compatible: bool,
-    /// Whether the sampled re-verification found a mismatch (in which
-    /// case every carried row was dropped and the build went cold).
-    pub verify_failed: bool,
-}
-
-/// Named counter: oracle rows carried across a cost delta.
+/// Named counter: filled rows an oracle handed on to the next hour's
+/// instance ([`DistanceOracle::reuse_for`]).
 pub const ROWS_CARRIED: &str = "graph.oracle.rows_carried";
-/// Named counter: candidate rows invalidated by a cost delta.
-pub const ROWS_DROPPED: &str = "graph.oracle.rows_dropped";
 
 /// Shortest-path distances (and paths) between all node pairs: one
 /// lazily filled row per source, every row filled at construction for
@@ -132,7 +96,7 @@ pub struct DistanceOracle {
     cost: Vec<f64>,
     rows: Vec<OnceLock<Arc<Row>>>,
     /// Rows filled when the oracle was built (every row below the node
-    /// threshold; the carried rows above it).
+    /// threshold) or handed on ([`DistanceOracle::reuse_for`]).
     prefilled: usize,
     max_cost: OnceLock<f64>,
 }
@@ -300,128 +264,41 @@ impl DistanceOracle {
         })
     }
 
-    /// Builds an oracle for `graph` under `cost`, carrying forward every
-    /// filled row of `prev` that a per-edge delta certificate proves
-    /// unchanged — dynamic-SSSP delta invalidation instead of a full
-    /// sweep.
-    ///
-    /// A row rooted at `s` survives iff:
-    ///
-    /// * **(a)** no reachable node's parent edge *increased* in cost —
-    ///   the tree's recorded distances are then still exact, and any
-    ///   alternative path through an increased edge only got worse; and
-    /// * **(b)** for every *decreased* edge `(u, v)`:
-    ///   `dist(s,u) + c_new(u,v) > dist(s,v)` **strictly** (rows with
-    ///   `dist(s,u) = ∞` pass vacuously: every `s → u` prefix uses only
-    ///   non-decreased edges up to the first decreased one, so it cannot
-    ///   have become finite). No decreased edge then offers an
-    ///   equal-or-better path anywhere, so no distance changes — and
-    ///   because the Dijkstra heap pops in deterministic `(dist, node)`
-    ///   order and every dirty candidate for a surviving row is strictly
-    ///   worse than the recorded optimum, the parent plane is unchanged
-    ///   too: carried rows are **bit-identical** to freshly computed
-    ///   ones. Equality is dropped conservatively — a tying edge could
-    ///   flip the parent choice.
-    ///
-    /// The first two carried rows (in source order) are re-run from
-    /// scratch and compared bitwise; any mismatch distrusts the whole
-    /// carry and drops every carried row. Structural graph mismatch
-    /// (node/edge counts or endpoints) carries nothing. Either way the
-    /// result is a fully valid oracle: with at most `dense_max` nodes the
-    /// rows not carried are filled now on `ctx`, as in
-    /// [`DistanceOracle::with_config`]; above it they are filled on
-    /// demand.
-    pub fn carry_with_config(
-        prev: &DistanceOracle,
-        graph: &DiGraph,
-        cost: &[f64],
-        dense_max: usize,
-        ctx: &SolverContext,
-    ) -> (Self, CarryReport) {
-        assert_eq!(cost.len(), graph.edge_count(), "cost slice length mismatch");
-        let _s = ctx.span("graph.oracle.carry");
-        let n = graph.node_count();
-        let mut report = CarryReport {
-            compatible: prev.graph.node_count() == n
-                && prev.graph.edge_count() == graph.edge_count()
-                && (0..graph.edge_count()).all(|e| {
-                    prev.graph.endpoints(EdgeId::new(e)) == graph.endpoints(EdgeId::new(e))
-                }),
-            ..CarryReport::default()
-        };
-        if !report.compatible {
-            let oracle = Self::with_config(graph, cost, dense_max, ctx);
-            return (oracle, report);
-        }
-        let mut increased = vec![false; cost.len()];
-        let mut decreased: Vec<EdgeId> = Vec::new();
-        for e in 0..cost.len() {
-            if cost[e] > prev.cost[e] {
-                increased[e] = true;
-            } else if cost[e] < prev.cost[e] {
-                decreased.push(EdgeId::new(e));
-            }
-        }
-        let row_valid = |row: &Row| -> bool {
-            if row
-                .parent
+    /// Whether this oracle answers for `graph` under `cost`: the same
+    /// node count, the same edges with the same endpoints, and costs
+    /// equal bit for bit.
+    fn answers_for(&self, graph: &DiGraph, cost: &[f64]) -> bool {
+        self.graph.node_count() == graph.node_count()
+            && self.graph.edge_count() == graph.edge_count()
+            && graph
+                .edges()
+                .all(|e| self.graph.endpoints(e) == graph.endpoints(e))
+            && self.cost.len() == cost.len()
+            && self
+                .cost
                 .iter()
-                .any(|&p| p != NO_PARENT && increased[p as usize])
-            {
-                return false;
-            }
-            decreased.iter().all(|&e| {
-                let (u, v) = graph.endpoints(e);
-                let du = row.dist[u.index()];
-                !(du.is_finite() && du + cost[e.index()] <= row.dist[v.index()])
-            })
-        };
-        // Candidates: the previous oracle's filled rows, in source order.
-        let mut carried: Vec<(NodeId, Arc<Row>)> = Vec::new();
-        for (s, slot) in prev.rows.iter().enumerate() {
-            let Some(row) = slot.get() else { continue };
-            if row_valid(row) {
-                carried.push((NodeId::new(s), Arc::clone(row)));
-            } else {
-                report.rows_dropped += 1;
-            }
+                .zip(cost)
+                .all(|(a, b)| a.to_bits() == b.to_bits())
+    }
+
+    /// This oracle, handed on to a new owner on `graph` under `cost` (the
+    /// online loop's next hour), if it answers for exactly those inputs —
+    /// the same graph and bit-equal costs; `None` otherwise, and the
+    /// caller builds its own oracle. The handed-on oracle shares every
+    /// filled row (no Dijkstra runs) and counts them as filled at
+    /// construction, so its [`rows_computed`] starts at 0; their number
+    /// is recorded on `ctx` as [`ROWS_CARRIED`]. Rows this oracle never
+    /// filled stay on demand.
+    ///
+    /// [`rows_computed`]: DistanceOracle::rows_computed
+    pub fn reuse_for(&self, graph: &DiGraph, cost: &[f64], ctx: &SolverContext) -> Option<Self> {
+        if !self.answers_for(graph, cost) {
+            return None;
         }
-        // The validation gate: a deterministic sample of carried rows is
-        // recomputed from scratch and must match bitwise. One mismatch
-        // means the certificate reasoning does not hold for this delta —
-        // distrust everything carried and go cold.
-        let mut scratch = DijkstraScratch::default();
-        for (s, row) in carried.iter().take(CARRY_VERIFY_SAMPLES) {
-            dijkstra_filtered_into(graph, *s, cost, |_| true, &[], &mut scratch);
-            report.rows_verified += 1;
-            if !row.matches(&scratch) {
-                report.verify_failed = true;
-                break;
-            }
-        }
-        if report.verify_failed {
-            report.rows_dropped += carried.len();
-            carried.clear();
-        }
-        report.rows_carried = carried.len();
-        ctx.obs()
-            .add_counter(ROWS_CARRIED, report.rows_carried as u64);
-        ctx.obs()
-            .add_counter(ROWS_DROPPED, report.rows_dropped as u64);
-        let mut oracle = Self::unfilled(graph, cost);
-        for (s, row) in carried {
-            oracle.rows[s.index()] = OnceLock::from(row);
-        }
-        oracle.prefilled = report.rows_carried;
-        if n <= dense_max {
-            let missing: Vec<NodeId> = graph
-                .nodes()
-                .filter(|s| oracle.rows[s.index()].get().is_none())
-                .collect();
-            oracle.fill(&missing, ctx);
-            oracle.prefilled = n;
-        }
-        (oracle, report)
+        let mut oracle = self.clone();
+        oracle.prefilled = oracle.rows.iter().filter(|r| r.get().is_some()).count();
+        ctx.obs().add_counter(ROWS_CARRIED, oracle.prefilled as u64);
+        Some(oracle)
     }
 }
 
@@ -550,92 +427,81 @@ mod tests {
     }
 
     #[test]
-    fn carry_identical_costs_keeps_every_row() {
-        let (g, cost) = ring(10);
-        let prev = eager(&g, &cost);
-        let ctx = serial();
-        let (next, report) = DistanceOracle::carry_with_config(&prev, &g, &cost, usize::MAX, &ctx);
-        assert!(report.compatible);
-        assert!(!report.verify_failed);
-        assert_eq!(report.rows_carried, 10);
-        assert_eq!(report.rows_dropped, 0);
-        assert_eq!(report.rows_verified, 2);
-        assert_eq!(ctx.stats().dijkstra_calls, 0, "nothing left to fill");
-        assert!(next.is_dense());
-        assert_same_answers(&next, &prev, "carried");
-    }
-
-    #[test]
-    fn carry_matches_fresh_bitwise_under_random_deltas() {
-        // Kills (cost -> INF), restores (INF -> finite), halvings and
-        // doublings, all at once: every carried answer must equal a
-        // cold oracle's bit for bit — the empirical check behind the
-        // delta certificate.
-        let (g, base) = ring(14);
-        let mut state = 0x9e37_79b9_7f4a_7c15u64;
-        let mut next_u64 = move || {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            state >> 33
-        };
-        let mut prev = eager(&g, &base);
-        let mut carried_total = 0usize;
-        for trial in 0..24 {
-            let mut cost = base.clone();
-            for c in cost.iter_mut() {
-                match next_u64() % 6 {
-                    0 => *c *= 2.0,
-                    1 => *c *= 0.5,
-                    2 => *c = f64::INFINITY,
-                    _ => {}
+    fn reuse_on_identical_inputs_shares_every_filled_row() {
+        let (g, cost) = ring(12);
+        for prev in [eager(&g, &cost), lazy(&g, &cost)] {
+            for s in 0..4 {
+                prev.row(NodeId::new(s));
+            }
+            let filled = prev.rows.iter().filter(|r| r.get().is_some()).count();
+            let ctx = serial();
+            let next = prev.reuse_for(&g, &cost, &ctx).expect("same inputs");
+            assert_eq!(ctx.stats().dijkstra_calls, 0);
+            assert_eq!(
+                ctx.obs().snapshot().counters.get(ROWS_CARRIED),
+                Some(&(filled as u64))
+            );
+            assert_eq!(next.rows_computed(), 0, "handed-on rows count as prefilled");
+            assert_eq!(next.is_dense(), prev.is_dense());
+            for (a, b) in prev.rows.iter().zip(&next.rows) {
+                match (a.get(), b.get()) {
+                    (Some(a), Some(b)) => assert!(Arc::ptr_eq(a, b), "row copied, not shared"),
+                    (None, None) => {}
+                    _ => panic!("fill state differs"),
                 }
             }
-            let (carried, report) =
-                DistanceOracle::carry_with_config(&prev, &g, &cost, usize::MAX, &serial());
-            assert!(report.compatible, "trial {trial}");
-            assert!(!report.verify_failed, "trial {trial}");
-            carried_total += report.rows_carried;
-            let fresh = eager(&g, &cost);
-            assert_same_answers(&carried, &fresh, &format!("trial {trial}"));
-            prev = carried;
+            assert_same_answers(&next, &eager(&g, &cost), "reused");
         }
-        assert!(carried_total > 0, "certificate never fired");
     }
 
     #[test]
-    fn carry_on_demand_seeds_rows_without_recompute() {
-        let (g, cost) = ring(12);
-        let prev = lazy(&g, &cost);
-        let warm: Vec<NodeId> = (0..4).map(NodeId::new).collect();
-        for &s in &warm {
-            prev.row(s);
-        }
-        let ctx = serial();
-        let (next, report) = DistanceOracle::carry_with_config(&prev, &g, &cost, 0, &ctx);
-        assert_eq!(report.rows_carried, 4);
-        assert!(!next.is_dense());
-        assert_eq!(ctx.stats().dijkstra_calls, 0);
-        for &s in &warm {
-            for t in g.nodes() {
-                assert_eq!(next.dist(s, t).to_bits(), prev.dist(s, t).to_bits());
-            }
-        }
-        assert_eq!(next.rows_computed(), 0, "carried rows were not recomputed");
-        next.row(NodeId::new(9));
-        assert_eq!(next.rows_computed(), 1);
-    }
-
-    #[test]
-    fn carry_structural_mismatch_goes_cold() {
-        let (g, cost) = ring(8);
-        let (h, hcost) = ring(9);
+    fn reuse_refuses_a_changed_cost_or_graph() {
+        let (g, cost) = ring(10);
         let prev = eager(&g, &cost);
-        let (next, report) =
-            DistanceOracle::carry_with_config(&prev, &h, &hcost, usize::MAX, &serial());
-        assert!(!report.compatible);
-        assert_eq!(report.rows_carried, 0);
-        assert_same_answers(&next, &eager(&h, &hcost), "cold");
+        let mut killed = cost.clone();
+        killed[3] = f64::INFINITY;
+        let mut halved = cost.clone();
+        halved[0] *= 0.5;
+        let (h, hcost) = ring(11);
+        let mut rewired = DiGraph::new();
+        rewired.add_nodes(10);
+        for e in g.edges() {
+            // Edge 4 (2 -> 3) ends one node further on.
+            let (u, v) = g.endpoints(e);
+            rewired.add_edge(u, if e.index() == 4 { NodeId::new(4) } else { v });
+        }
+        for (what, graph, cost) in [
+            ("killed link", &g, &killed),
+            ("halved link", &g, &halved),
+            ("node added", &h, &hcost),
+            ("edge rewired", &rewired, &cost),
+        ] {
+            let ctx = serial();
+            assert!(prev.reuse_for(graph, cost, &ctx).is_none(), "{what}");
+            assert_eq!(
+                ctx.obs().snapshot().counters.get(ROWS_CARRIED),
+                None,
+                "{what}"
+            );
+            // What the caller builds instead is the fresh oracle.
+            let fresh = DistanceOracle::with_config(graph, cost, usize::MAX, &ctx);
+            assert_same_answers(&fresh, &lazy(graph, cost), what);
+        }
+        let (mut zero, mut negative_zero) = (cost.clone(), cost.clone());
+        zero[0] = 0.0;
+        negative_zero[0] = -0.0;
+        assert!(
+            eager(&g, &zero)
+                .reuse_for(&g, &negative_zero, &serial())
+                .is_none(),
+            "costs compare by bits"
+        );
+        let fresh = eager(&g, &killed);
+        assert!(
+            g.nodes()
+                .any(|s| g.nodes().any(|t| fresh.dist(s, t) != prev.dist(s, t))),
+            "the killed link changes some answer"
+        );
     }
 
     #[test]

@@ -43,7 +43,6 @@ mod basis;
 pub mod certify;
 mod factor;
 mod model;
-pub mod presolve;
 mod simplex;
 
 pub use basis::Basis;

@@ -11,7 +11,7 @@ use std::time::Duration;
 
 use jcr::core::prelude::*;
 use jcr::core::validate::validate_solution;
-use jcr::ctx::{Budget, Counter, Phase, Probe};
+use jcr::ctx::{Budget, Counter, Phase, Probe, SolverContext};
 use jcr::graph::EdgeId;
 use jcr::sim::faults::{FaultConfig, FaultInjector};
 use jcr::topo::{Topology, TopologyKind};
@@ -50,6 +50,53 @@ fn base_instance(seed: u64) -> Instance {
 
 fn truth(inst: &Instance) -> Vec<f64> {
     inst.requests.iter().map(|r| r.rate).collect()
+}
+
+/// The most loaded link under `solution` whose removal keeps the origin
+/// connected to every requester (the fault injector's survivability
+/// guard).
+fn expendable_loaded_link(base: &Instance, solution: &Solution) -> EdgeId {
+    let loads = solution.routing.link_loads(base);
+    let mut candidates: Vec<EdgeId> = base
+        .graph
+        .edges()
+        .filter(|e| loads[e.index()] > 0.0)
+        .collect();
+    candidates.sort_by(|a, b| loads[b.index()].partial_cmp(&loads[a.index()]).unwrap());
+    candidates
+        .into_iter()
+        .find(|&e| {
+            let tree = jcr::graph::shortest::dijkstra_filtered(
+                &base.graph,
+                base.origin.unwrap(),
+                &base.link_cost,
+                |f| f != e && base.link_cap[f.index()] > 0.0,
+            );
+            base.requests.iter().all(|r| tree.path(r.node).is_some())
+        })
+        .expect("some loaded link is expendable")
+}
+
+/// `base` with `victim` failed (infinite cost, zero capacity) and four
+/// times the capacity on every other finite link, so re-routed flows fit.
+fn with_link_killed(base: &Instance, victim: EdgeId) -> Instance {
+    let mut cost = base.link_cost.clone();
+    let mut cap = base.link_cap.clone();
+    cost[victim.index()] = f64::INFINITY;
+    cap[victim.index()] = 0.0;
+    for c in cap.iter_mut().filter(|c| c.is_finite()) {
+        *c *= 4.0;
+    }
+    Instance::new(
+        base.graph.clone(),
+        cost,
+        cap,
+        base.cache_cap.clone(),
+        base.item_size.clone(),
+        base.requests.clone(),
+        base.origin,
+    )
+    .unwrap()
 }
 
 /// The acceptance criterion of the anytime mode: with every fault class
@@ -100,45 +147,8 @@ fn link_failure_forces_repair_on_carry_forward() {
     let mut sim = OnlineSimulator::new(Alternating::new());
     let first = sim.step(&base, &truth(&base)).unwrap();
 
-    // The most loaded link whose removal keeps the origin connected to
-    // every requester (the fault injector's survivability guard).
-    let loads = first.solution.routing.link_loads(&base);
-    let mut candidates: Vec<EdgeId> = base
-        .graph
-        .edges()
-        .filter(|e| loads[e.index()] > 0.0)
-        .collect();
-    candidates.sort_by(|a, b| loads[b.index()].partial_cmp(&loads[a.index()]).unwrap());
-    let victim = candidates
-        .into_iter()
-        .find(|&e| {
-            let tree = jcr::graph::shortest::dijkstra_filtered(
-                &base.graph,
-                base.origin.unwrap(),
-                &base.link_cost,
-                |f| f != e && base.link_cap[f.index()] > 0.0,
-            );
-            base.requests.iter().all(|r| tree.path(r.node).is_some())
-        })
-        .expect("some loaded link is expendable");
-    let mut cost = base.link_cost.clone();
-    let mut cap = base.link_cap.clone();
-    cost[victim.index()] = f64::INFINITY;
-    cap[victim.index()] = 0.0;
-    // Headroom on the surviving links so re-routed flows fit.
-    for c in cap.iter_mut().filter(|c| c.is_finite()) {
-        *c *= 4.0;
-    }
-    let faulted = Instance::new(
-        base.graph.clone(),
-        cost,
-        cap,
-        base.cache_cap.clone(),
-        base.item_size.clone(),
-        base.requests.clone(),
-        base.origin,
-    )
-    .unwrap();
+    let victim = expendable_loaded_link(&base, &first.solution);
+    let faulted = with_link_killed(&base, victim);
 
     let cfg = AnytimeConfig::new().with_budget(Budget::deadline(Duration::ZERO));
     let outcome = sim.step_anytime(&faulted, &truth(&faulted), &cfg).unwrap();
@@ -148,6 +158,59 @@ fn link_failure_forces_repair_on_carry_forward() {
     assert!(validate_solution(&faulted, &outcome.solution).is_empty());
     let new_loads = outcome.solution.routing.link_loads(&faulted);
     assert_eq!(new_loads[victim.index()], 0.0, "dead link still loaded");
+}
+
+/// An hour whose link costs changed does not reuse the previous hour's
+/// distance oracle; one whose graph and costs did not, does. Either way
+/// the hour is served exactly as by a simulator restored from a snapshot,
+/// which carries no oracle and builds every hour's afresh.
+#[test]
+fn killed_link_hour_is_served_as_by_a_restored_simulator() {
+    let base = base_instance(23);
+    let mut carried = OnlineSimulator::new(Alternating::new());
+    let first = carried.step(&base, &truth(&base)).unwrap();
+    let victim = expendable_loaded_link(&base, &first.solution);
+    let killed = with_link_killed(&base, victim);
+    // The oracle hour 0 leaves behind is refused by the killed hour, whose
+    // distances differ: the instance answers as a fresh one does. (A
+    // clone of an instance starts with no oracle.)
+    let base_oracle = base.cloned_oracle().expect("hour 0 built its oracle");
+    let (offered, fresh) = (killed.clone(), killed.clone());
+    offered.adopt_all_pairs_from(&base_oracle, &SolverContext::new());
+    let pairs = || {
+        base.graph
+            .nodes()
+            .flat_map(|s| base.graph.nodes().map(move |t| (s, t)))
+    };
+    assert!(pairs().any(|(s, t)| fresh.all_pairs().dist(s, t) != base_oracle.dist(s, t)));
+    for (s, t) in pairs() {
+        let (got, want) = (offered.all_pairs().dist(s, t), fresh.all_pairs().dist(s, t));
+        assert_eq!(got.to_bits(), want.to_bits(), "{s}->{t}");
+    }
+    // The link dies (the carried oracle is refused), stays dead (it is
+    // reused), then comes back (refused again). Each simulator steps its
+    // own clone, so no oracle passes between them through the instance.
+    for (hour, inst) in [&killed, &killed, &base].into_iter().enumerate() {
+        let state = SolverState::from_bytes(&carried.snapshot().to_bytes()).unwrap();
+        let (mut restored, _) = OnlineSimulator::restore(Alternating::new(), &state);
+        let (inst, restored_inst) = (inst.clone(), inst.clone());
+        let a = carried
+            .step_anytime(&inst, &truth(&inst), &AnytimeConfig::new())
+            .unwrap();
+        let b = restored
+            .step_anytime(&restored_inst, &truth(&inst), &AnytimeConfig::new())
+            .unwrap();
+        assert_eq!(a.rung, Rung::Full, "hour {hour}");
+        assert_eq!(a.rung, b.rung, "hour {hour}");
+        assert_eq!(a.solution, b.solution, "hour {hour}");
+        assert_eq!(a.decided_cost.to_bits(), b.decided_cost.to_bits());
+        assert_eq!(a.realized_cost.to_bits(), b.realized_cost.to_bits());
+        assert_eq!(
+            a.realized_congestion.to_bits(),
+            b.realized_congestion.to_bits()
+        );
+        assert_eq!(a.placement_churn, b.placement_churn, "hour {hour}");
+    }
 }
 
 /// A one-iteration alternating cap trips the full solve mid-flight; the

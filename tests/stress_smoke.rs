@@ -117,8 +117,7 @@ fn solve(
     zeta: usize,
     ctx: &SolverContext,
 ) -> (Vec<f64>, usize) {
-    let ap = inst.all_pairs_with_context(ctx);
-    let oracle = ap.oracle();
+    let oracle = inst.all_pairs_with_context(ctx);
     assert!(
         !oracle.is_dense(),
         "stress instance must not hold a dense |V|² matrix"

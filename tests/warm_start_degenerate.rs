@@ -3,8 +3,9 @@
 //! worst a cold solve.
 //!
 //! Covered:
-//! * a basis snapshotted from a model whose presolve-removable column was
-//!   since dropped (dimension mismatch → cold fallback);
+//! * a basis snapshotted from a model whose fixed column (`lo == hi`, the
+//!   kind a presolve substitutes out) was since dropped (dimension
+//!   mismatch → cold fallback);
 //! * a basis saved from an *infeasible* prior hour, restored into a
 //!   feasible model of the same shape (phase 1 repairs feasibility);
 //! * an online simulation whose topology is perturbed hour-over-hour by
@@ -13,12 +14,12 @@
 
 use jcr::core::prelude::*;
 use jcr::ctx::{Budget, SolverContext};
-use jcr::lp::{presolve, Model, Sense};
+use jcr::lp::{Model, Sense};
 use jcr::sim::faults::{FaultConfig, FaultEvent, FaultInjector};
 use jcr::topo::{Topology, TopologyKind};
 
 /// min x0 + 2*x1 (+ 7*fixed) s.t. x0 + x1 >= 4, with `fixed` pinned at 3.
-/// The pinned column is exactly what presolve eliminates.
+/// The pinned column (`lo == hi`) is exactly what a presolve eliminates.
 fn model_with_fixed_column() -> Model {
     let mut m = Model::new(Sense::Minimize);
     let x0 = m.add_var(0.0, 10.0, 1.0);
@@ -40,11 +41,6 @@ fn reduced_model() -> Model {
 
 #[test]
 fn stale_basis_from_presolve_removed_column_falls_back_cold() {
-    // The full model really does carry a presolve-removable column.
-    let (_, info) =
-        presolve::solve_with_context(&model_with_fixed_column(), &SolverContext::new()).unwrap();
-    assert!(info.fixed_vars >= 1, "fixture must have a fixed column");
-
     // Snapshot a basis against the full (3-variable) model…
     let mut full = model_with_fixed_column().into_solver();
     full.solve_with_context(&SolverContext::new()).unwrap();
