@@ -145,7 +145,9 @@ fn main() {
     for id in &ids {
         eprintln!(
             "[experiments] running {id} (runs={}, hours={}, full={})",
-            cfg.runs, cfg.hours, cfg.full
+            cfg.runs,
+            cfg.hours_run(id),
+            cfg.full
         );
         match id.as_str() {
             "fig4" => exp::fig4(cfg),

@@ -10,10 +10,13 @@
 //!   children by `parent → name`) and joined on path. Each path gets a
 //!   self-time delta `self_B − self_A`; because every node's total is
 //!   its self time plus its children's totals, the signed self-deltas
-//!   sum to the wall-clock delta exactly (up to the saturating clamp
-//!   on negative self times), so ranking by `|Δself|` ranks by
-//!   absolute contribution to the wall-clock difference and the report
-//!   can state what fraction of the delta it attributed.
+//!   sum to the wall-clock delta exactly, so ranking by `|Δself|` ranks
+//!   by absolute contribution to the wall-clock difference and the
+//!   report can state what fraction of the delta it attributed. Self
+//!   times are signed: a parallel region's children are the workers'
+//!   grafted chunk spans, whose summed time exceeds the region's wall
+//!   time whenever the workers overlap, and its self time is then
+//!   negative by the overlap.
 //! * **Counter deltas** over the union of counter names, zero-delta
 //!   entries dropped.
 //! * **Histogram shift detection** over the log₂ bins: mass movement
@@ -75,16 +78,17 @@ pub struct SpanDelta {
     pub total_a_ns: u64,
     /// See `total_a_ns`.
     pub total_b_ns: u64,
-    /// Self nanoseconds (total − children) in A / B.
-    pub self_a_ns: u64,
+    /// Self nanoseconds (total − children) in A / B; negative for a
+    /// parallel region whose workers' summed time exceeds its wall time.
+    pub self_a_ns: i128,
     /// See `self_a_ns`.
-    pub self_b_ns: u64,
+    pub self_b_ns: i128,
 }
 
 impl SpanDelta {
     /// Signed self-time delta, B − A.
     pub fn self_delta_ns(&self) -> i128 {
-        self.self_b_ns as i128 - self.self_a_ns as i128
+        self.self_b_ns - self.self_a_ns
     }
 
     /// Signed total-time delta, B − A.
@@ -174,10 +178,9 @@ impl DiffReport {
     }
 
     /// Signed sum of the span self-time deltas — the part of the
-    /// wall-clock delta the report attributes to named spans. Equal to
-    /// [`DiffReport::wall_delta_ns`] up to the saturating clamp on
-    /// negative self times (clock jitter), i.e. ≥ 90% in practice and
-    /// usually 100%.
+    /// wall-clock delta the report attributes to named spans: equal to
+    /// [`DiffReport::wall_delta_ns`], since every node's total is its
+    /// signed self time plus its children's totals.
     pub fn attributed_ns(&self) -> i128 {
         self.spans.iter().map(SpanDelta::self_delta_ns).sum()
     }
@@ -461,15 +464,16 @@ fn phase_root(snap: &WireSnapshot, phase: &str, which: &str) -> Result<usize, St
         })
 }
 
-/// Flattens `root`'s subtree to `path → (count, total, self)`. The
-/// subtree root itself is included unless it is the synthetic node 0.
-fn flatten(snap: &WireSnapshot, root: usize) -> BTreeMap<String, (u64, u64, u64)> {
+/// Flattens `root`'s subtree to `path → (count, total, signed self)`.
+/// The subtree root itself is included unless it is the synthetic node
+/// 0.
+fn flatten(snap: &WireSnapshot, root: usize) -> BTreeMap<String, (u64, u64, i128)> {
     let mut map = BTreeMap::new();
     fn walk(
         snap: &WireSnapshot,
         node: usize,
         prefix: &str,
-        map: &mut BTreeMap<String, (u64, u64, u64)>,
+        map: &mut BTreeMap<String, (u64, u64, i128)>,
     ) {
         let n = &snap.nodes[node];
         let path = if prefix.is_empty() {
@@ -477,7 +481,10 @@ fn flatten(snap: &WireSnapshot, root: usize) -> BTreeMap<String, (u64, u64, u64)
         } else {
             format!("{prefix};{}", n.name)
         };
-        map.insert(path.clone(), (n.count, n.total_nanos, n.self_nanos()));
+        // Not `self_nanos()`, which clamps at zero: the clamped part of
+        // an overlapped parallel region would go unattributed.
+        let self_ns = i128::from(n.total_nanos) - i128::from(n.child_nanos);
+        map.insert(path.clone(), (n.count, n.total_nanos, self_ns));
         for &c in &n.children {
             walk(snap, c, &path, map);
         }
@@ -783,6 +790,7 @@ pub fn run(a_path: &str, b_path: &str, opts: &DiffOpts) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use jcr_ctx::obs::wire::WireNode;
     use jcr_ctx::SolverContext;
 
     fn snap(ms_in_slow: u64) -> WireSnapshot {
@@ -820,12 +828,43 @@ mod tests {
         let report = diff_snapshots(&a, &b, None).unwrap();
         assert_eq!(report.spans[0].path, "slow");
         assert!(report.wall_delta_ns() > 10_000_000, "15ms spin dominates");
-        // Flat trees have no saturating clamp: attribution is exact.
         assert_eq!(report.attributed_ns(), report.wall_delta_ns());
         assert_eq!(report.counters[0].name, "widgets");
         assert_eq!(report.counters[0].delta(), 15);
         assert_eq!(report.histograms[0].name, "sizes");
         assert!(report.histograms[0].moved_mass > 0.0);
+    }
+
+    #[test]
+    fn overlapped_parallel_region_is_attributed_exactly() {
+        // A region whose two workers' chunks overlap: 3 ms of chunk time
+        // in 2 ms of wall time at B, serial 3 ms at A.
+        let region = |total_nanos: u64, chunk_nanos: u64| {
+            let node = |name: &str, children: Vec<usize>, total_nanos, child_nanos| WireNode {
+                name: name.to_string(),
+                children,
+                count: 1,
+                total_nanos,
+                child_nanos,
+            };
+            let mut wire = WireSnapshot::from_snapshot(&SolverContext::default().obs_snapshot());
+            wire.nodes = vec![
+                node("", vec![1], 0, 0),
+                node("batch", vec![2], total_nanos, chunk_nanos),
+                node("par.chunk", vec![], chunk_nanos, 0),
+            ];
+            wire
+        };
+        let report = diff_snapshots(
+            &region(3_100_000, 3_000_000),
+            &region(2_000_000, 3_000_000),
+            None,
+        )
+        .unwrap();
+        assert_eq!(report.wall_delta_ns(), -1_100_000);
+        assert_eq!(report.attributed_ns(), report.wall_delta_ns());
+        assert_eq!(report.spans[0].path, "batch");
+        assert_eq!(report.spans[0].self_b_ns, -1_000_000);
     }
 
     #[test]

@@ -47,7 +47,39 @@ impl Default for ExpConfig {
     }
 }
 
+/// Fewest evaluation hours per run of the online experiments, whatever
+/// `hours` says: warm bases and carried columns need hours to carry over.
+const MIN_ONLINE_HOURS: usize = 4;
+
 impl ExpConfig {
+    /// Evaluation hours per run of the online experiments (`online`,
+    /// `ablation`'s warm-vs-cold start and `faults`): `hours`, at least
+    /// [`MIN_ONLINE_HOURS`].
+    fn online_hours(&self) -> usize {
+        self.hours.max(MIN_ONLINE_HOURS)
+    }
+
+    /// Hours of the Fig. 4 prediction horizon: a full day at paper scale,
+    /// else `hours` but at least six.
+    fn fig4_hours(&self) -> usize {
+        if self.full {
+            24
+        } else {
+            self.hours.max(6)
+        }
+    }
+
+    /// Evaluation hours per run that experiment `id` simulates, for its
+    /// banner: the horizon of the experiments that set their own, else
+    /// `hours`.
+    pub fn hours_run(&self, id: &str) -> usize {
+        match id {
+            "online" | "ablation" | "faults" => self.online_hours(),
+            "fig4" => self.fig4_hours(),
+            _ => self.hours,
+        }
+    }
+
     /// Applies the base seed to a scenario.
     fn seeded(&self, mut sc: Scenario) -> Scenario {
         sc.seed = sc.seed.wrapping_add(self.seed);
@@ -311,7 +343,7 @@ fn metrics_header(algos: &[Algo], sweep: &str, with_occupancy: bool) -> Vec<Stri
 pub fn fig4(cfg: ExpConfig) {
     let mut sc = Scenario::chunk_default();
     sc.n_videos = TABLE1.len().min(12);
-    sc.hours = if cfg.full { 24 } else { cfg.hours.max(6) };
+    sc.hours = cfg.fig4_hours();
     let n_edges = sc.topology().edge_nodes.len();
     let demand = sc.demand(n_edges);
     let mut rows = Vec::new();
@@ -1118,7 +1150,7 @@ pub fn online(cfg: ExpConfig) -> Result<(), crate::HorizonError> {
     use jcr_core::online::OnlineSimulator;
     let mut sc = Scenario::chunk_default();
     sc.n_videos = if cfg.full { 10 } else { 6 };
-    sc.hours = cfg.hours.max(4);
+    sc.hours = cfg.online_hours();
     sc.check_horizon()?;
     let n_edges = sc.topology().edge_nodes.len();
     let demand = sc.demand(n_edges);
@@ -1243,7 +1275,7 @@ pub fn ablation(cfg: ExpConfig) {
     for (label, warm) in [("warm start", true), ("cold start", false)] {
         let mut sc = Scenario::chunk_default();
         sc.n_videos = 6;
-        sc.hours = cfg.hours.max(4);
+        sc.hours = cfg.online_hours();
         let n_edges = sc.topology().edge_nodes.len();
         let demand = sc.demand(n_edges);
         let mut sim = OnlineSimulator::new(Alternating::new());
@@ -1816,7 +1848,7 @@ pub fn faults(cfg: ExpConfig) {
     };
     let mut sc = cfg.seeded(Scenario::chunk_default());
     sc.n_videos = if cfg.full { 10 } else { 6 };
-    sc.hours = cfg.hours.max(4);
+    sc.hours = cfg.online_hours();
     let n_edges = sc.topology().edge_nodes.len();
     let base_budget = Budget::deadline(Duration::from_secs(10));
 

@@ -22,12 +22,15 @@
 //! steps their right-hand side reaches. Pricing is **Devex**
 //! (reference-framework weights reset per phase) with a Bland
 //! anti-cycling fallback, and the ratio test is Harris two-pass over the
-//! pivot column's nonzeros. Pricing and the Devex update are
-//! **hypersparse**: a row-wise index of `A` lets each pass visit only the
-//! columns that a nonzero of the dual (or pivot-row) vector touches,
-//! since every other column's dot product is exactly zero. Warm starts
-//! restore a [`Basis`](crate::Basis) snapshot and let phase 1 repair
-//! whatever feasibility the new data broke.
+//! pivot column's nonzeros. Pricing is **incremental**: each column's
+//! reduced cost is kept across the passes of a phase, and a pass
+//! reprices only the columns of the rows whose dual changed bits (found
+//! through a row-wise index of `A`), since any other column's dot
+//! product repeats its last value bit for bit; the entering choice walks
+//! a list of the columns that may be eligible. The Devex update is
+//! **hypersparse**: it visits only the columns a nonzero of the pivot
+//! row touches. Warm starts restore a [`Basis`](crate::Basis) snapshot
+//! and let phase 1 repair whatever feasibility the new data broke.
 
 use std::fmt;
 use std::time::Instant;
@@ -261,10 +264,20 @@ pub struct Simplex {
     /// Row-wise index of the structural columns: per row, the ascending
     /// ids of the columns with a nonzero there.
     rows: Vec<Vec<u32>>,
-    /// Structural columns with a nonzero phase-2 cost, rebuilt per phase.
-    cost_cols: Vec<u32>,
-    /// Rows where the vector of the current pricing or Devex pass is
-    /// nonzero.
+    /// Reduced cost `c_j − yᵀa_j` of every column under the current
+    /// pass's duals `y`, kept across passes of one phase run (a basic
+    /// column's entry may be stale; it is refreshed when the column
+    /// leaves the basis).
+    dj: Vec<f64>,
+    /// The duals `y` of the last pricing pass of this phase run.
+    y_last: Vec<f64>,
+    /// Columns that may be eligible to enter: a superset of the eligible
+    /// nonbasic columns, in no particular order.
+    elig: Vec<u32>,
+    /// Per-column membership flag of `elig`.
+    in_elig: Vec<bool>,
+    /// Rows of the current pass: where the pricing duals changed bits
+    /// since the last pass, or where the Devex pivot row is nonzero.
     v_rows: Vec<u32>,
     /// Columns the current pricing or Devex pass visits (see
     /// [`Simplex::collect_candidates`]).
@@ -286,12 +299,21 @@ pub struct Simplex {
 struct TestHooks {
     /// Scan every column in every pricing and Devex pass.
     force_dense: bool,
+    /// Reprice every column in every pricing pass, as on a phase's
+    /// first pass.
+    full_reprice: bool,
     /// Replaces [`STALL_LIMIT`], to force Bland stretches.
     stall_limit: Option<usize>,
     /// Passes that visited a touched-column list.
     sparse_passes: usize,
+    /// Pricing passes that repriced only the columns of the rows whose
+    /// dual moved.
+    incremental_passes: usize,
     /// Pricing passes under the Bland fallback.
     bland_passes: usize,
+    /// Every basis change: the entering column and the leaving column,
+    /// or `None` for a bound flip.
+    moves: Vec<(usize, Option<usize>)>,
 }
 
 impl Simplex {
@@ -329,7 +351,10 @@ impl Simplex {
             rhs_buf: vec![0.0; m],
             pivots_since_refactor: 0,
             rows: vec![Vec::new(); m],
-            cost_cols: Vec::new(),
+            dj: Vec::new(),
+            y_last: Vec::new(),
+            elig: Vec::new(),
+            in_elig: Vec::new(),
             v_rows: Vec::new(),
             cand: Vec::new(),
             cand_all: false,
@@ -631,17 +656,17 @@ impl Simplex {
     }
 
     /// Fills `cand` with every column whose [`Simplex::dot_col`] against
-    /// a vector `v` can be nonzero, given the rows `v_rows` where `v` is
-    /// nonzero (each once, any order): the structural columns with a
-    /// nonzero in such a row, that row's slack, and (with `with_cost`) the
-    /// structural columns of nonzero cost. Any other column's dot product
-    /// is exactly `+0.0`, so its reduced cost is its own cost and the
-    /// Devex update leaves its weight alone. The order is arbitrary; when
-    /// the touched rows hold more than [`DENSE_SHARE`] of the nonzeros,
-    /// `cand` is every column instead.
-    fn collect_candidates(&mut self, with_cost: bool) {
+    /// a vector can differ from its value against a second vector, given
+    /// the rows `v_rows` where the two differ (each once, any order): the
+    /// structural columns with a nonzero in such a row and that row's
+    /// slack. With the zero vector as the second one, these are the
+    /// columns whose dot product can be nonzero: any other one is exactly
+    /// `+0.0`, so the Devex update leaves its weight alone. The order is
+    /// arbitrary; when the rows hold more than [`DENSE_SHARE`] of the
+    /// nonzeros, `cand` is every column instead.
+    fn collect_candidates(&mut self) {
         let ncols = self.n_struct + self.m;
-        let mut touched = if with_cost { self.cost_cols.len() } else { 0 };
+        let mut touched = 0;
         for &r in &self.v_rows {
             touched += self.rows[r as usize].len() + 1;
         }
@@ -653,11 +678,7 @@ impl Simplex {
             self.hooks.sparse_passes += 1;
         }
         if dense {
-            if !(self.cand_all && self.cand.len() == ncols) {
-                self.cand.clear();
-                self.cand.extend(0..ncols as u32);
-                self.cand_all = true;
-            }
+            self.candidates_all();
             return;
         }
         self.cand_all = false;
@@ -675,13 +696,28 @@ impl Simplex {
             }
             mark(self.n_struct as u32 + r, &mut self.cand);
         }
-        if with_cost {
-            for &j in &self.cost_cols {
-                mark(j, &mut self.cand);
-            }
-        }
         for &j in &self.cand {
             self.marked[j as usize] = false;
+        }
+    }
+
+    /// Sets `cand` to every column, in ascending order.
+    fn candidates_all(&mut self) {
+        let ncols = self.n_struct + self.m;
+        if !(self.cand_all && self.cand.len() == ncols) {
+            self.cand.clear();
+            self.cand.extend(0..ncols as u32);
+            self.cand_all = true;
+        }
+    }
+
+    /// Recomputes the reduced cost of nonbasic column `j` under the duals
+    /// `y` and offers it to the eligible list.
+    fn reprice(&mut self, phase: Phase, y: &[f64], j: usize) {
+        self.dj[j] = self.phase_cost(phase, j) - self.dot_col(y, j);
+        if !self.in_elig[j] && entering_dir(self.status[j], self.dj[j]).is_some() {
+            self.in_elig[j] = true;
+            self.elig.push(j as u32);
         }
     }
 
@@ -960,11 +996,15 @@ impl Simplex {
         let ncols = self.n_struct + self.m;
         self.devex.clear();
         self.devex.resize(ncols, 1.0);
-        self.cost_cols.clear();
-        if phase == Phase::Two {
-            self.cost_cols
-                .extend((0..self.n_struct as u32).filter(|&j| self.c[j as usize] != 0.0));
-        }
+        // The reduced costs and the eligible list are primed by the
+        // phase's first pricing pass.
+        self.dj.clear();
+        self.dj.resize(ncols, 0.0);
+        self.y_last.clear();
+        self.y_last.resize(self.m, 0.0);
+        self.elig.clear();
+        self.in_elig.clear();
+        self.in_elig.resize(ncols, false);
         let scratch = ctx.scratch();
         let mut cb = scratch.take_f64(self.m, 0.0);
         let mut y = scratch.take_f64(self.m, 0.0);
@@ -1022,39 +1062,77 @@ impl Simplex {
             {
                 self.hooks.bland_passes += usize::from(bland);
             }
+            // Incremental pricing. The first pass of a phase prices every
+            // column; a later one reprices only the columns of the rows
+            // whose dual changed bits since the last pass. Any other
+            // column's `dot_col` adds the same terms in the same order,
+            // and `c` is constant within a phase, so its cached reduced
+            // cost is bit-equal to a fresh one.
+            self.v_rows.clear();
+            #[cfg(not(test))]
+            let prime = iter == 0;
+            #[cfg(test)]
+            let prime = iter == 0 || self.hooks.full_reprice;
+            if prime {
+                self.y_last.copy_from_slice(y);
+                self.candidates_all();
+            } else {
+                for (r, (last, &now)) in self.y_last.iter_mut().zip(y.iter()).enumerate() {
+                    if last.to_bits() != now.to_bits() {
+                        *last = now;
+                        self.v_rows.push(r as u32);
+                    }
+                }
+                self.collect_candidates();
+            }
+            #[cfg(test)]
+            {
+                self.hooks.incremental_passes += usize::from(!self.cand_all);
+            }
+            let cand = std::mem::take(&mut self.cand);
+            for &j in &cand {
+                if self.status[j as usize] != ColStatus::Basic {
+                    self.reprice(phase, y, j as usize);
+                }
+            }
+            self.cand = cand;
+            #[cfg(debug_assertions)]
+            for j in 0..ncols {
+                if self.status[j] != ColStatus::Basic {
+                    let d = self.phase_cost(phase, j) - self.dot_col(y, j);
+                    assert_eq!(
+                        self.dj[j].to_bits(),
+                        d.to_bits(),
+                        "cached reduced cost of column {j} differs from a full reprice: {:e} vs {d:e}",
+                        self.dj[j]
+                    );
+                    assert!(
+                        self.in_elig[j] || entering_dir(self.status[j], d).is_none(),
+                        "eligible column {j} is missing from the eligible list"
+                    );
+                }
+            }
+
             // Devex pricing: pick the entering column maximizing
             // `d² / w` over the eligible nonbasic columns, ties to the
             // smallest index (plain Bland smallest-index under the
             // anti-cycling fallback, where every score is zero). The
-            // rule does not depend on the order of `cand`.
-            self.v_rows.clear();
-            self.v_rows
-                .extend((0..self.m as u32).filter(|&r| y[r as usize] != 0.0));
-            self.collect_candidates(phase == Phase::Two);
+            // rule does not depend on the order of `elig`; entries that
+            // turned basic or ineligible leave it.
             let mut enter: Option<(usize, f64, i8)> = None; // (col, score, dir)
-            for &j in &self.cand {
-                let j = j as usize;
-                if self.status[j] == ColStatus::Basic {
+            let mut k = 0;
+            while k < self.elig.len() {
+                let j = self.elig[k] as usize;
+                let Some(dir) = entering_dir(self.status[j], self.dj[j]) else {
+                    self.in_elig[j] = false;
+                    self.elig.swap_remove(k);
                     continue;
-                }
-                let d = self.phase_cost(phase, j) - self.dot_col(y, j);
-                let (eligible, dir) = match self.status[j] {
-                    ColStatus::AtLower => (d < -DUAL_TOL, 1i8),
-                    ColStatus::AtUpper => (d > DUAL_TOL, -1i8),
-                    ColStatus::FreeZero => {
-                        if d < -DUAL_TOL {
-                            (true, 1i8)
-                        } else {
-                            (d > DUAL_TOL, -1i8)
-                        }
-                    }
-                    ColStatus::Basic => unreachable!(),
                 };
-                if eligible {
-                    let score = if bland { 0.0 } else { d * d / self.devex[j] };
-                    if enter.is_none_or(|(bj, best, _)| score > best || (score == best && j < bj)) {
-                        enter = Some((j, score, dir));
-                    }
+                k += 1;
+                let d = self.dj[j];
+                let score = if bland { 0.0 } else { d * d / self.devex[j] };
+                if enter.is_none_or(|(bj, best, _)| score > best || (score == best && j < bj)) {
+                    enter = Some((j, score, dir));
                 }
             }
             let Some((q, _, dir)) = enter else {
@@ -1133,6 +1211,11 @@ impl Simplex {
                     ColStatus::AtLower
                 };
                 self.xval[q] = if dir > 0.0 { self.up[q] } else { self.lo[q] };
+                // `q` came from the eligible list and is still on it; its
+                // reduced cost holds, and the next walk re-checks it
+                // under the new status.
+                #[cfg(test)]
+                self.hooks.moves.push((q, None));
             } else {
                 let Some(r) = leave else {
                     if phase == Phase::Two {
@@ -1154,7 +1237,7 @@ impl Simplex {
                 let mut w_overflow = false;
                 if !bland {
                     self.btran_row_into(r, rho);
-                    self.collect_candidates(false);
+                    self.collect_candidates();
                     for &j in &self.cand {
                         let j = j as usize;
                         if self.status[j] == ColStatus::Basic || j == q {
@@ -1193,6 +1276,11 @@ impl Simplex {
                 self.basis[r] = q;
                 self.status[q] = ColStatus::Basic;
                 self.xval[q] = enter_val;
+                // The leaving column gets a reduced cost under this
+                // pass's duals, which `y_last` holds.
+                self.reprice(phase, y, old);
+                #[cfg(test)]
+                self.hooks.moves.push((q, Some(old)));
                 self.devex[old] = (wq / (arq * arq)).max(1.0);
                 if w_overflow || self.devex[old] > DEVEX_RESET {
                     // Framework grew stale: start a fresh reference set.
@@ -1243,6 +1331,24 @@ impl Simplex {
             duals,
             certificate: jcr_ctx::cert::Certificate::new("lp"),
         }
+    }
+}
+
+/// The direction a nonbasic column with reduced cost `d` enters in (`1`
+/// up, `-1` down), or `None` when it cannot improve the phase objective
+/// (or is basic).
+fn entering_dir(status: ColStatus, d: f64) -> Option<i8> {
+    match status {
+        ColStatus::AtLower => (d < -DUAL_TOL).then_some(1),
+        ColStatus::AtUpper => (d > DUAL_TOL).then_some(-1),
+        ColStatus::FreeZero => {
+            if d < -DUAL_TOL {
+                Some(1)
+            } else {
+                (d > DUAL_TOL).then_some(-1)
+            }
+        }
+        ColStatus::Basic => None,
     }
 }
 
@@ -1576,10 +1682,52 @@ mod tests {
         }
     }
 
-    /// Builds the seeded LP of `shape` and solves it, then runs the
-    /// column-generation rounds, recording every solve's outcome and
-    /// pivot count. `force_dense` makes every pass scan all columns.
+    /// The pricing corpus: `(seed, n, m, per_col, sorted, maximize, free,
+    /// stall_limit, cg_rounds)` per [`Shape`].
+    #[allow(clippy::type_complexity)]
+    const SHAPES: [(
+        u64,
+        usize,
+        usize,
+        usize,
+        bool,
+        bool,
+        f64,
+        Option<usize>,
+        usize,
+    ); 8] = [
+        // Hypersparse: wide and few nonzeros per column.
+        (1, 400, 60, 2, true, false, 0.0, None, 0),
+        (2, 400, 60, 3, false, true, 0.0, None, 0),
+        (3, 300, 50, 2, false, false, 0.15, None, 0),
+        (4, 300, 50, 2, true, true, 0.1, Some(2), 0),
+        (5, 200, 40, 3, false, false, 0.0, None, 4),
+        (6, 200, 40, 2, true, true, 0.05, Some(3), 3),
+        // Dense: every column touches every row.
+        (7, 30, 12, 12, false, false, 0.0, None, 0),
+        (8, 30, 12, 12, true, true, 0.1, Some(1), 2),
+    ];
+
+    /// [`run_shape`] with `force_dense` set as given, returning the
+    /// sparse and Bland pass counts.
     fn solve_shape(seed: u64, shape: &Shape, force_dense: bool) -> (Vec<Outcome>, [usize; 2]) {
+        let hooks = super::TestHooks {
+            force_dense,
+            ..Default::default()
+        };
+        let (outcomes, hooks) = run_shape(seed, shape, hooks);
+        (outcomes, [hooks.sparse_passes, hooks.bland_passes])
+    }
+
+    /// Builds the seeded LP of `shape` and solves it under `hooks` (its
+    /// stall limit taken from `shape`), then runs the column-generation
+    /// rounds, recording every solve's outcome and pivot count. Returns
+    /// the hooks as the solves left them.
+    fn run_shape(
+        seed: u64,
+        shape: &Shape,
+        hooks: super::TestHooks,
+    ) -> (Vec<Outcome>, super::TestHooks) {
         use super::Simplex;
         use jcr_ctx::rng::{Rng, SeedableRng};
         use jcr_ctx::{Counter, SolverContext};
@@ -1633,7 +1781,7 @@ mod tests {
         }
 
         let mut simplex = Simplex::new(&model);
-        simplex.hooks.force_dense = force_dense;
+        simplex.hooks = hooks;
         simplex.hooks.stall_limit = shape.stall_limit;
         let mut outcomes = Vec::new();
         for round in 0..=shape.cg_rounds {
@@ -1661,26 +1809,12 @@ mod tests {
                 break;
             }
         }
-        (
-            outcomes,
-            [simplex.hooks.sparse_passes, simplex.hooks.bland_passes],
-        )
+        (outcomes, simplex.hooks)
     }
 
     #[test]
     fn touched_column_pricing_is_bit_identical_to_a_full_scan() {
-        let shapes = [
-            // Hypersparse: wide and few nonzeros per column.
-            (1, 400, 60, 2, true, false, 0.0, None, 0),
-            (2, 400, 60, 3, false, true, 0.0, None, 0),
-            (3, 300, 50, 2, false, false, 0.15, None, 0),
-            (4, 300, 50, 2, true, true, 0.1, Some(2), 0),
-            (5, 200, 40, 3, false, false, 0.0, None, 4),
-            (6, 200, 40, 2, true, true, 0.05, Some(3), 3),
-            // Dense: every column touches every row.
-            (7, 30, 12, 12, false, false, 0.0, None, 0),
-            (8, 30, 12, 12, true, true, 0.1, Some(1), 2),
-        ];
+        let shapes = SHAPES;
         let mut optimal = 0;
         let mut solves = 0;
         for (shape_seed, n, m, per_col, sorted, maximize, free, stall_limit, cg_rounds) in shapes {
@@ -1716,6 +1850,54 @@ mod tests {
             2 * optimal > solves,
             "only {optimal} of {solves} solves optimal"
         );
+    }
+
+    #[test]
+    fn incremental_pricing_pivots_like_a_full_reprice() {
+        let (mut flips, mut cg_pivots) = (0, 0);
+        for (shape_seed, n, m, per_col, sorted, maximize, free, stall_limit, cg_rounds) in SHAPES {
+            let shape = Shape {
+                n,
+                m,
+                per_col,
+                sorted,
+                maximize,
+                free,
+                stall_limit,
+                cg_rounds,
+            };
+            let (mut incremental, mut bland) = (0, 0);
+            for seed in 0..12 {
+                let seed = shape_seed * 1000 + seed;
+                let (got, hooks) = run_shape(seed, &shape, super::TestHooks::default());
+                let full_reprice = super::TestHooks {
+                    full_reprice: true,
+                    ..Default::default()
+                };
+                let (want, full) = run_shape(seed, &shape, full_reprice);
+                assert_eq!(full.incremental_passes, 0);
+                assert_eq!(hooks.moves, full.moves, "shape {shape_seed}, seed {seed}");
+                // Solution, objective and dual bits and pivot counts.
+                assert_eq!(got, want, "shape {shape_seed}, seed {seed}");
+                incremental += hooks.incremental_passes;
+                bland += hooks.bland_passes;
+                flips += hooks
+                    .moves
+                    .iter()
+                    .filter(|(_, leave)| leave.is_none())
+                    .count();
+                cg_pivots += got.iter().skip(1).map(|(_, pivots)| pivots).sum::<u64>();
+            }
+            assert!(
+                incremental > 0,
+                "shape {shape_seed} never skipped a column while pricing"
+            );
+            if stall_limit.is_some() {
+                assert!(bland > 0, "shape {shape_seed} never fell back to Bland");
+            }
+        }
+        assert!(flips > 0, "no bound flip in the corpus");
+        assert!(cg_pivots > 0, "no column-generation re-solve pivoted");
     }
 
     #[test]

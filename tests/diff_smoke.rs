@@ -96,10 +96,9 @@ fn width_vs_width_diff_attributes_at_least_90_percent_of_wall_delta() {
     let report = diff::diff_snapshots(&w1, &w8, None).unwrap();
     // Every span in these snapshots is named, so the attribution rows
     // must cover the wall-clock delta: the attributed span movement is
-    // at least 90% of the wall movement in magnitude. (Parallel regions
-    // graft per-worker chunk time, so attribution can legitimately
-    // exceed 100% of a small wall delta — under-attribution is the
-    // failure mode being pinned.)
+    // at least 90% of the wall movement in magnitude. (The width-8
+    // region's grafted per-worker chunk time can exceed its wall time;
+    // under-attribution of that overlap is the failure mode pinned.)
     let attributed = report.attributed_ns().unsigned_abs();
     let wall = report.wall_delta_ns().unsigned_abs();
     assert!(
