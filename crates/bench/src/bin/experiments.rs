@@ -25,7 +25,21 @@
 
 use jcr_bench::diff::{self, DiffOpts};
 use jcr_bench::exp::{self, ExpConfig};
-use jcr_bench::profile;
+use jcr_bench::{profile, HorizonError};
+use jcr_trace::videos::EVAL_HOURS;
+
+/// Experiments that never read the view trace (fixed or synthetic
+/// instances), so no `--hours` can run them past its horizon.
+const TRACE_FREE: [&str; 8] = [
+    "fig9",
+    "zipf",
+    "topology",
+    "sim",
+    "gap",
+    "table1",
+    "adversary",
+    "chaos",
+];
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -141,6 +155,19 @@ fn main() {
             ids.push("trace".to_string());
         }
         eprintln!("[experiments] JCR_TRACE={path}: tracing to {path}");
+    }
+    // Refuse, before anything runs, an experiment that would read past
+    // the view trace's evaluation horizon (it would panic mid-run).
+    for id in ids.iter().filter(|id| !TRACE_FREE.contains(&id.as_str())) {
+        let hours = cfg.hours_run(id);
+        if hours > EVAL_HOURS {
+            let err = HorizonError {
+                hours,
+                limit: EVAL_HOURS,
+            };
+            eprintln!("error: {id}: {err}");
+            std::process::exit(1);
+        }
     }
     for id in &ids {
         eprintln!(

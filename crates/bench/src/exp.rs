@@ -70,18 +70,20 @@ impl ExpConfig {
     }
 
     /// Evaluation hours per run that experiment `id` simulates, for its
-    /// banner: the horizon of the experiments that set their own, else
-    /// `hours`.
+    /// banner and the trace-horizon check: the horizon of the experiments
+    /// that set their own (one hour for those that solve a single-hour
+    /// snapshot), else `hours`.
     pub fn hours_run(&self, id: &str) -> usize {
         match id {
             "online" | "ablation" | "faults" => self.online_hours(),
             "fig4" => self.fig4_hours(),
+            "cases" | "convergence" | "table3" | "table4" | "trace" => 1,
             _ => self.hours,
         }
     }
 
     /// Applies the base seed to a scenario.
-    fn seeded(&self, mut sc: Scenario) -> Scenario {
+    pub(crate) fn seeded(&self, mut sc: Scenario) -> Scenario {
         sc.seed = sc.seed.wrapping_add(self.seed);
         sc.share_seed = sc.share_seed.wrapping_add(self.seed);
         sc
@@ -341,7 +343,7 @@ fn metrics_header(algos: &[Algo], sweep: &str, with_occupancy: bool) -> Vec<Stri
 
 /// Fig. 4: demand prediction vs ground truth.
 pub fn fig4(cfg: ExpConfig) {
-    let mut sc = Scenario::chunk_default();
+    let mut sc = cfg.seeded(Scenario::chunk_default());
     sc.n_videos = TABLE1.len().min(12);
     sc.hours = cfg.fig4_hours();
     let n_edges = sc.topology().edge_nodes.len();
@@ -602,7 +604,7 @@ struct Fig6Point {
 /// On any error other than [`JcrError::Infeasible`]: a rounding or
 /// precision failure must fail the experiment, not thin out its means.
 fn run_fig6_point(level: Level, fraction: f64, algo: Fig6Algo, cfg: ExpConfig) -> Fig6Point {
-    let sc = fig6_scenario(level, fraction);
+    let sc = cfg.seeded(fig6_scenario(level, fraction));
     let n_edges = sc.topology().edge_nodes.len();
     let mut costs = Vec::new();
     let mut congs = Vec::new();
@@ -667,6 +669,7 @@ fn general_sweep(cfg: ExpConfig, axis: SweepAxis) {
             Level::Chunk { .. } => ("chunk level", Scenario::chunk_default()),
             Level::File => ("file level", Scenario::file_default()),
         };
+        let base = cfg.seeded(base);
         let points: Vec<(String, Scenario)> = match axis {
             SweepAxis::CacheCapacity => {
                 let zetas: &[f64] = match (level, cfg.full) {
@@ -820,7 +823,7 @@ pub fn fig11(cfg: ExpConfig) {
     let mut rows = Vec::new();
     let mut header = Vec::new();
     for &n in counts {
-        let mut sc = Scenario::chunk_default();
+        let mut sc = cfg.seeded(Scenario::chunk_default());
         sc.n_videos = n;
         let algos = general_algos(sc.share_seed);
         let ms = evaluate(&sc, &algos, cfg);
@@ -847,7 +850,7 @@ pub fn fig12(cfg: ExpConfig) {
     let mut rows = Vec::new();
     let mut header = Vec::new();
     for &chunk_mb in sizes {
-        let mut sc = Scenario::chunk_default();
+        let mut sc = cfg.seeded(Scenario::chunk_default());
         sc.n_videos = n_videos;
         sc.level = Level::Chunk { chunk_mb };
         // Keep the same cached bytes: ζ scales with 100/chunk_mb.
@@ -884,7 +887,7 @@ pub fn fig13(cfg: ExpConfig) {
     } else {
         &[0.0, 0.3, 1.0]
     };
-    let sc = Scenario::chunk_default();
+    let sc = cfg.seeded(Scenario::chunk_default());
     let n_edges = sc.topology().edge_nodes.len();
     let algos = general_algos(sc.share_seed);
     let run_ctx = default_factory();
@@ -947,7 +950,7 @@ pub fn fig15(cfg: ExpConfig) {
     let mut rows = Vec::new();
     let mut header = Vec::new();
     for kind in kinds {
-        let mut sc = Scenario::chunk_default();
+        let mut sc = cfg.seeded(Scenario::chunk_default());
         sc.kind = kind;
         if !cfg.full {
             sc.n_videos = 6;
@@ -1010,7 +1013,7 @@ pub fn cases(cfg: ExpConfig) {
     }
     if cfg.full {
         // Full evaluation scale via the column-generation FC-FR solver.
-        let mut sc = Scenario::chunk_default();
+        let mut sc = cfg.seeded(Scenario::chunk_default());
         sc.hours = 1;
         let n_edges = sc.topology().edge_nodes.len();
         let demand = sc.demand(n_edges);
@@ -1107,7 +1110,7 @@ pub fn convergence(cfg: ExpConfig) {
     let mut rows = Vec::new();
     let mut max_iters_seen = 0usize;
     for run in 0..cfg.runs.max(1) {
-        let mut sc = Scenario::chunk_default();
+        let mut sc = cfg.seeded(Scenario::chunk_default());
         sc.share_seed = sc.share_seed.wrapping_add(run as u64 * 1009);
         sc.hours = 1;
         let n_edges = sc.topology().edge_nodes.len();
@@ -1148,7 +1151,7 @@ pub fn convergence(cfg: ExpConfig) {
 /// trace's evaluation horizon; nothing is solved then.
 pub fn online(cfg: ExpConfig) -> Result<(), crate::HorizonError> {
     use jcr_core::online::OnlineSimulator;
-    let mut sc = Scenario::chunk_default();
+    let mut sc = cfg.seeded(Scenario::chunk_default());
     sc.n_videos = if cfg.full { 10 } else { 6 };
     sc.hours = cfg.online_hours();
     sc.check_horizon()?;
@@ -1238,7 +1241,7 @@ pub fn ablation(cfg: ExpConfig) {
         let mut congs = Vec::new();
         let mut iters = Vec::new();
         for run in 0..cfg.runs.max(1) {
-            let mut sc = Scenario::chunk_default();
+            let mut sc = cfg.seeded(Scenario::chunk_default());
             sc.share_seed = sc.share_seed.wrapping_add(run as u64 * 1009);
             sc.hours = 1;
             let n_edges = sc.topology().edge_nodes.len();
@@ -1273,7 +1276,7 @@ pub fn ablation(cfg: ExpConfig) {
     // Warm vs cold online start.
     let mut rows = Vec::new();
     for (label, warm) in [("warm start", true), ("cold start", false)] {
-        let mut sc = Scenario::chunk_default();
+        let mut sc = cfg.seeded(Scenario::chunk_default());
         sc.n_videos = 6;
         sc.hours = cfg.online_hours();
         let n_edges = sc.topology().edge_nodes.len();
@@ -1502,7 +1505,7 @@ pub fn table1(_cfg: ExpConfig) {
 /// Table 2: the qualitative summary, with measured numbers attached.
 pub fn table2(cfg: ExpConfig) {
     // Scenario 1: unlimited links.
-    let mut sc = Scenario::chunk_default();
+    let mut sc = cfg.seeded(Scenario::chunk_default());
     sc.kappa_fraction = None;
     let algos = fig5_algos(sc.level, 10);
     let ms = evaluate(&sc, &algos, cfg);
@@ -1539,7 +1542,7 @@ pub fn table2(cfg: ExpConfig) {
         fmt(rnr.congestion),
     ]);
     // Scenario 3: general case.
-    let sc = Scenario::chunk_default();
+    let sc = cfg.seeded(Scenario::chunk_default());
     let algos = general_algos(sc.share_seed);
     let ms = evaluate(&sc, &algos, cfg);
     for (a, m) in algos.iter().zip(&ms) {
@@ -1581,8 +1584,8 @@ pub fn table4(cfg: ExpConfig) {
 }
 
 fn timing_table(base: Scenario, title: &str, cfg: ExpConfig) {
-    let n_edges = base.topology().edge_nodes.len();
-    let mut sc = base.clone();
+    let mut sc = cfg.seeded(base);
+    let n_edges = sc.topology().edge_nodes.len();
     sc.hours = 1;
     let demand = sc.demand(n_edges);
     let rates = demand.true_rates(0, n_edges);

@@ -269,9 +269,7 @@ pub fn sibling_path(out: &str, ext: &str) -> String {
 /// I/O failures and trace-validation failures (the latter indicate an
 /// exporter bug and fail CI's smoke step).
 pub fn trace_run(cfg: ExpConfig, out: &str) -> Result<(), String> {
-    let mut sc = Scenario::chunk_default();
-    sc.seed = sc.seed.wrapping_add(cfg.seed);
-    sc.share_seed = sc.share_seed.wrapping_add(cfg.seed);
+    let mut sc = cfg.seeded(Scenario::chunk_default());
     sc.hours = 1;
     let n_edges = sc.topology().edge_nodes.len();
     let rates = sc.demand(n_edges).true_rates(0, n_edges);

@@ -34,10 +34,18 @@
 //! 6. [`Rung::CarryForward`] — repair the previous hour's solution
 //!    against the current instance ([`crate::repair`]) and serve from it.
 //!
-//! Every candidate is checked with [`validate_solution`] before it is
-//! served; the rung that produced the served solution is recorded in
-//! [`HourOutcome::rung`] and streamed as a structured `"rung"` event
-//! through the configured [`Probe`].
+//! The ladder is one loop over [`Rung::ALL`]. Each rung only produces a
+//! candidate (or reports why it has none); one shared block then checks
+//! it with [`validate_solution`] (polishing it with one repair pass if
+//! needed), streams the rung's structured `"rung"` event through the
+//! configured [`Probe`], and commits the hour — the one commit site, so
+//! the served rung lands in [`HourOutcome::rung`] the same way for all.
+//! The four solving rungs share one private helper with
+//! [`OnlineSimulator::step`], which runs only the full solve and commits
+//! it ungated: that raw decision is the paper's protocol, which the
+//! bench's `online` and `ablation` experiments report, and gating it
+//! would change their numbers wherever the bicriteria rounding
+//! overloads a link.
 //!
 //! # Crash recovery
 //!
@@ -63,7 +71,7 @@ use crate::alternating::{Alternating, Warm};
 use crate::error::JcrError;
 use crate::instance::Instance;
 use crate::placement::Placement;
-use crate::repair::{repair_solution, RepairStats};
+use crate::repair::{repair_solution_checked, RepairStats};
 use crate::rnr;
 use crate::routing::{Routing, Solution};
 use crate::state::{ColumnRecord, FlowRecord, SolverState};
@@ -112,14 +120,7 @@ impl Rung {
 
     /// Position in [`Rung::ALL`] (for histogram indexing).
     pub fn index(self) -> usize {
-        match self {
-            Rung::Full => 0,
-            Rung::ColdRestore => 1,
-            Rung::Incumbent => 2,
-            Rung::RetryHalved => 3,
-            Rung::RoutingOnly => 4,
-            Rung::CarryForward => 5,
-        }
+        self as usize
     }
 }
 
@@ -192,9 +193,10 @@ pub struct HourOutcome {
     /// Independent certificate of the served solution
     /// ([`certify_solution`](crate::certify::certify_solution); link
     /// capacities recorded but not gated — the rounding is bicriteria).
-    /// Serving is gated on [`validate_solution`] instead, so an outcome
-    /// can carry a non-verified certificate only via the raw
-    /// [`OnlineSimulator::step`] path.
+    /// [`OnlineSimulator::step_anytime`] serves only
+    /// [`validate_solution`]-clean candidates, so a non-verified
+    /// certificate comes only from [`OnlineSimulator::step`], which
+    /// commits the full solve's raw decision ungated.
     pub certificate: jcr_ctx::cert::Certificate,
     /// The decision itself.
     pub solution: Solution,
@@ -209,7 +211,7 @@ pub struct OnlineSimulator {
     pub warm_start: bool,
     previous: Option<Solution>,
     /// Warm-start state of the last committed hour, threaded into the
-    /// next hour's solve ([`Alternating::solve_warm`]): the simplex basis
+    /// next hour's warm-started solve ([`Warm`]): the simplex basis
     /// of its last placement LP and its active CG columns. Best effort: an
     /// hour whose LP shape drifted (topology delta, different segment
     /// structure) falls back to a cold solve on its own, and stale columns
@@ -305,19 +307,9 @@ impl OnlineSimulator {
         decision_inst: &Instance,
         true_rates: &[f64],
     ) -> Result<HourOutcome, JcrError> {
-        let ctx = SolverContext::new();
-        self.offer_oracle(decision_inst, &ctx);
-        let solver = self.hour_solver();
-        let initial = self.initial_placement(decision_inst);
-        let (result, warm) = solver.solve_warm(decision_inst, initial, &self.warm, &ctx)?;
-        Ok(self.commit(
-            decision_inst,
-            true_rates,
-            result.solution,
-            Rung::Full,
-            None,
-            warm,
-        ))
+        let cfg = AnytimeConfig::new();
+        let (solution, warm) = self.solve_rung(Rung::Full, decision_inst, &cfg, Instant::now())?;
+        Ok(self.commit(decision_inst, true_rates, solution, Rung::Full, None, warm))
     }
 
     /// Executes one hour with the fault-tolerant anytime ladder (see the
@@ -351,209 +343,95 @@ impl OnlineSimulator {
                 );
             }
         };
-        let solver = self.hour_solver();
-        let initial = self.initial_placement(decision_inst);
         let mut last_err = JcrError::Infeasible;
-
-        // Rung 1: full re-solve under the hour budget, warm-started from
-        // every piece of carried state.
-        let ctx = rung_context(cfg, cfg.budget);
-        self.offer_oracle(decision_inst, &ctx);
-        let attempt = {
-            let _s = ctx.span("online.rung.full");
-            solver.solve_warm(decision_inst, initial.clone(), &self.warm, &ctx)
-        };
-        let mut full_incumbent = None;
         let mut budget_tripped = false;
-        match attempt {
-            Ok((result, warm)) => {
-                if let Some((solution, repair)) = accept(decision_inst, result.solution) {
-                    emit(Rung::Full, "served", polish_note(&repair));
-                    return Ok(self.commit(
-                        decision_inst,
-                        true_rates,
-                        solution,
-                        Rung::Full,
-                        repair,
-                        warm,
-                    ));
+        let mut full_incumbent: Option<Box<Solution>> = None;
+        for rung in Rung::ALL {
+            // Each rung yields at most one candidate; a failed solve or
+            // repair reports itself and yields none.
+            let offer = match rung {
+                // Retry cold only when the full solve failed *with*
+                // carried state for a reason other than the budget: the
+                // carried state (a restored snapshot component may be
+                // poisoned despite validating) is the suspect, and a
+                // second full solve would waste what is left of the hour.
+                Rung::ColdRestore if budget_tripped || !self.carrying_state() => continue,
+                Rung::Incumbent => {
+                    if full_incumbent.is_none() && budget_tripped {
+                        emit(rung, "failed", "no incumbent to fall back on");
+                    }
+                    full_incumbent.take().map(|s| Offer {
+                        rejected: Some("incumbent failed validation"),
+                        ..Offer::solved(*s, Warm::default())
+                    })
                 }
-                emit(Rung::Full, "failed", "candidate failed validation");
-            }
-            Err(e) => {
-                emit(Rung::Full, "failed", &e.to_string());
-                budget_tripped = matches!(e, JcrError::BudgetExceeded { .. });
-                full_incumbent = e.clone().into_incumbent();
-                last_err = e;
-            }
-        }
-
-        // Rung 2: the full solve failed *with* carried state for a reason
-        // other than the budget — suspect the carried state (a restored
-        // snapshot component may be subtly poisoned despite validating)
-        // and retry once completely cold. Skipped when there was nothing
-        // carried (the solve was already cold) or the budget tripped (a
-        // second full solve would waste what remains of the hour).
-        if !budget_tripped && self.carrying_state() {
-            let budget = remaining_budget(&cfg.budget, started.elapsed());
-            let ctx = rung_context(cfg, budget);
-            let attempt = {
-                let _s = ctx.span("online.rung.cold-restore");
-                solver.solve_warm(
-                    decision_inst,
-                    Placement::empty(decision_inst),
-                    &Warm::default(),
-                    &ctx,
-                )
+                // The previous hour's solution, else an origin-only one,
+                // repaired against this hour's instance. Repair is
+                // budget-free by design: this rung must always answer.
+                Rung::CarryForward => {
+                    let empty = Placement::empty(decision_inst);
+                    let origin_only = rnr::route_to_nearest_replica(decision_inst, &empty);
+                    let origin_only = origin_only.map(|routing| Solution {
+                        placement: empty,
+                        routing,
+                    });
+                    let mut candidates = self.previous.iter().chain(&origin_only);
+                    let repaired = candidates
+                        .find_map(|base| repair_solution_checked(decision_inst, base).ok());
+                    if repaired.is_none() {
+                        emit(rung, "failed", "no repairable candidate");
+                    }
+                    repaired.map(|(solution, stats)| Offer {
+                        repaired: Some(stats),
+                        served: Some(""),
+                        ..Offer::solved(solution, Warm::default())
+                    })
+                }
+                _ => match self.solve_rung(rung, decision_inst, cfg, started) {
+                    Ok((solution, warm)) => Some(Offer::solved(solution, warm)),
+                    Err(e) => {
+                        emit(rung, "failed", &e.to_string());
+                        let incumbent = e.clone().into_incumbent();
+                        last_err = e;
+                        match rung {
+                            Rung::Full => {
+                                budget_tripped =
+                                    matches!(last_err, JcrError::BudgetExceeded { .. });
+                                full_incumbent = incumbent;
+                                None
+                            }
+                            Rung::RetryHalved => incumbent.map(|s| Offer {
+                                served: Some("interrupted retry's incumbent"),
+                                rejected: None,
+                                ..Offer::solved(*s, Warm::default())
+                            }),
+                            _ => None,
+                        }
+                    }
+                },
             };
-            match attempt {
-                Ok((result, warm)) => {
-                    if let Some((solution, repair)) = accept(decision_inst, result.solution) {
-                        emit(Rung::ColdRestore, "served", polish_note(&repair));
-                        return Ok(self.commit(
-                            decision_inst,
-                            true_rates,
-                            solution,
-                            Rung::ColdRestore,
-                            repair,
-                            warm,
-                        ));
-                    }
-                    emit(Rung::ColdRestore, "failed", "candidate failed validation");
+            let Some(offer) = offer else { continue };
+            let accepted = match offer.repaired {
+                Some(stats) => Some((offer.solution, Some(stats))),
+                None => accept(decision_inst, offer.solution),
+            };
+            let Some((solution, repair)) = accepted else {
+                if let Some(detail) = offer.rejected {
+                    emit(rung, "failed", detail);
                 }
-                Err(e) => {
-                    emit(Rung::ColdRestore, "failed", &e.to_string());
-                    last_err = e;
-                }
-            }
+                continue;
+            };
+            let polished = repair.map_or("", |_| "after repair polish");
+            emit(rung, "served", offer.served.unwrap_or(polished));
+            return Ok(self.commit(
+                decision_inst,
+                true_rates,
+                solution,
+                rung,
+                repair,
+                offer.warm,
+            ));
         }
-
-        // Rung 3: the interrupted full solve's validated incumbent.
-        if let Some(incumbent) = full_incumbent {
-            if let Some((solution, repair)) = accept(decision_inst, *incumbent) {
-                emit(Rung::Incumbent, "served", polish_note(&repair));
-                return Ok(self.commit(
-                    decision_inst,
-                    true_rates,
-                    solution,
-                    Rung::Incumbent,
-                    repair,
-                    Warm::default(),
-                ));
-            }
-            emit(Rung::Incumbent, "failed", "incumbent failed validation");
-        } else if budget_tripped {
-            emit(Rung::Incumbent, "failed", "no incumbent to fall back on");
-        }
-
-        // Rung 4: one retry with halved iteration caps, on what remains
-        // of the hour budget.
-        let mut halved = solver.clone();
-        halved.max_iters = (halved.max_iters / 2).max(1);
-        halved.rounding_draws = (halved.rounding_draws / 2).max(1);
-        let budget = halve_caps(remaining_budget(&cfg.budget, started.elapsed()));
-        let ctx = rung_context(cfg, budget);
-        let attempt = {
-            let _s = ctx.span("online.rung.retry-halved");
-            halved.solve_warm(decision_inst, initial.clone(), &self.warm, &ctx)
-        };
-        match attempt {
-            Ok((result, warm)) => {
-                if let Some((solution, repair)) = accept(decision_inst, result.solution) {
-                    emit(Rung::RetryHalved, "served", polish_note(&repair));
-                    return Ok(self.commit(
-                        decision_inst,
-                        true_rates,
-                        solution,
-                        Rung::RetryHalved,
-                        repair,
-                        warm,
-                    ));
-                }
-                emit(Rung::RetryHalved, "failed", "candidate failed validation");
-            }
-            Err(e) => {
-                emit(Rung::RetryHalved, "failed", &e.to_string());
-                if let Some(incumbent) = e.clone().into_incumbent() {
-                    if let Some((solution, repair)) = accept(decision_inst, *incumbent) {
-                        emit(Rung::RetryHalved, "served", "interrupted retry's incumbent");
-                        return Ok(self.commit(
-                            decision_inst,
-                            true_rates,
-                            solution,
-                            Rung::RetryHalved,
-                            repair,
-                            Warm::default(),
-                        ));
-                    }
-                }
-                last_err = e;
-            }
-        }
-
-        // Rung 5: keep the carried placement, only re-route.
-        let budget = remaining_budget(&cfg.budget, started.elapsed());
-        let ctx = rung_context(cfg, budget);
-        let attempt = {
-            let _s = ctx.span("online.rung.routing-only");
-            solver.route_given_placement_with_context(decision_inst, &initial, &ctx)
-        };
-        match attempt {
-            Ok(routing) => {
-                let candidate = Solution {
-                    placement: initial.clone(),
-                    routing,
-                };
-                if let Some((solution, repair)) = accept(decision_inst, candidate) {
-                    emit(Rung::RoutingOnly, "served", polish_note(&repair));
-                    return Ok(self.commit(
-                        decision_inst,
-                        true_rates,
-                        solution,
-                        Rung::RoutingOnly,
-                        repair,
-                        Warm::default(),
-                    ));
-                }
-                emit(Rung::RoutingOnly, "failed", "candidate failed validation");
-            }
-            Err(e) => {
-                emit(Rung::RoutingOnly, "failed", &e.to_string());
-                last_err = e;
-            }
-        }
-
-        // Rung 6: carry the previous hour's solution, repaired against
-        // the current instance. With no previous hour (or when its repair
-        // fails), fall back to an origin-only solution. Repair is
-        // budget-free by design: this rung must always produce an answer.
-        let mut candidates: Vec<Solution> = Vec::new();
-        if let Some(prev) = &self.previous {
-            candidates.push(prev.clone());
-        }
-        if let Some(routing) =
-            rnr::route_to_nearest_replica(decision_inst, &Placement::empty(decision_inst))
-        {
-            candidates.push(Solution {
-                placement: Placement::empty(decision_inst),
-                routing,
-            });
-        }
-        for base in candidates {
-            let (repaired, stats) = repair_solution(decision_inst, &base);
-            if validate_solution(decision_inst, &repaired).is_empty() {
-                emit(Rung::CarryForward, "served", "");
-                return Ok(self.commit(
-                    decision_inst,
-                    true_rates,
-                    repaired,
-                    Rung::CarryForward,
-                    Some(stats),
-                    Warm::default(),
-                ));
-            }
-        }
-        emit(Rung::CarryForward, "failed", "no repairable candidate");
         Err(last_err)
     }
 
@@ -756,6 +634,57 @@ impl OnlineSimulator {
         }
     }
 
+    /// Runs one solving rung — [`Rung::Full`], [`Rung::ColdRestore`],
+    /// [`Rung::RetryHalved`] or [`Rung::RoutingOnly`] — inside its
+    /// `online.rung.<name>` span, returning the candidate and the warm
+    /// state it leaves. The full solve runs under `cfg.budget` and alone
+    /// offers the carried oracle; later rungs get the deadline left since
+    /// `started`, and the retry also halves every iteration cap, its
+    /// solver's alternating iterations and its rounding draws.
+    fn solve_rung(
+        &self,
+        rung: Rung,
+        inst: &Instance,
+        cfg: &AnytimeConfig,
+        started: Instant,
+    ) -> Result<(Solution, Warm), JcrError> {
+        let mut solver = self.hour_solver();
+        let mut budget = cfg.budget;
+        if rung != Rung::Full {
+            budget = remaining_budget(&budget, started.elapsed());
+        }
+        if rung == Rung::RetryHalved {
+            solver.max_iters = (solver.max_iters / 2).max(1);
+            solver.rounding_draws = (solver.rounding_draws / 2).max(1);
+            budget = halve_caps(budget);
+        }
+        let ctx = rung_context(cfg, budget);
+        if rung == Rung::Full {
+            self.offer_oracle(inst, &ctx);
+        }
+        let cold = Warm::default();
+        let (initial, warm) = match rung {
+            Rung::ColdRestore => (Placement::empty(inst), &cold),
+            _ => (self.initial_placement(inst), &self.warm),
+        };
+        let _s = ctx.span(match rung {
+            Rung::Full => "online.rung.full",
+            Rung::ColdRestore => "online.rung.cold-restore",
+            Rung::RetryHalved => "online.rung.retry-halved",
+            _ => "online.rung.routing-only",
+        });
+        if rung == Rung::RoutingOnly {
+            let routing = solver.route_given_placement_with_context(inst, &initial, &ctx)?;
+            let solution = Solution {
+                placement: initial,
+                routing,
+            };
+            return Ok((solution, Warm::default()));
+        }
+        let (result, warm) = solver.solve_warm(inst, initial, warm, &ctx)?;
+        Ok((result.solution, warm))
+    }
+
     /// Commits a served hour: computes the outcome metrics and only then
     /// advances the carried state. All mutation of `self` funnels through
     /// here, so failure paths cannot leave the simulator inconsistent.
@@ -852,6 +781,34 @@ fn decode_routing(
     Some(Routing { per_request: out })
 }
 
+/// One candidate a ladder rung offers for the hour.
+struct Offer {
+    solution: Solution,
+    /// The warm-start state serving it hands to [`OnlineSimulator::commit`].
+    warm: Warm,
+    /// The repair it already went through and passed validation after
+    /// (carry-forward); `None` sends it through [`accept`].
+    repaired: Option<RepairStats>,
+    /// Probe detail when served (`None`: whether [`accept`] polished it).
+    served: Option<&'static str>,
+    /// Probe detail when rejected (`None`: no event).
+    rejected: Option<&'static str>,
+}
+
+impl Offer {
+    /// A solver's candidate, reported as polished or not when served and
+    /// as failing validation when rejected.
+    fn solved(solution: Solution, warm: Warm) -> Self {
+        Offer {
+            solution,
+            warm,
+            repaired: None,
+            served: None,
+            rejected: Some("candidate failed validation"),
+        }
+    }
+}
+
 /// Accepts a rung's candidate if it validates, polishing it with one
 /// repair pass when it does not (the alternating solver's randomized
 /// rounding is bicriteria, so a legitimate solve can overload links
@@ -860,20 +817,8 @@ fn accept(inst: &Instance, solution: Solution) -> Option<(Solution, Option<Repai
     if validate_solution(inst, &solution).is_empty() {
         return Some((solution, None));
     }
-    let (repaired, stats) = repair_solution(inst, &solution);
-    if validate_solution(inst, &repaired).is_empty() {
-        return Some((repaired, Some(stats)));
-    }
-    None
-}
-
-/// Probe detail string for an accepted candidate.
-fn polish_note(repair: &Option<RepairStats>) -> &'static str {
-    if repair.is_some() {
-        "after repair polish"
-    } else {
-        ""
-    }
+    let (repaired, stats) = repair_solution_checked(inst, &solution).ok()?;
+    Some((repaired, Some(stats)))
 }
 
 /// A context for one ladder rung, mirroring into the configured probe.

@@ -17,9 +17,10 @@ use jcr::sim::faults::{FaultConfig, FaultInjector};
 use jcr::topo::{Topology, TopologyKind};
 
 /// Records the `"rung"` events the anytime ladder emits as
-/// `(hour, rung, status)` triples; counters and phase times are ignored.
+/// `(hour, rung, status, detail)` tuples; counters and phase times are
+/// ignored.
 #[derive(Default)]
-struct RungLog(RefCell<Vec<(String, String, String)>>);
+struct RungLog(RefCell<Vec<(String, String, String, String)>>);
 
 impl Probe for RungLog {
     fn count(&self, _counter: Counter, _by: u64) {}
@@ -32,7 +33,12 @@ impl Probe for RungLog {
                 let value = fields.iter().find(|(k, _)| *k == key).map(|(_, v)| *v);
                 value.unwrap_or_default().to_string()
             };
-            let entry = (field("hour"), field("rung"), field("status"));
+            let entry = (
+                field("hour"),
+                field("rung"),
+                field("status"),
+                field("detail"),
+            );
             self.0.borrow_mut().push(entry);
         }
     }
@@ -134,7 +140,10 @@ fn ladder_serves_every_hour_under_heavy_faults() {
     let events = log.0.borrow();
     for (hour, rung) in rungs.iter().enumerate() {
         let want = (hour.to_string(), rung.to_string(), "served".to_string());
-        assert!(events.contains(&want), "missing {want:?} in {events:?}");
+        let found = events
+            .iter()
+            .any(|(h, r, s, _)| (h, r, s) == (&want.0, &want.1, &want.2));
+        assert!(found, "missing {want:?} in {events:?}");
     }
 }
 
@@ -338,3 +347,207 @@ fn repair_survives_node_failure_and_capacity_cut_in_one_hour() {
         .unwrap();
     assert!(validate_solution(&compound, &outcome.solution).is_empty());
 }
+
+/// `base` with every link capacity zeroed: nothing can be routed, so no
+/// rung — carry-forward's repair included — can serve it.
+fn with_all_links_zero(base: &Instance) -> Instance {
+    Instance::new(
+        base.graph.clone(),
+        base.link_cost.clone(),
+        vec![0.0; base.graph.edge_count()],
+        base.cache_cap.clone(),
+        base.item_size.clone(),
+        base.requests.clone(),
+        base.origin,
+    )
+    .unwrap()
+}
+
+/// Steps `sim` through one anytime hour under `budget` and renders what
+/// the ladder did: one line per `"rung"` event (`hour rung status:
+/// detail`), then the outcome (`=> rung repair cost-bits`, the repair as
+/// `evicted/dropped/rerouted/passes`) or the error.
+fn ladder_trace(
+    sim: &mut OnlineSimulator,
+    inst: &Instance,
+    budget: Budget,
+    log: &Rc<RungLog>,
+) -> Vec<String> {
+    let probe: Rc<dyn Probe> = log.clone();
+    let cfg = AnytimeConfig::new().with_budget(budget).with_probe(probe);
+    let result = sim.step_anytime(inst, &truth(inst), &cfg);
+    let mut lines: Vec<String> = log
+        .0
+        .borrow_mut()
+        .drain(..)
+        .map(|(hour, rung, status, detail)| format!("{hour} {rung} {status}: {detail}"))
+        .collect();
+    lines.push(match result {
+        Ok(o) => {
+            let repair = o.repair.map_or("-".to_string(), |r| {
+                format!(
+                    "{}/{}/{}/{}",
+                    r.evicted, r.dropped_flows, r.rerouted, r.passes
+                )
+            });
+            format!("=> {} {repair} {:016x}", o.rung, o.decided_cost.to_bits())
+        }
+        Err(e) => format!("=> error: {e}"),
+    });
+    lines
+}
+
+/// Pins the ladder's whole event stream and every hour's outcome — which
+/// rung served, what repair it took, the decided cost's bits — across the
+/// cases that exercise each rung's irregular reporting: zero-deadline
+/// hours cold and warm, per-phase iteration caps, fault-injected hours at
+/// an unlimited base budget (so every budget trip is deterministic) and
+/// an unservable hour cold and warm. Everything here is independent of
+/// wall time: a zero deadline trips at the first check, and no other
+/// budget has a deadline.
+#[test]
+fn ladder_event_stream_is_pinned() {
+    let log = Rc::new(RungLog::default());
+    let mut got: Vec<String> = Vec::new();
+    let zero = Budget::deadline(Duration::ZERO);
+
+    // Zero-deadline hours: cold (origin-only carry-forward), then warm
+    // around one unlimited hour.
+    let base = base_instance(7);
+    let mut sim = OnlineSimulator::new(Alternating::new());
+    for budget in [zero, Budget::unlimited(), zero] {
+        got.extend(ladder_trace(&mut sim, &base, budget, &log));
+    }
+
+    // Iteration caps on the simplex, the alternating loop and column
+    // generation, warm and cold: the first serves a repair-polished
+    // incumbent, the alternating cap a clean one, and the one-pivot and
+    // one-round caps none at all.
+    let base = base_instance(31);
+    let caps = [
+        (Phase::Simplex, 100),
+        (Phase::Alternating, 1),
+        (Phase::Simplex, 1),
+        (Phase::ColumnGeneration, 1),
+    ];
+    let mut sim = OnlineSimulator::new(Alternating::new());
+    for (phase, cap) in caps {
+        let budget = Budget::unlimited().with_phase_cap(phase, cap);
+        got.extend(ladder_trace(&mut sim, &base, budget, &log));
+    }
+    let mut sim = OnlineSimulator::new(Alternating::new());
+    let budget = Budget::unlimited().with_phase_cap(Phase::ColumnGeneration, 1);
+    got.extend(ladder_trace(&mut sim, &base, budget, &log));
+
+    // Every fault class at rate 0.6 over an unlimited base budget.
+    let base = base_instance(17);
+    let injector = FaultInjector::new(FaultConfig::uniform(99, 0.6));
+    let mut sim = OnlineSimulator::new(Alternating::new());
+    for hour in 0..8 {
+        let faulted = injector.inject(hour, &base, Budget::unlimited());
+        got.extend(ladder_trace(
+            &mut sim,
+            &faulted.instance,
+            faulted.budget,
+            &log,
+        ));
+    }
+
+    // An unservable hour, cold and then warm (with carried state, the
+    // cold-restore rung runs too).
+    let base = base_instance(23);
+    let dead = with_all_links_zero(&base);
+    let mut sim = OnlineSimulator::new(Alternating::new());
+    for inst in [&dead, &base, &dead] {
+        got.extend(ladder_trace(&mut sim, inst, Budget::unlimited(), &log));
+    }
+
+    assert_eq!(got, PINNED_LADDER, "{got:#?}");
+}
+
+/// What [`ladder_event_stream_is_pinned`] must see, line for line.
+const PINNED_LADDER: &[&str] = &[
+    "0 full failed: solver budget exceeded in phase simplex (no incumbent)",
+    "0 incumbent failed: no incumbent to fall back on",
+    "0 retry-halved failed: solver budget exceeded in phase simplex (no incumbent)",
+    "0 routing-only failed: solver budget exceeded in phase simplex (no incumbent)",
+    "0 carry-forward served: ",
+    "=> carry-forward 0/5/5/1 40e44d9576d9129e",
+    "1 full served: ",
+    "=> full - 40cb0ad52ab080ca",
+    "2 full failed: solver budget exceeded in phase simplex (no incumbent)",
+    "2 incumbent failed: no incumbent to fall back on",
+    "2 retry-halved failed: solver budget exceeded in phase simplex (no incumbent)",
+    "2 routing-only failed: solver budget exceeded in phase simplex (no incumbent)",
+    "2 carry-forward served: ",
+    "=> carry-forward 0/0/0/0 40cb0ad52ab080ca",
+    "0 full failed: solver budget exceeded in phase simplex (with incumbent)",
+    "0 incumbent served: after repair polish",
+    "=> incumbent 0/1/1/1 40f0b227ea9775c7",
+    "1 full failed: solver budget exceeded in phase alternating (with incumbent)",
+    "1 incumbent served: ",
+    "=> incumbent - 40cdd83c74f69c68",
+    "2 full failed: solver budget exceeded in phase simplex (no incumbent)",
+    "2 incumbent failed: no incumbent to fall back on",
+    "2 retry-halved failed: solver budget exceeded in phase simplex (no incumbent)",
+    "2 routing-only failed: solver budget exceeded in phase simplex (no incumbent)",
+    "2 carry-forward served: ",
+    "=> carry-forward 0/0/0/0 40cdd83c74f69c68",
+    "3 full failed: solver budget exceeded in phase column-generation (no incumbent)",
+    "3 incumbent failed: no incumbent to fall back on",
+    "3 retry-halved failed: solver budget exceeded in phase column-generation (no incumbent)",
+    "3 routing-only failed: solver budget exceeded in phase column-generation (no incumbent)",
+    "3 carry-forward served: ",
+    "=> carry-forward 0/0/0/0 40cdd83c74f69c68",
+    "0 full failed: solver budget exceeded in phase column-generation (no incumbent)",
+    "0 incumbent failed: no incumbent to fall back on",
+    "0 retry-halved failed: solver budget exceeded in phase column-generation (no incumbent)",
+    "0 routing-only failed: solver budget exceeded in phase column-generation (no incumbent)",
+    "0 carry-forward served: ",
+    "=> carry-forward 0/20/20/1 40f0b6b4e0d3ca62",
+    "0 full served: ",
+    "=> full - 40cda899511d48bd",
+    "1 full failed: solver budget exceeded in phase simplex (no incumbent)",
+    "1 incumbent failed: no incumbent to fall back on",
+    "1 retry-halved failed: solver budget exceeded in phase simplex (no incumbent)",
+    "1 routing-only failed: solver budget exceeded in phase simplex (no incumbent)",
+    "1 carry-forward served: ",
+    "=> carry-forward 0/0/0/0 40cda899511d48bd",
+    "2 full served: after repair polish",
+    "=> full 0/3/3/1 40e3a726c46320e6",
+    "3 full served: ",
+    "=> full - 40cda899511d48bd",
+    "4 full failed: solver budget exceeded in phase simplex (no incumbent)",
+    "4 incumbent failed: no incumbent to fall back on",
+    "4 retry-halved failed: solver budget exceeded in phase simplex (no incumbent)",
+    "4 routing-only failed: solver budget exceeded in phase simplex (no incumbent)",
+    "4 carry-forward served: ",
+    "=> carry-forward 0/0/0/0 40cda899511d48bd",
+    "5 full failed: solver budget exceeded in phase simplex (no incumbent)",
+    "5 incumbent failed: no incumbent to fall back on",
+    "5 retry-halved failed: solver budget exceeded in phase simplex (no incumbent)",
+    "5 routing-only failed: solver budget exceeded in phase simplex (no incumbent)",
+    "5 carry-forward served: ",
+    "=> carry-forward 0/0/0/0 40cda899511d48bd",
+    "6 full served: ",
+    "=> full - 40e09f0c82d8d037",
+    "7 full failed: solver budget exceeded in phase simplex (no incumbent)",
+    "7 incumbent failed: no incumbent to fall back on",
+    "7 retry-halved failed: solver budget exceeded in phase simplex (no incumbent)",
+    "7 routing-only failed: solver budget exceeded in phase simplex (no incumbent)",
+    "7 carry-forward served: ",
+    "=> carry-forward 0/21/21/1 40de541c7835eed9",
+    "0 full failed: no feasible joint caching/routing solution",
+    "0 retry-halved failed: no feasible joint caching/routing solution",
+    "0 routing-only failed: no feasible joint caching/routing solution",
+    "0 carry-forward failed: no repairable candidate",
+    "=> error: no feasible joint caching/routing solution",
+    "0 full served: ",
+    "=> full - 40c4bcd98ab14fe2",
+    "1 full failed: no feasible joint caching/routing solution",
+    "1 cold-restore failed: no feasible joint caching/routing solution",
+    "1 retry-halved failed: no feasible joint caching/routing solution",
+    "1 routing-only failed: no feasible joint caching/routing solution",
+    "1 carry-forward failed: no repairable candidate",
+    "=> error: no feasible joint caching/routing solution",
+];
