@@ -28,19 +28,6 @@ use jcr_bench::exp::{self, ExpConfig};
 use jcr_bench::{profile, HorizonError};
 use jcr_trace::videos::EVAL_HOURS;
 
-/// Experiments that never read the view trace (fixed or synthetic
-/// instances), so no `--hours` can run them past its horizon.
-const TRACE_FREE: [&str; 8] = [
-    "fig9",
-    "zipf",
-    "topology",
-    "sim",
-    "gap",
-    "table1",
-    "adversary",
-    "chaos",
-];
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut cfg = ExpConfig::default();
@@ -157,9 +144,13 @@ fn main() {
         eprintln!("[experiments] JCR_TRACE={path}: tracing to {path}");
     }
     // Refuse, before anything runs, an experiment that would read past
-    // the view trace's evaluation horizon (it would panic mid-run).
-    for id in ids.iter().filter(|id| !TRACE_FREE.contains(&id.as_str())) {
-        let hours = cfg.hours_run(id);
+    // the view trace's evaluation horizon (it would panic mid-run). The
+    // experiments that simulate no hours read no trace, and neither does
+    // chaos, whose hours are synthetic.
+    for id in ids.iter().filter(|id| id.as_str() != "chaos") {
+        let Some(hours) = cfg.hours_run(id) else {
+            continue;
+        };
         if hours > EVAL_HOURS {
             let err = HorizonError {
                 hours,
@@ -170,11 +161,13 @@ fn main() {
         }
     }
     for id in &ids {
+        let hours = cfg
+            .hours_run(id)
+            .map(|h| format!(", hours={h}"))
+            .unwrap_or_default();
         eprintln!(
-            "[experiments] running {id} (runs={}, hours={}, full={})",
-            cfg.runs,
-            cfg.hours_run(id),
-            cfg.full
+            "[experiments] running {id} (runs={}{hours}, full={})",
+            cfg.runs, cfg.full
         );
         match id.as_str() {
             "fig4" => exp::fig4(cfg),

@@ -235,11 +235,7 @@ pub fn chaos(cfg: ExpConfig) -> Result<(), String> {
     if cfg.workers > 0 {
         std::env::set_var("JCR_WORKERS", cfg.workers.to_string());
     }
-    let horizon = if cfg.full {
-        cfg.hours.max(12)
-    } else {
-        cfg.hours.max(6)
-    };
+    let horizon = cfg.chaos_hours();
     let seed = cfg.seed;
     eprintln!(
         "[chaos] horizon {horizon}h, fault rate {FAULT_RATE}, seed {seed} \

@@ -69,16 +69,24 @@ impl ExpConfig {
         }
     }
 
+    /// Hours of the chaos soak: `hours`, but at least six (twelve at
+    /// paper scale).
+    pub(crate) fn chaos_hours(&self) -> usize {
+        self.hours.max(if self.full { 12 } else { 6 })
+    }
+
     /// Evaluation hours per run that experiment `id` simulates, for its
     /// banner and the trace-horizon check: the horizon of the experiments
     /// that set their own (one hour for those that solve a single-hour
-    /// snapshot), else `hours`.
-    pub fn hours_run(&self, id: &str) -> usize {
+    /// snapshot), none for those that simulate no hours, else `hours`.
+    pub fn hours_run(&self, id: &str) -> Option<usize> {
         match id {
-            "online" | "ablation" | "faults" => self.online_hours(),
-            "fig4" => self.fig4_hours(),
-            "cases" | "convergence" | "table3" | "table4" | "trace" => 1,
-            _ => self.hours,
+            "online" | "ablation" | "faults" => Some(self.online_hours()),
+            "fig4" => Some(self.fig4_hours()),
+            "chaos" => Some(self.chaos_hours()),
+            "cases" | "convergence" | "table3" | "table4" | "trace" => Some(1),
+            "fig9" | "zipf" | "topology" | "sim" | "gap" | "table1" | "adversary" => None,
+            _ => Some(self.hours),
         }
     }
 

@@ -3,19 +3,24 @@
 //! (MMUFP) approached with the heuristics the paper evaluates
 //! (LP relaxation + randomized rounding, and greedy sequential routing).
 
+use std::sync::Mutex;
 use std::time::Instant;
 
 use jcr_ctx::rng::Rng;
 use jcr_ctx::{Counter, Phase, SolverContext};
 
 /// `Nanos` histogram of per-round column-generation pricing latency (one
-/// parallel Dijkstra sweep over the commodity sources).
+/// parallel Dijkstra sweep over the commodity sources, or the reuse of
+/// the last sweep's trees).
 pub const PRICING_ROUND_NS: &str = "cg.pricing_round_ns";
 
 /// Named counter: carried seed columns accepted by revalidation.
 pub const SEED_COLUMNS_ACCEPTED: &str = "cg.seed_accepted";
 /// Named counter: carried seed columns rejected by revalidation.
 pub const SEED_COLUMNS_REJECTED: &str = "cg.seed_rejected";
+/// Named counter: pricing rounds whose weights were bit-equal to the last
+/// Dijkstra round's, so its trees were repriced instead of recomputed.
+pub const PRICING_ROUNDS_REUSED: &str = "cg.pricing_rounds_reused";
 
 use jcr_graph::{shortest, DiGraph, EdgeId, NodeId, Path};
 use jcr_lp::{Model, Sense};
@@ -62,6 +67,11 @@ impl McfSolution {
         loads
     }
 }
+
+/// One source's last pricing result: for each of its commodities, in
+/// commodity order, the tree path to the destination and its cost under
+/// the pricing weights (`sp_cost`, `+∞` when unreachable).
+type PricedTree = Vec<(Vec<EdgeId>, f64)>;
 
 /// Solves the minimum-cost multicommodity *splittable* flow problem by
 /// column generation: the master LP selects flow on generated paths
@@ -192,6 +202,17 @@ pub fn min_cost_multicommodity_with_context(
         .map(|&s| by_source[s].iter().map(|&i| commodities[i].dest).collect())
         .collect();
 
+    // Each source's last priced tree and the weights it was priced under.
+    // The buffers are refilled in place every Dijkstra round. Each source
+    // has its own lock only so that a pool worker can fill it; no lock is
+    // ever contended.
+    let mut trees: Vec<Mutex<PricedTree>> = source_list
+        .iter()
+        .map(|&s| Mutex::new(vec![(Vec::new(), f64::INFINITY); by_source[s].len()]))
+        .collect();
+    let mut weights = vec![0.0f64; g.edge_count()];
+    let mut tree_weights = weights.clone();
+
     let max_rounds = 40 * commodities.len() + 2000;
     let mut solution = {
         let _m = ctx.span("cg.master");
@@ -202,61 +223,74 @@ pub fn min_cost_multicommodity_with_context(
     // round budget. Both feed the certificate below.
     let mut lower_bound = f64::NEG_INFINITY;
     let mut converged = false;
-    for _round in 0..max_rounds {
+    for round in 0..max_rounds {
         ctx.check(Phase::ColumnGeneration)?;
         // Pricing: reduced cost of path p for commodity i is
         //   Σ_{e∈p} (w_e − y_e) − σ_i
         // with y_e the (non-positive) capacity duals and σ_i the demand
         // dual, so a Dijkstra under weights w_e − y_e prices all
         // commodities of a common source at once.
-        let mut weights = vec![0.0; g.edge_count()];
         for e in g.edges() {
             let y = cap_row[e.index()]
                 .map(|r| solution.duals[r.index()])
                 .unwrap_or(0.0);
             weights[e.index()] = (cost[e.index()] - y).max(0.0);
         }
-        // Price all sources in parallel (one Dijkstra per source prices
-        // every commodity sharing it), then add the improving columns in
-        // commodity order below so the master LP trajectory — and thus the
-        // solution — is identical for any worker count.
+        // Weights bit-equal to the last Dijkstra round's mean only σ
+        // moved: the deterministic kernel would rebuild the same trees,
+        // so the kept paths and sp_costs are repriced as they are.
+        let reuse = round > 0
+            && weights
+                .iter()
+                .zip(&tree_weights)
+                .all(|(a, b)| a.to_bits() == b.to_bits());
         let round_t0 = Instant::now();
-        type Priced = (Vec<(usize, Path)>, Vec<(usize, f64)>);
-        let priced: Vec<Priced> = {
+        {
             let _p = ctx.span("cg.pricing");
-            jcr_ctx::par::try_par_map_init(
-                ctx,
-                &source_list,
-                || (shortest::DijkstraScratch::new(), Vec::new()),
-                |(scratch, path_buf), wctx, k, &src| {
-                    wctx.check_deadline(Phase::ColumnGeneration)?;
-                    shortest::dijkstra_into_with_context(
-                        g,
-                        NodeId::new(src),
-                        &weights,
-                        &targets[k],
-                        scratch,
-                        wctx,
-                    );
-                    let mut improving = Vec::new();
-                    let mut sp = Vec::new();
-                    for &i in &by_source[src] {
-                        let sigma = solution.duals[demand_rows[i].index()];
-                        if !scratch.path_into(g, commodities[i].dest, path_buf) {
-                            sp.push((i, f64::INFINITY));
-                            continue;
+            if reuse {
+                ctx.obs().add_counter(PRICING_ROUNDS_REUSED, 1);
+                #[cfg(debug_assertions)]
+                check_kept_trees(
+                    g,
+                    &weights,
+                    &source_list,
+                    &by_source,
+                    commodities,
+                    &targets,
+                    &mut trees,
+                );
+            } else {
+                // One Dijkstra per source prices every commodity sharing
+                // it; sources run in parallel, each filling its own tree.
+                jcr_ctx::par::try_par_map_init(
+                    ctx,
+                    &trees,
+                    shortest::DijkstraScratch::new,
+                    |scratch, wctx, k, tree| {
+                        wctx.check_deadline(Phase::ColumnGeneration)?;
+                        let src = source_list[k];
+                        shortest::dijkstra_into_with_context(
+                            g,
+                            NodeId::new(src),
+                            &weights,
+                            &targets[k],
+                            scratch,
+                            wctx,
+                        );
+                        let mut tree = tree.lock().expect("a pricing worker panicked");
+                        for (&i, (path, sp_cost)) in by_source[src].iter().zip(tree.iter_mut()) {
+                            *sp_cost = if scratch.path_into(g, commodities[i].dest, path) {
+                                path.iter().map(|e| weights[e.index()]).sum()
+                            } else {
+                                f64::INFINITY
+                            };
                         }
-                        let sp_cost = path_buf.iter().map(|e| weights[e.index()]).sum::<f64>();
-                        sp.push((i, sp_cost));
-                        let reduced = sp_cost - sigma;
-                        if reduced < -1e-7 * (1.0 + sigma.abs()) {
-                            improving.push((i, Path::new(path_buf.clone())));
-                        }
-                    }
-                    Ok::<_, FlowError>((improving, sp))
-                },
-            )?
-        };
+                        Ok::<_, FlowError>(())
+                    },
+                )?;
+                tree_weights.copy_from_slice(&weights);
+            }
+        }
         ctx.metric_nanos(
             PRICING_ROUND_NS,
             round_t0.elapsed().as_nanos().min(u64::MAX as u128) as u64,
@@ -267,40 +301,48 @@ pub fn min_cost_multicommodity_with_context(
         //   L(ŷ) = Σ_e ŷ_e·cap_e + Σ_k d_k·sp_k ≤ OPT.
         // The pricing weights clamp `cost − y` at 0, which can only
         // *shrink* sp_k relative to `cost − ŷ`, keeping the bound valid.
-        {
-            let mut bound = jcr_ctx::cert::Kahan::new();
-            let mut all_reachable = true;
-            for e in g.edges() {
-                if let Some(r) = cap_row[e.index()] {
-                    bound.add_prod(solution.duals[r.index()].min(0.0), cap[e.index()]);
-                }
-            }
-            for (i, sp_cost) in priced.iter().flat_map(|(_, sp)| sp) {
-                if sp_cost.is_finite() {
-                    bound.add_prod(commodities[*i].demand, *sp_cost);
-                } else {
-                    all_reachable = false;
-                }
-            }
-            if all_reachable {
-                lower_bound = lower_bound.max(bound.total());
+        let mut bound = jcr_ctx::cert::Kahan::new();
+        let mut all_reachable = true;
+        for e in g.edges() {
+            if let Some(r) = cap_row[e.index()] {
+                bound.add_prod(solution.duals[r.index()].min(0.0), cap[e.index()]);
             }
         }
+        // Walk the trees in source order, then commodity order within a
+        // source, adding the improving columns as they come, so the master
+        // LP trajectory — and thus the solution — is identical for any
+        // worker count.
         let mut added = false;
-        for (i, path) in priced.into_iter().flat_map(|(imp, _)| imp) {
-            // Column: 1 on the demand row, 1 per capacitated edge (paths
-            // are simple, so each edge appears once).
-            let mut column = vec![(demand_rows[i], 1.0)];
-            for e in path.edges() {
-                if let Some(r) = cap_row[e.index()] {
-                    column.push((r, 1.0));
+        for (&s, tree) in source_list.iter().zip(&mut trees) {
+            let tree = tree.get_mut().expect("a pricing worker panicked");
+            for (&i, (path, sp_cost)) in by_source[s].iter().zip(tree.iter()) {
+                if !sp_cost.is_finite() {
+                    all_reachable = false;
+                    continue;
+                }
+                bound.add_prod(commodities[i].demand, *sp_cost);
+                let sigma = solution.duals[demand_rows[i].index()];
+                let reduced = sp_cost - sigma;
+                if reduced < -1e-7 * (1.0 + sigma.abs()) {
+                    let path = Path::new(path.clone());
+                    // Column: 1 on the demand row, 1 per capacitated edge
+                    // (paths are simple, so each edge appears once).
+                    let mut column = vec![(demand_rows[i], 1.0)];
+                    for e in path.edges() {
+                        if let Some(r) = cap_row[e.index()] {
+                            column.push((r, 1.0));
+                        }
+                    }
+                    let obj = path.cost(cost);
+                    solver.add_column(0.0, f64::INFINITY, obj, &column);
+                    ctx.count(Counter::CgColumns, 1);
+                    col_paths.push((i, path));
+                    added = true;
                 }
             }
-            let obj = path.cost(cost);
-            solver.add_column(0.0, f64::INFINITY, obj, &column);
-            ctx.count(Counter::CgColumns, 1);
-            col_paths.push((i, path));
-            added = true;
+        }
+        if all_reachable {
+            lower_bound = lower_bound.max(bound.total());
         }
         if !added {
             converged = true;
@@ -437,6 +479,47 @@ fn path_nodes(g: &DiGraph, source: NodeId, path: &Path) -> Vec<NodeId> {
         nodes.push(g.dst(e));
     }
     nodes
+}
+
+/// Debug cross-check of a reused pricing round: re-runs every source's
+/// targeted Dijkstra under `weights` (uncounted) and asserts that each
+/// kept path and sp_cost is bit-equal to the fresh one.
+#[cfg(debug_assertions)]
+fn check_kept_trees(
+    g: &DiGraph,
+    weights: &[f64],
+    source_list: &[usize],
+    by_source: &[Vec<usize>],
+    commodities: &[Commodity],
+    targets: &[Vec<NodeId>],
+    trees: &mut [Mutex<PricedTree>],
+) {
+    let mut scratch = shortest::DijkstraScratch::new();
+    let mut fresh = Vec::new();
+    for (k, (&s, tree)) in source_list.iter().zip(trees).enumerate() {
+        shortest::dijkstra_filtered_into(
+            g,
+            NodeId::new(s),
+            weights,
+            |_| true,
+            &targets[k],
+            &mut scratch,
+        );
+        let tree = tree.get_mut().expect("a pricing worker panicked");
+        for (&i, (path, sp_cost)) in by_source[s].iter().zip(tree.iter()) {
+            let fresh_cost = if scratch.path_into(g, commodities[i].dest, &mut fresh) {
+                fresh.iter().map(|e| weights[e.index()]).sum()
+            } else {
+                f64::INFINITY
+            };
+            assert_eq!(path, &fresh, "kept pricing path of commodity {i} is stale");
+            assert_eq!(
+                sp_cost.to_bits(),
+                fresh_cost.to_bits(),
+                "kept sp_cost of commodity {i} is stale: {sp_cost:e} vs {fresh_cost:e}"
+            );
+        }
+    }
 }
 
 /// Independently verifies a path-decomposed multicommodity flow: path
@@ -800,24 +883,38 @@ mod tests {
         (g, cost, cap, commodities)
     }
 
+    /// [`stress_gx`] with every link uncapacitated: the master has no
+    /// capacity rows, so the pricing weights never change.
+    fn uncapacitated_stress_gx() -> (DiGraph, Vec<f64>, Vec<f64>, Vec<Commodity>) {
+        let (g, cost, cap, commodities) = stress_gx();
+        (g, cost, vec![f64::INFINITY; cap.len()], commodities)
+    }
+
     /// Column generation's answers and work, pinned to values recorded
     /// with the full-tree pricing kernel: targeted pricing runs must find
-    /// the same columns in the same rounds.
+    /// the same columns in the same rounds. Rounds whose weights repeat
+    /// reuse the last trees, which moves only the Dijkstra count.
     #[test]
     fn pricing_answers_and_work_are_pinned() {
-        type Pin = (u64, u64, u64, u64, &'static [&'static [u32]]);
+        // (cost bits, lower bound bits, simplex pivots, Dijkstra calls,
+        // CG columns, reused pricing rounds, paths)
+        type Pin = (u64, u64, u64, u64, u64, u64, &'static [&'static [u32]]);
         let bottleneck: Pin = (
             0x4020000000000000,
             0x4020000000000000,
+            5,
             6,
             4,
+            0,
             &[&[0, 2], &[3], &[1, 2]],
         );
         let stress: Pin = (
             0x4077470d804961df,
             0x4077470d804961e0,
+            67,
             30,
             49,
+            0,
             &[
                 &[20002, 15051, 17696, 2833, 6828, 12688],
                 &[20012, 910, 19454, 11456, 18415, 8734],
@@ -855,9 +952,50 @@ mod tests {
                 &[20004, 9057, 676, 354, 219, 18757],
             ],
         );
+        // Six sources priced once: the second and last round reuses their
+        // trees (a fresh run there cost 12 Dijkstra calls).
+        let uncapacitated: Pin = (
+            0x40761cfd1223eeee,
+            0x40761cfd1223eeee,
+            48,
+            6,
+            24,
+            1,
+            &[
+                &[20001, 1472, 10536, 1541, 9311, 6828, 12688],
+                &[20012, 910, 19454, 11456, 18415, 8734],
+                &[20017, 13396, 6835, 17119, 807, 13037],
+                &[20008, 12541, 7216],
+                &[20004, 4805, 13548, 6079, 4001, 14105, 6114],
+                &[20001, 1472, 17936, 9880, 19786],
+                &[20004, 4805, 18829, 16076, 15485, 16927],
+                &[20014, 18756, 17264, 5113, 17974],
+                &[20020, 9045, 5982, 17863, 17825, 11038],
+                &[20020, 9045, 14470],
+                &[20018],
+                &[20017, 1148, 13736, 15626, 2469],
+                &[20012, 12663, 14118, 17569, 16148],
+                &[20020, 9045, 743, 6772, 3734],
+                &[20020, 9045, 5982, 14946, 5064, 6122],
+                &[20021],
+                &[20004, 4805, 9904, 9978, 577, 12236, 10234, 7636],
+                &[20004, 4805, 4954, 13831, 12044, 12959, 9992],
+                &[20012, 910, 1123, 18601, 15702],
+                &[20013, 15425, 17977, 29, 16396, 15391, 9303, 7452],
+                &[20004, 4805, 4429, 13666, 2973],
+                &[20002, 18685, 6167, 5576, 16896],
+                &[20014, 17672, 17071, 6134, 13893, 10780],
+                &[20004, 4805, 7231, 3519, 3251, 219, 18757],
+            ],
+        );
         for (name, (g, cost, cap, commodities), pin) in [
             ("bottleneck", bottleneck_instance(), bottleneck),
             ("stress G^x", stress_gx(), stress),
+            (
+                "uncapacitated stress G^x",
+                uncapacitated_stress_gx(),
+                uncapacitated,
+            ),
         ] {
             let ctx = SolverContext::new();
             let (sol, _) =
@@ -870,9 +1008,19 @@ mod tests {
                 .map(|f| f.path.edges().iter().map(|e| e.index() as u32).collect())
                 .collect();
             let stats = ctx.stats();
-            let (cost_bits, bound_bits, dijkstra_calls, cg_columns, pinned_paths) = pin;
+            let reused = ctx
+                .obs()
+                .snapshot()
+                .counters
+                .get(PRICING_ROUNDS_REUSED)
+                .copied();
+            let (cost_bits, bound_bits, pivots, dijkstra_calls, cg_columns, reuses, pinned_paths) =
+                pin;
             assert_eq!(sol.cost.to_bits(), cost_bits, "{name}: cost");
             assert_eq!(sol.lower_bound.to_bits(), bound_bits, "{name}: lower bound");
+            assert_eq!(stats.simplex_pivots, pivots, "{name}: simplex pivots");
+            assert_eq!(stats.refactorizations, 0, "{name}: refactorizations");
+            assert_eq!(reused.unwrap_or(0), reuses, "{name}: reused pricing rounds");
             assert_eq!(
                 stats.dijkstra_calls, dijkstra_calls,
                 "{name}: Dijkstra calls"
