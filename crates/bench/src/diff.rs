@@ -91,11 +91,6 @@ impl SpanDelta {
         self.self_b_ns - self.self_a_ns
     }
 
-    /// Signed total-time delta, B − A.
-    pub fn total_delta_ns(&self) -> i128 {
-        self.total_b_ns as i128 - self.total_a_ns as i128
-    }
-
     fn is_zero(&self) -> bool {
         self.count_a == self.count_b
             && self.total_a_ns == self.total_b_ns

@@ -301,7 +301,6 @@ enum DemandSpec {
 enum CapacitySpec {
     Unlimited,
     Fraction(f64),
-    Uniform(f64),
 }
 
 impl InstanceBuilder {
@@ -374,13 +373,6 @@ impl InstanceBuilder {
         self
     }
 
-    /// Uniform link capacity κ in absolute units, plus the feasibility
-    /// augmentation.
-    pub fn link_capacity(mut self, kappa: f64) -> Self {
-        self.capacity = CapacitySpec::Uniform(kappa);
-        self
-    }
-
     /// Builds the instance.
     ///
     /// # Errors
@@ -434,11 +426,6 @@ impl InstanceBuilder {
             CapacitySpec::Fraction(fr) => {
                 let total: f64 = per_edge_total.iter().sum();
                 topo.set_uniform_capacity(fr * total);
-                topo.augment_origin_paths(&per_edge_total)
-                    .map_err(|e| JcrError::InvalidInstance(e.to_string()))?;
-            }
-            CapacitySpec::Uniform(kappa) => {
-                topo.set_uniform_capacity(kappa);
                 topo.augment_origin_paths(&per_edge_total)
                     .map_err(|e| JcrError::InvalidInstance(e.to_string()))?;
             }

@@ -27,11 +27,9 @@
 //!    snapshot component must degrade to cold, never wedge the hour);
 //! 3. [`Rung::Incumbent`] — on [`JcrError::BudgetExceeded`], the
 //!    validated best incumbent the interrupted solve produced;
-//! 4. [`Rung::RetryHalved`] — one retry with halved iteration caps under
-//!    the remaining budget;
-//! 5. [`Rung::RoutingOnly`] — re-route over the carried placement without
-//!    touching the caches;
-//! 6. [`Rung::CarryForward`] — repair the previous hour's solution
+//! 4. [`Rung::RoutingOnly`] — re-route over the carried placement without
+//!    touching the caches, under the deadline left;
+//! 5. [`Rung::CarryForward`] — repair the previous hour's solution
 //!    against the current instance ([`crate::repair`]) and serve from it.
 //!
 //! The ladder is one loop over [`Rung::ALL`]. Each rung only produces a
@@ -40,7 +38,7 @@
 //! needed), streams the rung's structured `"rung"` event through the
 //! configured [`Probe`], and commits the hour — the one commit site, so
 //! the served rung lands in [`HourOutcome::rung`] the same way for all.
-//! The four solving rungs share one private helper with
+//! The three solving rungs share one private helper with
 //! [`OnlineSimulator::step`], which runs only the full solve and commits
 //! it ungated: that raw decision is the paper's protocol, which the
 //! bench's `online` and `ablation` experiments report, and gating it
@@ -64,7 +62,7 @@ use std::fmt;
 use std::rc::Rc;
 use std::time::{Duration, Instant};
 
-use jcr_ctx::{Budget, Phase, Probe, SolverContext};
+use jcr_ctx::{Budget, Probe, SolverContext};
 use jcr_graph::{DistanceOracle, EdgeId, NodeId, Path};
 
 use crate::alternating::{Alternating, Warm};
@@ -87,8 +85,6 @@ pub enum Rung {
     ColdRestore,
     /// Budget tripped; the interrupted solve's best incumbent served.
     Incumbent,
-    /// A retry with halved iteration caps served.
-    RetryHalved,
     /// Routing-only re-solve over the carried placement served.
     RoutingOnly,
     /// The previous hour's solution served after repair.
@@ -97,11 +93,10 @@ pub enum Rung {
 
 impl Rung {
     /// All rungs, in ladder order.
-    pub const ALL: [Rung; 6] = [
+    pub const ALL: [Rung; 5] = [
         Rung::Full,
         Rung::ColdRestore,
         Rung::Incumbent,
-        Rung::RetryHalved,
         Rung::RoutingOnly,
         Rung::CarryForward,
     ];
@@ -112,7 +107,6 @@ impl Rung {
             Rung::Full => "full",
             Rung::ColdRestore => "cold-restore",
             Rung::Incumbent => "incumbent",
-            Rung::RetryHalved => "retry-halved",
             Rung::RoutingOnly => "routing-only",
             Rung::CarryForward => "carry-forward",
         }
@@ -360,10 +354,9 @@ impl OnlineSimulator {
                     if full_incumbent.is_none() && budget_tripped {
                         emit(rung, "failed", "no incumbent to fall back on");
                     }
-                    full_incumbent.take().map(|s| Offer {
-                        rejected: Some("incumbent failed validation"),
-                        ..Offer::solved(*s, Warm::default())
-                    })
+                    full_incumbent
+                        .take()
+                        .map(|s| Offer::solved(*s, Warm::default()))
                 }
                 // The previous hour's solution, else an origin-only one,
                 // repaired against this hour's instance. Repair is
@@ -383,7 +376,6 @@ impl OnlineSimulator {
                     }
                     repaired.map(|(solution, stats)| Offer {
                         repaired: Some(stats),
-                        served: Some(""),
                         ..Offer::solved(solution, Warm::default())
                     })
                 }
@@ -391,22 +383,12 @@ impl OnlineSimulator {
                     Ok((solution, warm)) => Some(Offer::solved(solution, warm)),
                     Err(e) => {
                         emit(rung, "failed", &e.to_string());
-                        let incumbent = e.clone().into_incumbent();
-                        last_err = e;
-                        match rung {
-                            Rung::Full => {
-                                budget_tripped =
-                                    matches!(last_err, JcrError::BudgetExceeded { .. });
-                                full_incumbent = incumbent;
-                                None
-                            }
-                            Rung::RetryHalved => incumbent.map(|s| Offer {
-                                served: Some("interrupted retry's incumbent"),
-                                rejected: None,
-                                ..Offer::solved(*s, Warm::default())
-                            }),
-                            _ => None,
+                        if rung == Rung::Full {
+                            budget_tripped = matches!(e, JcrError::BudgetExceeded { .. });
+                            full_incumbent = e.clone().into_incumbent();
                         }
+                        last_err = e;
+                        None
                     }
                 },
             };
@@ -416,13 +398,20 @@ impl OnlineSimulator {
                 None => accept(decision_inst, offer.solution),
             };
             let Some((solution, repair)) = accepted else {
-                if let Some(detail) = offer.rejected {
-                    emit(rung, "failed", detail);
-                }
+                let detail = match rung {
+                    Rung::Incumbent => "incumbent failed validation",
+                    _ => "candidate failed validation",
+                };
+                emit(rung, "failed", detail);
                 continue;
             };
-            let polished = repair.map_or("", |_| "after repair polish");
-            emit(rung, "served", offer.served.unwrap_or(polished));
+            // Carry-forward always repairs; only a polish on a solved
+            // candidate is worth reporting.
+            let detail = match repair {
+                Some(_) if rung != Rung::CarryForward => "after repair polish",
+                _ => "",
+            };
+            emit(rung, "served", detail);
             return Ok(self.commit(
                 decision_inst,
                 true_rates,
@@ -634,13 +623,11 @@ impl OnlineSimulator {
         }
     }
 
-    /// Runs one solving rung — [`Rung::Full`], [`Rung::ColdRestore`],
-    /// [`Rung::RetryHalved`] or [`Rung::RoutingOnly`] — inside its
-    /// `online.rung.<name>` span, returning the candidate and the warm
-    /// state it leaves. The full solve runs under `cfg.budget` and alone
-    /// offers the carried oracle; later rungs get the deadline left since
-    /// `started`, and the retry also halves every iteration cap, its
-    /// solver's alternating iterations and its rounding draws.
+    /// Runs one solving rung — [`Rung::Full`], [`Rung::ColdRestore`] or
+    /// [`Rung::RoutingOnly`] — inside its `online.rung.<name>` span,
+    /// returning the candidate and the warm state it leaves. The full
+    /// solve runs under `cfg.budget` and alone offers the carried oracle;
+    /// later rungs get the deadline left since `started`.
     fn solve_rung(
         &self,
         rung: Rung,
@@ -648,16 +635,11 @@ impl OnlineSimulator {
         cfg: &AnytimeConfig,
         started: Instant,
     ) -> Result<(Solution, Warm), JcrError> {
-        let mut solver = self.hour_solver();
-        let mut budget = cfg.budget;
-        if rung != Rung::Full {
-            budget = remaining_budget(&budget, started.elapsed());
-        }
-        if rung == Rung::RetryHalved {
-            solver.max_iters = (solver.max_iters / 2).max(1);
-            solver.rounding_draws = (solver.rounding_draws / 2).max(1);
-            budget = halve_caps(budget);
-        }
+        let solver = self.hour_solver();
+        let budget = match rung {
+            Rung::Full => cfg.budget,
+            _ => remaining_budget(&cfg.budget, started.elapsed()),
+        };
         let ctx = rung_context(cfg, budget);
         if rung == Rung::Full {
             self.offer_oracle(inst, &ctx);
@@ -670,7 +652,6 @@ impl OnlineSimulator {
         let _s = ctx.span(match rung {
             Rung::Full => "online.rung.full",
             Rung::ColdRestore => "online.rung.cold-restore",
-            Rung::RetryHalved => "online.rung.retry-halved",
             _ => "online.rung.routing-only",
         });
         if rung == Rung::RoutingOnly {
@@ -789,22 +770,15 @@ struct Offer {
     /// The repair it already went through and passed validation after
     /// (carry-forward); `None` sends it through [`accept`].
     repaired: Option<RepairStats>,
-    /// Probe detail when served (`None`: whether [`accept`] polished it).
-    served: Option<&'static str>,
-    /// Probe detail when rejected (`None`: no event).
-    rejected: Option<&'static str>,
 }
 
 impl Offer {
-    /// A solver's candidate, reported as polished or not when served and
-    /// as failing validation when rejected.
+    /// A solver's candidate, still to go through [`accept`].
     fn solved(solution: Solution, warm: Warm) -> Self {
         Offer {
             solution,
             warm,
             repaired: None,
-            served: None,
-            rejected: Some("candidate failed validation"),
         }
     }
 }
@@ -837,17 +811,6 @@ fn remaining_budget(budget: &Budget, elapsed: Duration) -> Budget {
         Some(limit) => budget.with_deadline(limit.saturating_sub(elapsed)),
         None => *budget,
     }
-}
-
-/// `budget` with every phase iteration cap halved (minimum 1).
-fn halve_caps(budget: Budget) -> Budget {
-    let mut out = budget;
-    for phase in Phase::ALL {
-        if let Some(cap) = budget.phase_cap(phase) {
-            out = out.with_phase_cap(phase, (cap / 2).max(1));
-        }
-    }
-    out
 }
 
 /// Symmetric-difference size between two placements.
@@ -1035,7 +998,7 @@ mod tests {
 
     #[test]
     fn ladder_metadata_is_consistent() {
-        assert_eq!(Rung::ALL.len(), 6);
+        assert_eq!(Rung::ALL.len(), 5);
         for (i, rung) in Rung::ALL.iter().enumerate() {
             assert_eq!(rung.index(), i);
             assert!(!rung.name().is_empty());

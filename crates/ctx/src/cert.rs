@@ -79,15 +79,6 @@ impl Kahan {
     }
 }
 
-/// Compensated sum of a slice.
-pub fn comp_sum(xs: &[f64]) -> f64 {
-    let mut k = Kahan::new();
-    for &x in xs {
-        k.add(x);
-    }
-    k.total()
-}
-
 /// Compensated dot product `Σ a_i·b_i`.
 pub fn comp_dot(a: &[f64], b: &[f64]) -> f64 {
     debug_assert_eq!(a.len(), b.len());

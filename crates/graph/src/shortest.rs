@@ -48,11 +48,6 @@ impl ShortestPathTree {
         &self.dist
     }
 
-    /// Consumes the tree, returning the distance vector without copying.
-    pub fn into_dists(self) -> Vec<f64> {
-        self.dist
-    }
-
     /// Whether `v` is reachable from the source.
     pub fn is_reachable(&self, v: NodeId) -> bool {
         self.dist[v.index()].is_finite()

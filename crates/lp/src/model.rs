@@ -179,17 +179,6 @@ impl Model {
         self.obj[var.0] = obj;
     }
 
-    /// Changes the bounds of a variable.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lower > upper`.
-    pub fn set_var_bounds(&mut self, var: VarId, lower: f64, upper: f64) {
-        assert!(lower <= upper, "variable lower bound exceeds upper bound");
-        self.lower[var.0] = lower;
-        self.upper[var.0] = upper;
-    }
-
     /// Iterator over the sparse columns (row index, coefficient), one per
     /// variable in id order.
     pub fn columns(&self) -> impl Iterator<Item = &[(usize, f64)]> {

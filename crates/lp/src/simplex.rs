@@ -197,21 +197,6 @@ impl Solution {
     pub fn reduced_cost(&self, obj: f64, column: &[(usize, f64)]) -> f64 {
         obj - column.iter().map(|&(r, a)| self.duals[r] * a).sum::<f64>()
     }
-
-    /// Row activities `A·x` of this solution under the given model — the
-    /// left-hand side each ranged row sees, for slack inspection.
-    pub fn row_activity(&self, model: &crate::Model) -> Vec<f64> {
-        let mut activity = vec![0.0; model.num_rows()];
-        for (j, col) in model.columns().enumerate() {
-            let xj = self.x[j];
-            if xj != 0.0 {
-                for &(r, a) in col {
-                    activity[r] += a * xj;
-                }
-            }
-        }
-        activity
-    }
 }
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

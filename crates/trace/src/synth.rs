@@ -90,12 +90,6 @@ impl ViewTrace {
     pub fn history_until(&self, vi: usize, h: usize) -> &[f64] {
         &self.views[vi][..self.train_hours + h]
     }
-
-    /// Hourly views of video `vi` averaged over the evaluation window.
-    pub fn mean_eval_views(&self, vi: usize) -> f64 {
-        let s: f64 = self.views[vi][self.train_hours..].iter().sum();
-        s / self.eval_hours as f64
-    }
 }
 
 impl ViewTrace {

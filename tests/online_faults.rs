@@ -469,7 +469,6 @@ fn ladder_event_stream_is_pinned() {
 const PINNED_LADDER: &[&str] = &[
     "0 full failed: solver budget exceeded in phase simplex (no incumbent)",
     "0 incumbent failed: no incumbent to fall back on",
-    "0 retry-halved failed: solver budget exceeded in phase simplex (no incumbent)",
     "0 routing-only failed: solver budget exceeded in phase simplex (no incumbent)",
     "0 carry-forward served: ",
     "=> carry-forward 0/5/5/1 40e44d9576d9129e",
@@ -477,7 +476,6 @@ const PINNED_LADDER: &[&str] = &[
     "=> full - 40cb0ad52ab080ca",
     "2 full failed: solver budget exceeded in phase simplex (no incumbent)",
     "2 incumbent failed: no incumbent to fall back on",
-    "2 retry-halved failed: solver budget exceeded in phase simplex (no incumbent)",
     "2 routing-only failed: solver budget exceeded in phase simplex (no incumbent)",
     "2 carry-forward served: ",
     "=> carry-forward 0/0/0/0 40cb0ad52ab080ca",
@@ -489,19 +487,16 @@ const PINNED_LADDER: &[&str] = &[
     "=> incumbent - 40cdd83c74f69c68",
     "2 full failed: solver budget exceeded in phase simplex (no incumbent)",
     "2 incumbent failed: no incumbent to fall back on",
-    "2 retry-halved failed: solver budget exceeded in phase simplex (no incumbent)",
     "2 routing-only failed: solver budget exceeded in phase simplex (no incumbent)",
     "2 carry-forward served: ",
     "=> carry-forward 0/0/0/0 40cdd83c74f69c68",
     "3 full failed: solver budget exceeded in phase column-generation (no incumbent)",
     "3 incumbent failed: no incumbent to fall back on",
-    "3 retry-halved failed: solver budget exceeded in phase column-generation (no incumbent)",
     "3 routing-only failed: solver budget exceeded in phase column-generation (no incumbent)",
     "3 carry-forward served: ",
     "=> carry-forward 0/0/0/0 40cdd83c74f69c68",
     "0 full failed: solver budget exceeded in phase column-generation (no incumbent)",
     "0 incumbent failed: no incumbent to fall back on",
-    "0 retry-halved failed: solver budget exceeded in phase column-generation (no incumbent)",
     "0 routing-only failed: solver budget exceeded in phase column-generation (no incumbent)",
     "0 carry-forward served: ",
     "=> carry-forward 0/20/20/1 40f0b6b4e0d3ca62",
@@ -509,7 +504,6 @@ const PINNED_LADDER: &[&str] = &[
     "=> full - 40cda899511d48bd",
     "1 full failed: solver budget exceeded in phase simplex (no incumbent)",
     "1 incumbent failed: no incumbent to fall back on",
-    "1 retry-halved failed: solver budget exceeded in phase simplex (no incumbent)",
     "1 routing-only failed: solver budget exceeded in phase simplex (no incumbent)",
     "1 carry-forward served: ",
     "=> carry-forward 0/0/0/0 40cda899511d48bd",
@@ -519,13 +513,11 @@ const PINNED_LADDER: &[&str] = &[
     "=> full - 40cda899511d48bd",
     "4 full failed: solver budget exceeded in phase simplex (no incumbent)",
     "4 incumbent failed: no incumbent to fall back on",
-    "4 retry-halved failed: solver budget exceeded in phase simplex (no incumbent)",
     "4 routing-only failed: solver budget exceeded in phase simplex (no incumbent)",
     "4 carry-forward served: ",
     "=> carry-forward 0/0/0/0 40cda899511d48bd",
     "5 full failed: solver budget exceeded in phase simplex (no incumbent)",
     "5 incumbent failed: no incumbent to fall back on",
-    "5 retry-halved failed: solver budget exceeded in phase simplex (no incumbent)",
     "5 routing-only failed: solver budget exceeded in phase simplex (no incumbent)",
     "5 carry-forward served: ",
     "=> carry-forward 0/0/0/0 40cda899511d48bd",
@@ -533,12 +525,10 @@ const PINNED_LADDER: &[&str] = &[
     "=> full - 40e09f0c82d8d037",
     "7 full failed: solver budget exceeded in phase simplex (no incumbent)",
     "7 incumbent failed: no incumbent to fall back on",
-    "7 retry-halved failed: solver budget exceeded in phase simplex (no incumbent)",
     "7 routing-only failed: solver budget exceeded in phase simplex (no incumbent)",
     "7 carry-forward served: ",
     "=> carry-forward 0/21/21/1 40de541c7835eed9",
     "0 full failed: no feasible joint caching/routing solution",
-    "0 retry-halved failed: no feasible joint caching/routing solution",
     "0 routing-only failed: no feasible joint caching/routing solution",
     "0 carry-forward failed: no repairable candidate",
     "=> error: no feasible joint caching/routing solution",
@@ -546,7 +536,6 @@ const PINNED_LADDER: &[&str] = &[
     "=> full - 40c4bcd98ab14fe2",
     "1 full failed: no feasible joint caching/routing solution",
     "1 cold-restore failed: no feasible joint caching/routing solution",
-    "1 retry-halved failed: no feasible joint caching/routing solution",
     "1 routing-only failed: no feasible joint caching/routing solution",
     "1 carry-forward failed: no repairable candidate",
     "=> error: no feasible joint caching/routing solution",
