@@ -114,12 +114,6 @@ impl ExpConfig {
 pub type AlgoRun =
     Box<dyn Fn(&Instance, &jcr_ctx::SolverContext) -> Result<Solution, JcrError> + Send + Sync>;
 
-/// Builds the per-run contexts of a Monte-Carlo sweep. Called once per
-/// run on the evaluating worker thread; the produced context's stats and
-/// observability snapshot are absorbed back into the sweep's context, so
-/// every inner solve feeds one shared registry.
-pub type CtxFactory<'a> = &'a (dyn Fn() -> jcr_ctx::SolverContext + Sync);
-
 /// An algorithm under evaluation.
 pub struct Algo {
     /// Display name (the paper's legend label).
@@ -166,32 +160,19 @@ pub struct Metrics {
 /// merged in run order, so the float accumulation — and thus every mean —
 /// is bit-identical for any worker count.
 pub fn evaluate(scenario: &Scenario, algos: &[Algo], cfg: ExpConfig) -> Vec<Metrics> {
-    evaluate_with_factory(scenario, algos, cfg, &default_factory)
+    evaluate_in(&cfg.pool_ctx(), scenario, algos, cfg)
 }
 
-/// The factory [`evaluate`] uses: a fresh single-worker context per run
-/// (the fan-out is one level deep, so inner solves stay serial).
+/// The context each Monte-Carlo run solves under: a fresh single-worker
+/// context per run (the fan-out is one level deep, so inner solves stay
+/// serial).
 pub fn default_factory() -> jcr_ctx::SolverContext {
     jcr_ctx::SolverContext::new().with_workers(1)
 }
 
-/// [`evaluate`] with an explicit per-run context factory (ROADMAP item):
-/// each Monte-Carlo run solves under one `factory()` context whose
-/// budget and probe the caller controls, and whose counters, span tree,
-/// and histograms are absorbed back into the sweep — so an entire sweep
-/// feeds a single metrics registry instead of discarding one default
-/// context per solve.
-pub fn evaluate_with_factory(
-    scenario: &Scenario,
-    algos: &[Algo],
-    cfg: ExpConfig,
-    factory: CtxFactory<'_>,
-) -> Vec<Metrics> {
-    evaluate_in(&cfg.pool_ctx(), scenario, algos, cfg, factory)
-}
-
-/// [`evaluate_with_factory`] under an explicit sweep context: the fan-out
-/// runs on `sweep`'s pool and every run's stats/observability land on
+/// [`evaluate`] under an explicit sweep context: the fan-out runs on
+/// `sweep`'s pool, each run solves under one [`default_factory`] context,
+/// and every run's stats, span tree and histograms are absorbed back into
 /// `sweep`, so the caller can export the aggregated registry afterwards
 /// (`cfg.workers` is ignored in favour of `sweep.workers()`).
 pub fn evaluate_in(
@@ -199,7 +180,6 @@ pub fn evaluate_in(
     scenario: &Scenario,
     algos: &[Algo],
     cfg: ExpConfig,
-    factory: CtxFactory<'_>,
 ) -> Vec<Metrics> {
     // Everything share-seed-independent is hoisted out of the fan-out:
     // the topology (one generator run, cloned per instance) and the
@@ -220,7 +200,7 @@ pub fn evaluate_in(
         sc.share_seed = scenario.share_seed.wrapping_add(run as u64 * 1009);
         sc.hours = cfg.hours.max(1);
         let demand = sc.demand_from(&base, n_edges);
-        let run_ctx = factory();
+        let run_ctx = default_factory();
         let mut local: Vec<Vec<f64>> = vec![Vec::new(); algos.len() * 6];
         for h in 0..sc.hours {
             let true_rates = demand.true_rates(h, n_edges);

@@ -2,9 +2,9 @@
 //! aggregate span-tree shape, every named counter, and every
 //! `Count`-unit histogram must be **bit-identical** for any worker count
 //! (only durations may differ), both for a direct instrumented solve and
-//! for a Monte-Carlo sweep through the context-factory path.
+//! for a Monte-Carlo sweep whose per-run contexts `evaluate_in` absorbs.
 
-use jcr_bench::exp::{default_factory, evaluate_in, Algo, ExpConfig};
+use jcr_bench::exp::{evaluate_in, Algo, ExpConfig};
 use jcr_bench::{build_instance, profile, Scenario};
 use jcr_core::prelude::*;
 use jcr_ctx::SolverContext;
@@ -147,7 +147,7 @@ fn factory_sweep_shares_one_registry_and_stays_deterministic() {
             name: "SP".into(),
             run: Box::new(|inst, ctx| ShortestPathPlacement.solve_with_context(inst, ctx)),
         }];
-        let metrics = evaluate_in(&sweep, &sc, &algos, cfg, &default_factory);
+        let metrics = evaluate_in(&sweep, &sc, &algos, cfg);
         (metrics, sweep.obs_snapshot())
     };
     let (m1, s1) = run_sweep(1);

@@ -1,4 +1,8 @@
 //! The problem model: network, catalog, caches, and demand.
+//!
+//! Every [`Instance`] builds its own all-pairs distance oracle on first
+//! use; a clone starts without one, and no oracle passes from one
+//! instance to another.
 
 use std::sync::OnceLock;
 
@@ -205,30 +209,6 @@ impl Instance {
     /// return the cache without touching `ctx`.
     pub fn all_pairs_with_context(&self, ctx: &jcr_ctx::SolverContext) -> &DistanceOracle {
         self.all_pairs.get_or_init(|| self.compute_all_pairs(ctx))
-    }
-
-    /// Seeds this instance's all-pairs cache with `prev` — a previous
-    /// hour's oracle — when it answers for this instance's graph and link
-    /// costs exactly ([`DistanceOracle::reuse_for`]): its filled rows are
-    /// shared, none recomputed. Otherwise, or when the cache is already
-    /// set, nothing changes and the instance builds its own oracle on
-    /// first use. Either way the answers are those of a fresh oracle.
-    pub fn adopt_all_pairs_from(&self, prev: &DistanceOracle, ctx: &jcr_ctx::SolverContext) {
-        if self.all_pairs.get().is_some() {
-            return;
-        }
-        if let Some(oracle) = prev.reuse_for(&self.graph, &self.link_cost, ctx) {
-            let _ = self.all_pairs.set(oracle);
-        }
-    }
-
-    /// A clone of this instance's oracle, filled rows included, if the
-    /// all-pairs cache has been computed — the handle an hourly driver
-    /// stores so the *next* hour's instance can
-    /// [`Instance::adopt_all_pairs_from`] it. `None` when no solve has
-    /// touched the cache yet.
-    pub fn cloned_oracle(&self) -> Option<DistanceOracle> {
-        self.all_pairs.get().cloned()
     }
 
     fn oracle_dense_max(&self) -> usize {

@@ -19,8 +19,7 @@
 //! explicit ladder of increasingly cheap fallbacks:
 //!
 //! 1. [`Rung::Full`] — the full alternating re-solve, warm-started from
-//!    every piece of carried state (placement, LP basis, column pool,
-//!    carried oracle rows);
+//!    every piece of carried state (placement, LP basis, column pool);
 //! 2. [`Rung::ColdRestore`] — when the full solve *with carried state*
 //!    failed for a reason other than the budget, retry once from scratch
 //!    with every carried component dropped (a restored-but-poisoned
@@ -52,18 +51,17 @@
 //! from one, independently validating each component (placement bitset,
 //! routing, LP basis, column pool) and degrading whatever fails to cold
 //! — reported per component in [`RestoreReport`], never an error. The
-//! carried distance oracle is *not* part of the snapshot: an hour reuses
-//! it only when its graph and link costs are unchanged, and its rows are
-//! then exactly the ones a fresh oracle computes. So a resumed run, which
-//! builds its first oracle fresh, replays the exact bits of an
-//! uninterrupted one.
+//! snapshot holds everything the loop carries between hours (every
+//! hour's instance builds its own distance oracle), so a resumed run
+//! replays the exact bits, and does the same work, of an uninterrupted
+//! one.
 
 use std::fmt;
 use std::rc::Rc;
 use std::time::{Duration, Instant};
 
 use jcr_ctx::{Budget, Probe, SolverContext};
-use jcr_graph::{DistanceOracle, EdgeId, NodeId, Path};
+use jcr_graph::{EdgeId, NodeId, Path};
 
 use crate::alternating::{Alternating, Warm};
 use crate::error::JcrError;
@@ -214,12 +212,6 @@ pub struct OnlineSimulator {
     /// so a failed hour keeps the last good state and retries
     /// bit-identically.
     warm: Warm,
-    /// Clone (filled rows included) of the last committed hour's distance
-    /// oracle, offered to the next hour's instance via
-    /// [`Instance::adopt_all_pairs_from`], which reuses it only on an
-    /// unchanged graph and link costs. Speed-only state: a reused oracle
-    /// answers as a fresh one would, so it is not snapshotted.
-    prev_oracle: Option<DistanceOracle>,
     /// A placement restored from a snapshot whose routing component was
     /// degraded: still usable to warm-start the next hour even though no
     /// full previous [`Solution`] exists. Cleared by the first commit.
@@ -273,7 +265,6 @@ impl OnlineSimulator {
             warm_start: true,
             previous: None,
             warm: Warm::default(),
-            prev_oracle: None,
             seed_placement: None,
             dims: None,
             hour: 0,
@@ -436,9 +427,7 @@ impl OnlineSimulator {
 
     /// Captures the carried state as a [`SolverState`] snapshot. Taken at
     /// an hour boundary (after a step returned), restoring it resumes the
-    /// run bit-identically: everything that can change the bits of future
-    /// decisions is included, and the speed-only carried oracle rows —
-    /// which are bit-identical to freshly computed ones — are not.
+    /// run bit-identically: it holds everything the simulator carries.
     pub fn snapshot(&self) -> SolverState {
         let (n_nodes, n_items, n_edges, n_requests) = self.dims.unwrap_or_default();
         let placement = self
@@ -489,8 +478,7 @@ impl OnlineSimulator {
     /// semantic checks run where the context to perform them exists: the
     /// LP re-factorizes the basis on first use and falls back cold if it
     /// is singular or mis-shaped, carried columns are re-priced against
-    /// each hour's auxiliary graph and stale ones dropped. No distance
-    /// oracle is restored: the first hour after a restore builds its own.
+    /// each hour's auxiliary graph and stale ones dropped.
     pub fn restore(solver: Alternating, state: &SolverState) -> (OnlineSimulator, RestoreReport) {
         let mut sim = OnlineSimulator::new(solver);
         sim.hour = state.hour as usize;
@@ -612,22 +600,11 @@ impl OnlineSimulator {
             || !self.warm.columns.is_empty()
     }
 
-    /// Offers the previous hour's oracle to this hour's instance, which
-    /// adopts it only if its graph and link costs are unchanged (see
-    /// [`Instance::adopt_all_pairs_from`]). Speed-only: an adopted oracle
-    /// answers as a fresh one would. No-op when nothing is carried or the
-    /// instance already computed its all-pairs cache.
-    fn offer_oracle(&self, decision_inst: &Instance, ctx: &SolverContext) {
-        if let Some(oracle) = &self.prev_oracle {
-            decision_inst.adopt_all_pairs_from(oracle, ctx);
-        }
-    }
-
     /// Runs one solving rung — [`Rung::Full`], [`Rung::ColdRestore`] or
     /// [`Rung::RoutingOnly`] — inside its `online.rung.<name>` span,
     /// returning the candidate and the warm state it leaves. The full
-    /// solve runs under `cfg.budget` and alone offers the carried oracle;
-    /// later rungs get the deadline left since `started`.
+    /// solve runs under `cfg.budget`; later rungs get the deadline left
+    /// since `started`.
     fn solve_rung(
         &self,
         rung: Rung,
@@ -641,9 +618,6 @@ impl OnlineSimulator {
             _ => remaining_budget(&cfg.budget, started.elapsed()),
         };
         let ctx = rung_context(cfg, budget);
-        if rung == Rung::Full {
-            self.offer_oracle(inst, &ctx);
-        }
         let cold = Warm::default();
         let (initial, warm) = match rung {
             Rung::ColdRestore => (Placement::empty(inst), &cold),
@@ -699,9 +673,6 @@ impl OnlineSimulator {
             self.warm.basis = warm.basis;
         }
         self.warm.columns = warm.columns;
-        if let Some(oracle) = decision_inst.cloned_oracle() {
-            self.prev_oracle = Some(oracle);
-        }
         self.seed_placement = None;
         self.dims = Some((
             decision_inst.graph.node_count() as u32,

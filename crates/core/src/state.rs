@@ -1,13 +1,10 @@
 //! Versioned, checksummed solver-state snapshots for crash recovery.
 //!
 //! A [`SolverState`] captures everything the online loop carries between
-//! hours that can change the *bits* of future decisions: the committed
-//! placement, the served routing, the simplex [`Basis`](jcr_lp::Basis) of
-//! the last placement LP, and the active column-generation pool. The
-//! distance oracle is deliberately **not** snapshotted: an hour reuses
-//! the previous one only when its graph and link costs are unchanged (see
-//! [`DistanceOracle::reuse_for`](jcr_graph::DistanceOracle::reuse_for)),
-//! so resuming without it changes speed, never answers.
+//! hours: the committed placement, the served routing, the simplex
+//! [`Basis`](jcr_lp::Basis) of the last placement LP, and the active
+//! column-generation pool. No distance oracle passes between hours (each
+//! hour's instance builds its own), so there is none to snapshot.
 //!
 //! # Wire format
 //!

@@ -10,7 +10,7 @@
 //! reading it takes no lock, and the rows held are exactly the rows asked
 //! for.
 
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 
 use jcr_ctx::SolverContext;
 
@@ -77,10 +77,6 @@ impl Row {
     }
 }
 
-/// Named counter: filled rows an oracle handed on to the next hour's
-/// instance ([`DistanceOracle::reuse_for`]).
-pub const ROWS_CARRIED: &str = "graph.oracle.rows_carried";
-
 /// Shortest-path distances (and paths) between all node pairs: one
 /// lazily filled row per source, every row filled at construction for
 /// paper-scale graphs.
@@ -88,31 +84,19 @@ pub const ROWS_CARRIED: &str = "graph.oracle.rows_carried";
 /// The oracle owns its graph and cost vector, so a row filled late sees
 /// the same inputs as one filled at construction, and every fill runs
 /// the same Dijkstra kernel: a row's bits do not depend on when, or on
-/// which thread, it was filled. Rows are shared (`Arc`), so a clone
-/// keeps every filled row without copying it.
-#[derive(Clone, Debug)]
+/// which thread, it was filled.
+#[derive(Debug)]
 pub struct DistanceOracle {
     graph: DiGraph,
     cost: Vec<f64>,
-    rows: Vec<OnceLock<Arc<Row>>>,
-    /// Rows filled when the oracle was built (every row below the node
-    /// threshold) or handed on ([`DistanceOracle::reuse_for`]).
-    prefilled: usize,
+    rows: Vec<OnceLock<Row>>,
+    /// Whether every row was filled at construction (at or below the
+    /// node threshold).
+    dense: bool,
     max_cost: OnceLock<f64>,
 }
 
 impl DistanceOracle {
-    fn unfilled(graph: &DiGraph, cost: &[f64]) -> Self {
-        assert_eq!(cost.len(), graph.edge_count(), "cost slice length mismatch");
-        DistanceOracle {
-            graph: graph.clone(),
-            cost: cost.to_vec(),
-            rows: (0..graph.node_count()).map(|_| OnceLock::new()).collect(),
-            prefilled: 0,
-            max_cost: OnceLock::new(),
-        }
-    }
-
     /// Builds an oracle for `graph` under `cost`. When the graph has at
     /// most `dense_max` nodes every row is filled now, fanned out over
     /// `ctx.workers()` threads with one Dijkstra call per source recorded
@@ -124,11 +108,17 @@ impl DistanceOracle {
         dense_max: usize,
         ctx: &SolverContext,
     ) -> Self {
-        let mut oracle = Self::unfilled(graph, cost);
-        if graph.node_count() <= dense_max {
+        assert_eq!(cost.len(), graph.edge_count(), "cost slice length mismatch");
+        let oracle = DistanceOracle {
+            graph: graph.clone(),
+            cost: cost.to_vec(),
+            rows: (0..graph.node_count()).map(|_| OnceLock::new()).collect(),
+            dense: graph.node_count() <= dense_max,
+            max_cost: OnceLock::new(),
+        };
+        if oracle.dense {
             let sources: Vec<NodeId> = graph.nodes().collect();
             oracle.fill(&sources, ctx);
-            oracle.prefilled = sources.len();
         }
         oracle
     }
@@ -155,7 +145,7 @@ impl DistanceOracle {
         for (s, row) in sources.iter().zip(rows) {
             // A concurrent `row` miss may have filled the slot first, with
             // the same bits.
-            let _ = self.rows[s.index()].set(Arc::new(row));
+            let _ = self.rows[s.index()].set(row);
         }
     }
 
@@ -177,7 +167,7 @@ impl DistanceOracle {
     /// Whether the oracle was built with every row filled — always the
     /// case at or below the node threshold.
     pub fn is_dense(&self) -> bool {
-        self.prefilled == self.node_count()
+        self.dense
     }
 
     /// Number of rows filled since construction, by a [`row`] miss or by
@@ -187,8 +177,10 @@ impl DistanceOracle {
     /// [`row`]: DistanceOracle::row
     /// [`prime_rows_with_context`]: DistanceOracle::prime_rows_with_context
     pub fn rows_computed(&self) -> u64 {
-        let filled = self.rows.iter().filter(|r| r.get().is_some()).count();
-        (filled - self.prefilled) as u64
+        if self.dense {
+            return 0;
+        }
+        self.rows.iter().filter(|r| r.get().is_some()).count() as u64
     }
 
     /// The row rooted at `s`, filled now (one uncounted Dijkstra run) if
@@ -197,7 +189,7 @@ impl DistanceOracle {
         self.rows[s.index()].get_or_init(|| {
             let mut scratch = DijkstraScratch::default();
             dijkstra_filtered_into(&self.graph, s, &self.cost, |_| true, &[], &mut scratch);
-            Arc::new(Row::from_scratch(&scratch, self.node_count()))
+            Row::from_scratch(&scratch, self.node_count())
         })
     }
 
@@ -262,43 +254,6 @@ impl DistanceOracle {
             }
             max
         })
-    }
-
-    /// Whether this oracle answers for `graph` under `cost`: the same
-    /// node count, the same edges with the same endpoints, and costs
-    /// equal bit for bit.
-    fn answers_for(&self, graph: &DiGraph, cost: &[f64]) -> bool {
-        self.graph.node_count() == graph.node_count()
-            && self.graph.edge_count() == graph.edge_count()
-            && graph
-                .edges()
-                .all(|e| self.graph.endpoints(e) == graph.endpoints(e))
-            && self.cost.len() == cost.len()
-            && self
-                .cost
-                .iter()
-                .zip(cost)
-                .all(|(a, b)| a.to_bits() == b.to_bits())
-    }
-
-    /// This oracle, handed on to a new owner on `graph` under `cost` (the
-    /// online loop's next hour), if it answers for exactly those inputs —
-    /// the same graph and bit-equal costs; `None` otherwise, and the
-    /// caller builds its own oracle. The handed-on oracle shares every
-    /// filled row (no Dijkstra runs) and counts them as filled at
-    /// construction, so its [`rows_computed`] starts at 0; their number
-    /// is recorded on `ctx` as [`ROWS_CARRIED`]. Rows this oracle never
-    /// filled stay on demand.
-    ///
-    /// [`rows_computed`]: DistanceOracle::rows_computed
-    pub fn reuse_for(&self, graph: &DiGraph, cost: &[f64], ctx: &SolverContext) -> Option<Self> {
-        if !self.answers_for(graph, cost) {
-            return None;
-        }
-        let mut oracle = self.clone();
-        oracle.prefilled = oracle.rows.iter().filter(|r| r.get().is_some()).count();
-        ctx.obs().add_counter(ROWS_CARRIED, oracle.prefilled as u64);
-        Some(oracle)
     }
 }
 
@@ -424,104 +379,5 @@ mod tests {
         let par = DistanceOracle::with_config(&g, &cost, usize::MAX, &ctx);
         assert_same_answers(&serial, &par, "width 4 vs width 1");
         assert_eq!(ctx.stats().dijkstra_calls, g.node_count() as u64);
-    }
-
-    #[test]
-    fn reuse_on_identical_inputs_shares_every_filled_row() {
-        let (g, cost) = ring(12);
-        for prev in [eager(&g, &cost), lazy(&g, &cost)] {
-            for s in 0..4 {
-                prev.row(NodeId::new(s));
-            }
-            let filled = prev.rows.iter().filter(|r| r.get().is_some()).count();
-            let ctx = serial();
-            let next = prev.reuse_for(&g, &cost, &ctx).expect("same inputs");
-            assert_eq!(ctx.stats().dijkstra_calls, 0);
-            assert_eq!(
-                ctx.obs().snapshot().counters.get(ROWS_CARRIED),
-                Some(&(filled as u64))
-            );
-            assert_eq!(next.rows_computed(), 0, "handed-on rows count as prefilled");
-            assert_eq!(next.is_dense(), prev.is_dense());
-            for (a, b) in prev.rows.iter().zip(&next.rows) {
-                match (a.get(), b.get()) {
-                    (Some(a), Some(b)) => assert!(Arc::ptr_eq(a, b), "row copied, not shared"),
-                    (None, None) => {}
-                    _ => panic!("fill state differs"),
-                }
-            }
-            assert_same_answers(&next, &eager(&g, &cost), "reused");
-        }
-    }
-
-    #[test]
-    fn reuse_refuses_a_changed_cost_or_graph() {
-        let (g, cost) = ring(10);
-        let prev = eager(&g, &cost);
-        let mut killed = cost.clone();
-        killed[3] = f64::INFINITY;
-        let mut halved = cost.clone();
-        halved[0] *= 0.5;
-        let (h, hcost) = ring(11);
-        let mut rewired = DiGraph::new();
-        rewired.add_nodes(10);
-        for e in g.edges() {
-            // Edge 4 (2 -> 3) ends one node further on.
-            let (u, v) = g.endpoints(e);
-            rewired.add_edge(u, if e.index() == 4 { NodeId::new(4) } else { v });
-        }
-        for (what, graph, cost) in [
-            ("killed link", &g, &killed),
-            ("halved link", &g, &halved),
-            ("node added", &h, &hcost),
-            ("edge rewired", &rewired, &cost),
-        ] {
-            let ctx = serial();
-            assert!(prev.reuse_for(graph, cost, &ctx).is_none(), "{what}");
-            assert_eq!(
-                ctx.obs().snapshot().counters.get(ROWS_CARRIED),
-                None,
-                "{what}"
-            );
-            // What the caller builds instead is the fresh oracle.
-            let fresh = DistanceOracle::with_config(graph, cost, usize::MAX, &ctx);
-            assert_same_answers(&fresh, &lazy(graph, cost), what);
-        }
-        let (mut zero, mut negative_zero) = (cost.clone(), cost.clone());
-        zero[0] = 0.0;
-        negative_zero[0] = -0.0;
-        assert!(
-            eager(&g, &zero)
-                .reuse_for(&g, &negative_zero, &serial())
-                .is_none(),
-            "costs compare by bits"
-        );
-        let fresh = eager(&g, &killed);
-        assert!(
-            g.nodes()
-                .any(|s| g.nodes().any(|t| fresh.dist(s, t) != prev.dist(s, t))),
-            "the killed link changes some answer"
-        );
-    }
-
-    #[test]
-    fn clone_keeps_filled_rows_and_answers_identically() {
-        let (g, cost) = ring(6);
-        let on_demand = lazy(&g, &cost);
-        let d = on_demand.dist(NodeId::new(1), NodeId::new(4));
-        on_demand.row(NodeId::new(3));
-        let fork = on_demand.clone();
-        assert_eq!(fork.rows_computed(), 2);
-        assert_eq!(
-            fork.dist(NodeId::new(1), NodeId::new(4)).to_bits(),
-            d.to_bits()
-        );
-        assert_eq!(fork.rows_computed(), 2, "a kept row is not refilled");
-        assert_same_answers(&fork, &eager(&g, &cost), "clone");
-        assert_eq!(
-            on_demand.rows_computed(),
-            2,
-            "the clone fills its own slots"
-        );
     }
 }

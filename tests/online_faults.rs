@@ -5,13 +5,13 @@
 //! repaired around failed links, and budget sabotage degrades to the
 //! incumbent or carry-forward rungs instead of erroring.
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 use std::time::Duration;
 
 use jcr::core::prelude::*;
 use jcr::core::validate::validate_solution;
-use jcr::ctx::{Budget, Counter, Phase, Probe, SolverContext};
+use jcr::ctx::{Budget, Counter, Phase, Probe};
 use jcr::graph::EdgeId;
 use jcr::sim::faults::{FaultConfig, FaultInjector};
 use jcr::topo::{Topology, TopologyKind};
@@ -169,10 +169,45 @@ fn link_failure_forces_repair_on_carry_forward() {
     assert_eq!(new_loads[victim.index()], 0.0, "dead link still loaded");
 }
 
-/// An hour whose link costs changed does not reuse the previous hour's
-/// distance oracle; one whose graph and costs did not, does. Either way
-/// the hour is served exactly as by a simulator restored from a snapshot,
-/// which carries no oracle and builds every hour's afresh.
+/// Counts the Dijkstra calls mirrored to it; everything else is ignored.
+#[derive(Default)]
+struct DijkstraCount(Cell<u64>);
+
+impl Probe for DijkstraCount {
+    fn count(&self, counter: Counter, by: u64) {
+        if counter == Counter::DijkstraCalls {
+            self.0.set(self.0.get() + by);
+        }
+    }
+
+    fn phase_elapsed(&self, _phase: Phase, _nanos: u64) {}
+}
+
+/// Steps `carried` through one anytime hour on `inst` alongside a twin
+/// restored from its snapshot, and asserts both serve it alike: the same
+/// rung, solution, cost bits and churn, and the same number of Dijkstra
+/// calls. Each steps its own clone of `inst` (a clone starts with no
+/// distance oracle), so nothing passes between them through the
+/// instance. Returns the serving rung.
+fn step_alongside_restored(carried: &mut OnlineSimulator, inst: &Instance) -> Rung {
+    let state = SolverState::from_bytes(&carried.snapshot().to_bytes()).unwrap();
+    let (mut restored, _) = OnlineSimulator::restore(Alternating::new(), &state);
+    let hour = carried.hour();
+    let [a, b] = [carried, &mut restored].map(|sim| {
+        let inst = inst.clone();
+        let calls = Rc::new(DijkstraCount::default());
+        let probe: Rc<dyn Probe> = calls.clone();
+        let cfg = AnytimeConfig::new().with_probe(probe);
+        let o = sim.step_anytime(&inst, &truth(&inst), &cfg).unwrap();
+        let costs = [o.decided_cost, o.realized_cost, o.realized_congestion].map(f64::to_bits);
+        (o.rung, o.solution, costs, o.placement_churn, calls.0.get())
+    });
+    assert_eq!(a, b, "hour {hour}: carried vs restored");
+    a.0
+}
+
+/// A link dies, stays dead, then comes back: each hour is served exactly
+/// as by a simulator restored from the snapshot taken just before it.
 #[test]
 fn killed_link_hour_is_served_as_by_a_restored_simulator() {
     let base = base_instance(23);
@@ -180,45 +215,20 @@ fn killed_link_hour_is_served_as_by_a_restored_simulator() {
     let first = carried.step(&base, &truth(&base)).unwrap();
     let victim = expendable_loaded_link(&base, &first.solution);
     let killed = with_link_killed(&base, victim);
-    // The oracle hour 0 leaves behind is refused by the killed hour, whose
-    // distances differ: the instance answers as a fresh one does. (A
-    // clone of an instance starts with no oracle.)
-    let base_oracle = base.cloned_oracle().expect("hour 0 built its oracle");
-    let (offered, fresh) = (killed.clone(), killed.clone());
-    offered.adopt_all_pairs_from(&base_oracle, &SolverContext::new());
-    let pairs = || {
-        base.graph
-            .nodes()
-            .flat_map(|s| base.graph.nodes().map(move |t| (s, t)))
-    };
-    assert!(pairs().any(|(s, t)| fresh.all_pairs().dist(s, t) != base_oracle.dist(s, t)));
-    for (s, t) in pairs() {
-        let (got, want) = (offered.all_pairs().dist(s, t), fresh.all_pairs().dist(s, t));
-        assert_eq!(got.to_bits(), want.to_bits(), "{s}->{t}");
+    for inst in [&killed, &killed, &base] {
+        assert_eq!(step_alongside_restored(&mut carried, inst), Rung::Full);
     }
-    // The link dies (the carried oracle is refused), stays dead (it is
-    // reused), then comes back (refused again). Each simulator steps its
-    // own clone, so no oracle passes between them through the instance.
-    for (hour, inst) in [&killed, &killed, &base].into_iter().enumerate() {
-        let state = SolverState::from_bytes(&carried.snapshot().to_bytes()).unwrap();
-        let (mut restored, _) = OnlineSimulator::restore(Alternating::new(), &state);
-        let (inst, restored_inst) = (inst.clone(), inst.clone());
-        let a = carried
-            .step_anytime(&inst, &truth(&inst), &AnytimeConfig::new())
-            .unwrap();
-        let b = restored
-            .step_anytime(&restored_inst, &truth(&inst), &AnytimeConfig::new())
-            .unwrap();
-        assert_eq!(a.rung, Rung::Full, "hour {hour}");
-        assert_eq!(a.rung, b.rung, "hour {hour}");
-        assert_eq!(a.solution, b.solution, "hour {hour}");
-        assert_eq!(a.decided_cost.to_bits(), b.decided_cost.to_bits());
-        assert_eq!(a.realized_cost.to_bits(), b.realized_cost.to_bits());
-        assert_eq!(
-            a.realized_congestion.to_bits(),
-            b.realized_congestion.to_bits()
-        );
-        assert_eq!(a.placement_churn, b.placement_churn, "hour {hour}");
+}
+
+/// The online loop carries no state its snapshot does not hold: on an
+/// unchanged instance, a simulator restored after each hour does the
+/// same work as the one that carried on, Dijkstra calls included.
+#[test]
+fn restored_simulator_does_the_same_work_as_the_carried_one() {
+    let base = base_instance(29);
+    let mut carried = OnlineSimulator::new(Alternating::new());
+    for _ in 0..4 {
+        assert_eq!(step_alongside_restored(&mut carried, &base), Rung::Full);
     }
 }
 

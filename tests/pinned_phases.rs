@@ -19,7 +19,7 @@ use jcr::ctx::{Counter, SolverContext};
 use jcr::flow::multicommodity::{min_cost_multicommodity_with_context, Commodity};
 use jcr::graph::{shortest, DiGraph, NodeId};
 use jcr::lp::{ConId, Model, Sense};
-use jcr_bench::exp::{default_factory, evaluate_in, Algo, ExpConfig};
+use jcr_bench::exp::{evaluate_in, Algo, ExpConfig};
 use jcr_bench::Scenario;
 
 mod common;
@@ -327,7 +327,7 @@ fn monte_carlo_is_pinned() {
         ..ExpConfig::default()
     };
     assert_pinned("87042a6f2b5050e7", [5814, 32, 96, 0, 0, 16], |ctx| {
-        let metrics = evaluate_in(ctx, &sc, &algos, cfg, &default_factory);
+        let metrics = evaluate_in(ctx, &sc, &algos, cfg);
         checksum(metrics.iter().flat_map(|m| {
             [
                 m.cost_true,
