@@ -157,7 +157,7 @@ mod tests {
         let vs = aux.item_source[0];
         let tree = jcr_graph::shortest::dijkstra_filtered(&aux.graph, vs, &aux.cost, |_| true);
         let req = inst.requests[0];
-        let path = tree.path(req.node).unwrap();
+        let path = tree.path(&aux.graph, req.node).unwrap();
         let real = aux.strip_virtual(path.clone());
         assert_eq!(real.len(), path.len() - 1);
         assert!(real.is_valid(&inst.graph));

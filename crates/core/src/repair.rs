@@ -252,7 +252,7 @@ fn best_path<F: Fn(EdgeId) -> bool>(
     let mut best: Option<(f64, Path)> = None;
     for &s in sources {
         let tree = shortest::dijkstra_filtered(&inst.graph, s, &inst.link_cost, &usable);
-        if let Some(p) = tree.path(target) {
+        if let Some(p) = tree.path(&inst.graph, target) {
             let c = p.cost(&inst.link_cost);
             if c.is_finite() && best.as_ref().is_none_or(|(bc, _)| c < *bc) {
                 best = Some((c, p));
@@ -339,7 +339,7 @@ mod tests {
                     &inst.link_cost,
                     |f| f != e && inst.link_cap[f.index()] > 0.0,
                 );
-                inst.requests.iter().all(|r| tree.path(r.node).is_some())
+                inst.requests.iter().all(|r| tree.dist(r.node).is_finite())
             })
             .expect("some loaded link is expendable");
         let faulted = fail_link(&inst, victim);

@@ -79,16 +79,6 @@ impl Kahan {
     }
 }
 
-/// Compensated dot product `Σ a_i·b_i`.
-pub fn comp_dot(a: &[f64], b: &[f64]) -> f64 {
-    debug_assert_eq!(a.len(), b.len());
-    let mut k = Kahan::new();
-    for (&x, &y) in a.iter().zip(b) {
-        k.add_prod(x, y);
-    }
-    k.total()
-}
-
 /// Maps a nonnegative residual to "bits of agreement" for log₂-bucket
 /// histograms: `min(64, ⌊−log₂ r⌋)` — 64 means exactly zero (or below
 /// 2⁻⁶⁴), 0 means the residual is ≥ 1. Deterministic for deterministic
@@ -267,13 +257,6 @@ mod tests {
         }
         k.add(-1e16);
         assert!((k.total() - 100.0).abs() < 1e-9, "{}", k.total());
-    }
-
-    #[test]
-    fn comp_dot_matches_exact_small_case() {
-        let a = [1.0, 2.0, 3.0];
-        let b = [4.0, 5.0, 6.0];
-        assert_eq!(comp_dot(&a, &b), 32.0);
     }
 
     #[test]

@@ -21,7 +21,7 @@
 //!
 //! Worker threads receive a context forked from the caller's
 //! ([`SolverContext::fork_seed`]): same budget and deadline clock, private
-//! counters and scratch arena. After the fan-out the caller absorbs every
+//! counters. After the fan-out the caller absorbs every
 //! worker's [`SolverStats`](crate::SolverStats) and observability
 //! snapshot (spans graft under the span open at the call site — see
 //! [`obs`](crate::obs)), so counter totals and span-tree shape are

@@ -26,8 +26,7 @@ impl PathId {
 ///
 /// Paths are immutable once pushed and live until [`PathArena::clear`];
 /// the slab never shrinks, so a cleared arena reuses its capacity on the
-/// next round (scratch-buffer behavior, matching `ScratchArena`'s
-/// recycling discipline).
+/// next round.
 #[derive(Clone, Debug, Default)]
 pub struct PathArena {
     slab: Vec<EdgeId>,

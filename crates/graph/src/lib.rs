@@ -3,9 +3,10 @@
 //! This crate provides the minimal graph machinery the joint caching and
 //! routing algorithms build on: a compact directed multigraph
 //! ([`DiGraph`]), single-source shortest paths
-//! ([`shortest::dijkstra_filtered`], [`shortest::bellman_ford`]), all-pairs
-//! least costs ([`shortest::all_pairs_with_context`], and the row-per-source
-//! [`DistanceOracle`]), Yen's k-shortest simple paths
+//! ([`shortest::dijkstra_filtered`], [`shortest::bellman_ford`], both
+//! returning a [`ShortestPathTree`]), all-pairs least costs (the
+//! [`DistanceOracle`], one [`ShortestPathTree`] row per source), Yen's
+//! k-shortest simple paths
 //! ([`shortest::k_shortest_paths_with_context`]), and path/connectivity
 //! utilities.
 //!
@@ -34,7 +35,7 @@
 //!
 //! let tree = shortest::dijkstra_filtered(&g, a, &cost, |_| true);
 //! assert_eq!(tree.dist(c), 2.0);
-//! assert_eq!(tree.path_to(c).unwrap(), vec![ab, bc]);
+//! assert_eq!(tree.path(&g, c).unwrap().edges(), [ab, bc]);
 //! ```
 
 pub mod arena;

@@ -14,72 +14,20 @@ use std::sync::OnceLock;
 
 use jcr_ctx::SolverContext;
 
-use crate::graph::{DiGraph, EdgeId, NodeId};
+use crate::graph::{DiGraph, NodeId};
 use crate::path::Path;
-use crate::shortest::{dijkstra_filtered_into, dijkstra_into_with_context, DijkstraScratch};
-
-/// Sentinel in parent planes: no parent edge (source or unreachable).
-const NO_PARENT: u32 = u32::MAX;
+use crate::shortest::{
+    dijkstra_filtered_into, dijkstra_into_with_context, DijkstraScratch, ShortestPathTree,
+};
 
 /// Default node-count threshold at or below which the oracle fills every
 /// row at construction; above it rows are filled on demand.
 /// [`DistanceOracle::with_config`] takes the threshold explicitly.
 pub const DEFAULT_DENSE_MAX: usize = 600;
 
-/// One shortest-path row: distances and parent edges from a single
-/// source to every node, exactly what one Dijkstra run produces.
-#[derive(Clone, Debug)]
-pub struct Row {
-    dist: Vec<f64>,
-    parent: Vec<u32>,
-}
-
-impl Row {
-    fn from_scratch(scratch: &DijkstraScratch, n: usize) -> Self {
-        Row {
-            dist: scratch.dists()[..n].to_vec(),
-            parent: (0..n)
-                .map(|v| {
-                    scratch
-                        .parent_edge(NodeId::new(v))
-                        .map_or(NO_PARENT, |e| e.index() as u32)
-                })
-                .collect(),
-        }
-    }
-
-    /// Least cost from the row's source to `t` (`f64::INFINITY` if
-    /// unreachable).
-    pub fn dist(&self, t: NodeId) -> f64 {
-        self.dist[t.index()]
-    }
-
-    /// All distances from the row's source, indexed by node.
-    pub fn dists(&self) -> &[f64] {
-        &self.dist
-    }
-
-    /// Reconstructs the source-to-`t` path into `out` (cleared first).
-    /// Returns `false`, leaving `out` empty, if `t` is unreachable.
-    pub fn path_into(&self, g: &DiGraph, t: NodeId, out: &mut Vec<EdgeId>) -> bool {
-        out.clear();
-        if !self.dist(t).is_finite() {
-            return false;
-        }
-        let mut v = t;
-        while self.parent[v.index()] != NO_PARENT {
-            let e = EdgeId::new(self.parent[v.index()] as usize);
-            out.push(e);
-            v = g.src(e);
-        }
-        out.reverse();
-        true
-    }
-}
-
 /// Shortest-path distances (and paths) between all node pairs: one
-/// lazily filled row per source, every row filled at construction for
-/// paper-scale graphs.
+/// lazily filled row, a [`ShortestPathTree`], per source, every row
+/// filled at construction for paper-scale graphs.
 ///
 /// The oracle owns its graph and cost vector, so a row filled late sees
 /// the same inputs as one filled at construction, and every fill runs
@@ -89,7 +37,7 @@ impl Row {
 pub struct DistanceOracle {
     graph: DiGraph,
     cost: Vec<f64>,
-    rows: Vec<OnceLock<Row>>,
+    rows: Vec<OnceLock<ShortestPathTree>>,
     /// Whether every row was filled at construction (at or below the
     /// node threshold).
     dense: bool,
@@ -132,14 +80,13 @@ impl DistanceOracle {
             return;
         }
         let _s = ctx.span("graph.oracle.fill");
-        let n = self.node_count();
         let rows = jcr_ctx::par::par_map_init(
             ctx,
             sources,
             DijkstraScratch::default,
             |scratch, wctx, _i, &s| {
                 dijkstra_into_with_context(&self.graph, s, &self.cost, &[], scratch, wctx);
-                Row::from_scratch(scratch, n)
+                ShortestPathTree::from_scratch(scratch)
             },
         );
         for (s, row) in sources.iter().zip(rows) {
@@ -183,13 +130,14 @@ impl DistanceOracle {
         self.rows.iter().filter(|r| r.get().is_some()).count() as u64
     }
 
-    /// The row rooted at `s`, filled now (one uncounted Dijkstra run) if
-    /// it is not yet. Concurrent first reads of one row fill it once.
-    pub fn row(&self, s: NodeId) -> &Row {
+    /// The shortest-path tree rooted at `s`, filled now (one uncounted
+    /// Dijkstra run) if it is not yet. Concurrent first reads of one row
+    /// fill it once.
+    pub fn row(&self, s: NodeId) -> &ShortestPathTree {
         self.rows[s.index()].get_or_init(|| {
             let mut scratch = DijkstraScratch::default();
             dijkstra_filtered_into(&self.graph, s, &self.cost, |_| true, &[], &mut scratch);
-            Row::from_scratch(&scratch, self.node_count())
+            ShortestPathTree::from_scratch(&scratch)
         })
     }
 
@@ -200,10 +148,7 @@ impl DistanceOracle {
 
     /// A least-cost `s -> t` path, or `None` if unreachable.
     pub fn path(&self, s: NodeId, t: NodeId) -> Option<Path> {
-        let mut edges = Vec::new();
-        self.row(s)
-            .path_into(&self.graph, t, &mut edges)
-            .then(|| Path::new(edges))
+        self.row(s).path(&self.graph, t)
     }
 
     /// Fills the rows rooted at `sources` that are not yet filled, in

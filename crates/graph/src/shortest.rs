@@ -1,16 +1,18 @@
-//! Shortest-path algorithms: Dijkstra, Bellman–Ford, all-pairs least costs,
-//! and Yen's k-shortest simple paths.
+//! Shortest-path algorithms: Dijkstra, Bellman–Ford and Yen's k-shortest
+//! simple paths.
 //!
 //! Every Dijkstra entry point wraps one kernel, [`dijkstra_filtered_into`],
 //! which stops once a given set of target nodes is settled. Repeated runs
-//! (all-pairs, CG pricing, Yen spurs) can reuse one [`DijkstraScratch`] to
-//! avoid reallocating the distance/parent/heap buffers per source. Each
-//! routine has one entry point: the single-run forms ([`dijkstra_filtered`],
+//! (oracle row fills, CG pricing, Yen spurs) can reuse one
+//! [`DijkstraScratch`] to avoid reallocating the distance/parent/heap
+//! buffers per source. A single-source result is one type,
+//! [`ShortestPathTree`], which is also the row of the all-pairs
+//! [`DistanceOracle`](crate::DistanceOracle). Each routine has one entry
+//! point: the single-run forms ([`dijkstra_filtered`],
 //! [`dijkstra_filtered_into`], [`bellman_ford`]) take no context, and the
 //! repeated-run forms ([`dijkstra_into_with_context`],
-//! [`all_pairs_with_context`], [`k_shortest_paths_with_context`]) record
-//! [`Counter::DijkstraCalls`] and Dijkstra phase time on a required
-//! [`SolverContext`].
+//! [`k_shortest_paths_with_context`]) record [`Counter::DijkstraCalls`]
+//! and Dijkstra phase time on a required [`SolverContext`].
 
 use std::cmp::Ordering;
 
@@ -20,27 +22,34 @@ use crate::arena::{PathArena, PathId};
 use crate::graph::{DiGraph, EdgeId, NodeId};
 use crate::path::Path;
 
-/// A shortest-path tree rooted at a source node, as produced by
-/// [`dijkstra_filtered`] or [`bellman_ford`].
+/// Parent-plane sentinel: no parent edge (the source, or an unreachable
+/// node).
+const NO_PARENT: u32 = u32::MAX;
+
+/// The single-source result every routing decision reads: least costs
+/// and tree edges from one source to every node, as produced by
+/// [`dijkstra_filtered`] or [`bellman_ford`], and the row type of
+/// [`DistanceOracle`](crate::DistanceOracle).
 #[derive(Clone, Debug)]
 pub struct ShortestPathTree {
-    source: NodeId,
     dist: Vec<f64>,
-    parent: Vec<Option<EdgeId>>,
-    /// Source node of the parent edge, per node (so path reconstruction
-    /// does not need the graph).
-    parent_src: Vec<Option<NodeId>>,
+    /// Tree edge entering each node, as an edge index; [`NO_PARENT`] at
+    /// the source and at unreachable nodes.
+    parent: Vec<u32>,
 }
 
 impl ShortestPathTree {
-    /// The source node the tree is rooted at.
-    pub fn source(&self) -> NodeId {
-        self.source
+    /// Copies the full tree of the most recent (untargeted) run.
+    pub(crate) fn from_scratch(scratch: &DijkstraScratch) -> Self {
+        ShortestPathTree {
+            dist: scratch.dists().to_vec(),
+            parent: scratch.parent.clone(),
+        }
     }
 
-    /// Least cost from the source to `v`; `f64::INFINITY` if unreachable.
-    pub fn dist(&self, v: NodeId) -> f64 {
-        self.dist[v.index()]
+    /// Least cost from the source to `t`; `f64::INFINITY` if unreachable.
+    pub fn dist(&self, t: NodeId) -> f64 {
+        self.dist[t.index()]
     }
 
     /// All distances, indexed by node index.
@@ -48,52 +57,42 @@ impl ShortestPathTree {
         &self.dist
     }
 
-    /// Whether `v` is reachable from the source.
-    pub fn is_reachable(&self, v: NodeId) -> bool {
-        self.dist[v.index()].is_finite()
+    /// Reconstructs the source-to-`t` path into `out` (cleared first).
+    /// Returns `false`, leaving `out` empty, if `t` is unreachable; the
+    /// path to the source itself is empty.
+    pub fn path_into(&self, g: &DiGraph, t: NodeId, out: &mut Vec<EdgeId>) -> bool {
+        walk_parents(&self.dist, &self.parent, g, t, out)
     }
 
-    /// The tree edge entering `v`, if `v` is reachable and not the source.
-    pub fn parent_edge(&self, v: NodeId) -> Option<EdgeId> {
-        self.parent[v.index()]
-    }
-
-    /// A least-cost path from the source to `t`, or `None` if unreachable.
-    ///
-    /// Returns the empty path for `t == source`.
-    pub fn path_to(&self, t: NodeId) -> Option<Vec<EdgeId>> {
-        if !self.is_reachable(t) {
-            return None;
-        }
+    /// A least-cost path from the source to `t`, or `None` if
+    /// unreachable.
+    pub fn path(&self, g: &DiGraph, t: NodeId) -> Option<Path> {
         let mut edges = Vec::new();
-        let mut v = t;
-        while let Some(e) = self.parent[v.index()] {
-            edges.push(e);
-            v = self.parent_src[v.index()].expect("parent edge implies parent source");
-        }
-        edges.reverse();
-        Some(edges)
+        self.path_into(g, t, &mut edges).then(|| Path::new(edges))
     }
+}
 
-    /// Like [`ShortestPathTree::path_to`], returning a [`Path`].
-    pub fn path(&self, t: NodeId) -> Option<Path> {
-        self.path_to(t).map(Path::new)
+/// Follows `parent` from `t` back to the source into `out` (cleared
+/// first), source-to-target order; `false` if `dist[t]` is infinite.
+fn walk_parents(
+    dist: &[f64],
+    parent: &[u32],
+    g: &DiGraph,
+    t: NodeId,
+    out: &mut Vec<EdgeId>,
+) -> bool {
+    out.clear();
+    if !dist[t.index()].is_finite() {
+        return false;
     }
-
-    fn from_parts(
-        source: NodeId,
-        dist: Vec<f64>,
-        parent: Vec<Option<EdgeId>>,
-        g: &DiGraph,
-    ) -> Self {
-        let parent_src = parent.iter().map(|p| p.map(|e| g.src(e))).collect();
-        ShortestPathTree {
-            source,
-            dist,
-            parent,
-            parent_src,
-        }
+    let mut v = t;
+    while parent[v.index()] != NO_PARENT {
+        let e = EdgeId(parent[v.index()]);
+        out.push(e);
+        v = g.src(e);
     }
+    out.reverse();
+    true
 }
 
 /// `pos` marker: the node was never reached in the last run.
@@ -116,7 +115,8 @@ const ARITY: usize = 4;
 #[derive(Debug, Default)]
 pub struct DijkstraScratch {
     dist: Vec<f64>,
-    parent: Vec<Option<EdgeId>>,
+    /// Tree edge index per node, [`NO_PARENT`] if none.
+    parent: Vec<u32>,
     /// Per node: its slot in `heap` while tentative, else [`UNSEEN`] or
     /// [`SETTLED`].
     pos: Vec<u32>,
@@ -134,7 +134,7 @@ impl DijkstraScratch {
         self.dist.clear();
         self.dist.resize(n, f64::INFINITY);
         self.parent.clear();
-        self.parent.resize(n, None);
+        self.parent.resize(n, NO_PARENT);
         self.pos.clear();
         self.pos.resize(n, UNSEEN);
         self.heap.clear();
@@ -169,7 +169,8 @@ impl DijkstraScratch {
     /// The tree edge entering `v` in the most recent run.
     pub fn parent_edge(&self, v: NodeId) -> Option<EdgeId> {
         self.debug_assert_final(v);
-        self.parent[v.index()]
+        let e = self.parent[v.index()];
+        (e != NO_PARENT).then_some(EdgeId(e))
     }
 
     /// Reconstructs the tree path to `t` from the most recent run into
@@ -181,17 +182,7 @@ impl DijkstraScratch {
     /// many paths from repeated runs (CG pricing, Yen spurs).
     pub fn path_into(&self, g: &DiGraph, t: NodeId, out: &mut Vec<EdgeId>) -> bool {
         self.debug_assert_final(t);
-        out.clear();
-        if !self.dist[t.index()].is_finite() {
-            return false;
-        }
-        let mut v = t;
-        while let Some(e) = self.parent[v.index()] {
-            out.push(e);
-            v = g.src(e);
-        }
-        out.reverse();
-        true
+        walk_parents(&self.dist, &self.parent, g, t, out)
     }
 
     /// Inserts `v` with key `dist[v]`, or moves its slot up after its
@@ -308,7 +299,7 @@ pub fn dijkstra_filtered<F: FnMut(EdgeId) -> bool>(
     let mut scratch = DijkstraScratch::new();
     dijkstra_filtered_into(g, source, cost, usable, &[], &mut scratch);
     let DijkstraScratch { dist, parent, .. } = scratch;
-    ShortestPathTree::from_parts(source, dist, parent, g)
+    ShortestPathTree { dist, parent }
 }
 
 /// The Dijkstra kernel every other variant wraps: a run from `source`
@@ -377,7 +368,7 @@ pub fn dijkstra_filtered_into<F: FnMut(EdgeId) -> bool>(
             let nd = d + cost[e.index()];
             if nd < scratch.dist[w.index()] {
                 scratch.dist[w.index()] = nd;
-                scratch.parent[w.index()] = Some(e);
+                scratch.parent[w.index()] = e.0;
                 scratch.push_or_decrease(w);
             }
         }
@@ -412,7 +403,7 @@ pub fn bellman_ford(
     debug_assert_eq!(cost.len(), g.edge_count(), "cost slice length mismatch");
     let n = g.node_count();
     let mut dist = vec![f64::INFINITY; n];
-    let mut parent: Vec<Option<EdgeId>> = vec![None; n];
+    let mut parent = vec![NO_PARENT; n];
     dist[source.index()] = 0.0;
     for round in 0..n {
         let mut changed = false;
@@ -423,7 +414,7 @@ pub fn bellman_ford(
                 let nd = du + cost[e.index()];
                 if nd < dist[v.index()] - 1e-12 {
                     dist[v.index()] = nd;
-                    parent[v.index()] = Some(e);
+                    parent[v.index()] = e.0;
                     changed = true;
                 }
             }
@@ -435,31 +426,7 @@ pub fn bellman_ford(
             return Err(NegativeCycle);
         }
     }
-    Ok(ShortestPathTree::from_parts(source, dist, parent, g))
-}
-
-/// All-pairs least costs `w[v][s]` computed by one Dijkstra run per
-/// source, fanned out over `ctx.workers()` threads, with one Dijkstra
-/// call per source recorded on `ctx`.
-///
-/// Entry `[v.index()][s.index()]` is the least cost of a `v -> s` path
-/// (`f64::INFINITY` if none exists). Each source is an independent task
-/// with its own [`DijkstraScratch`] per worker; rows are merged by source
-/// index, so the result is bit-identical for any worker count.
-pub fn all_pairs_with_context(g: &DiGraph, cost: &[f64], ctx: &SolverContext) -> Vec<Vec<f64>> {
-    let _s = ctx.phase_span("graph.all_pairs", Phase::Dijkstra);
-    let sources: Vec<NodeId> = g.nodes().collect();
-    jcr_ctx::par::par_map_init(
-        ctx,
-        &sources,
-        DijkstraScratch::new,
-        |scratch, wctx, _i, &v| {
-            wctx.count(Counter::DijkstraCalls, 1);
-            let pops = dijkstra_filtered_into(g, v, cost, |_| true, &[], scratch);
-            wctx.metric_value(HEAP_POPS, pops as u64);
-            scratch.dist.clone()
-        },
-    )
+    Ok(ShortestPathTree { dist, parent })
 }
 
 /// Yen's algorithm: up to `k` least-cost *simple* paths from `src` to
@@ -498,10 +465,9 @@ pub fn k_shortest_paths_with_context(
 
     // Epoch-stamped ban marks: "banned in the current spur" means `mark ==
     // epoch`, so starting a new spur is one counter bump rather than a
-    // freshly allocated bool array per spur. The buffers come from the
-    // context's scratch arena.
-    let mut edge_mark = ctx.scratch().take_u32(g.edge_count(), 0);
-    let mut node_mark = ctx.scratch().take_u32(g.node_count(), 0);
+    // freshly allocated bool array per spur.
+    let mut edge_mark = vec![0u32; g.edge_count()];
+    let mut node_mark = vec![0u32; g.node_count()];
     let mut epoch = 0u32;
     let mut prev_buf: Vec<EdgeId> = Vec::new();
     let mut prev_nodes: Vec<NodeId> = Vec::new();
@@ -589,9 +555,6 @@ pub fn k_shortest_paths_with_context(
         result.push(id);
     }
 
-    let pool = ctx.scratch();
-    pool.put_u32(edge_mark);
-    pool.put_u32(node_mark);
     result.into_iter().map(|id| arena.to_path(id)).collect()
 }
 
@@ -622,7 +585,7 @@ mod tests {
         assert_eq!(t.dist(b), 1.0);
         assert_eq!(t.dist(c), 2.0);
         assert_eq!(t.dist(d), 2.0);
-        let p = t.path(d).unwrap();
+        let p = t.path(&g, d).unwrap();
         assert_eq!(p.nodes(&g), vec![a, b, d]);
     }
 
@@ -632,9 +595,9 @@ mod tests {
         let a = g.add_node();
         let b = g.add_node();
         let t = dijkstra_filtered(&g, a, &[], |_| true);
-        assert!(!t.is_reachable(b));
-        assert!(t.path_to(b).is_none());
-        assert_eq!(t.path_to(a).unwrap(), Vec::<EdgeId>::new());
+        assert!(!t.dist(b).is_finite());
+        assert!(t.path(&g, b).is_none());
+        assert!(t.path(&g, a).unwrap().is_empty());
     }
 
     #[test]
@@ -647,7 +610,7 @@ mod tests {
         g.add_edge(b, c);
         let t = dijkstra_filtered(&g, a, &[0.0, 0.0], |_| true);
         assert_eq!(t.dist(c), 0.0);
-        assert_eq!(t.path_to(c).unwrap().len(), 2);
+        assert_eq!(t.path(&g, c).unwrap().len(), 2);
     }
 
     #[test]
@@ -692,7 +655,7 @@ mod tests {
         for v in g.nodes() {
             assert!((bf.dist(v) - dj.dist(v)).abs() < 1e-12);
         }
-        assert_eq!(bf.path_to(d).unwrap(), dj.path_to(d).unwrap());
+        assert_eq!(bf.path(&g, d).unwrap(), dj.path(&g, d).unwrap());
     }
 
     #[test]
@@ -719,37 +682,6 @@ mod tests {
             bellman_ford(&g, a, &[1.0, -2.0]),
             Err(NegativeCycle)
         ));
-    }
-
-    #[test]
-    fn all_pairs_is_square_and_symmetric_for_symmetric_graphs() {
-        let mut g = DiGraph::new();
-        let a = g.add_node();
-        let b = g.add_node();
-        g.add_edge(a, b);
-        g.add_edge(b, a);
-        let d = all_pairs_with_context(&g, &[4.0, 4.0], &SolverContext::new());
-        assert_eq!(d.len(), 2);
-        assert_eq!(d[a.index()][b.index()], 4.0);
-        assert_eq!(d[b.index()][a.index()], 4.0);
-        assert_eq!(d[a.index()][a.index()], 0.0);
-    }
-
-    #[test]
-    fn all_pairs_with_context_matches_serial_for_any_worker_count() {
-        let (g, _, cost) = diamond();
-        let serial = all_pairs_with_context(&g, &cost, &SolverContext::new().with_workers(1));
-        for workers in [1, 2, 8] {
-            let ctx = SolverContext::new().with_workers(workers);
-            let par = all_pairs_with_context(&g, &cost, &ctx);
-            assert_eq!(par.len(), serial.len());
-            for (row_p, row_s) in par.iter().zip(&serial) {
-                for (a, b) in row_p.iter().zip(row_s) {
-                    assert_eq!(a.to_bits(), b.to_bits(), "workers = {workers}");
-                }
-            }
-            assert_eq!(ctx.stats().dijkstra_calls, g.node_count() as u64);
-        }
     }
 
     #[test]

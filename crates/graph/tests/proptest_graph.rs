@@ -4,7 +4,8 @@
 
 use jcr_ctx::rng::{Rng, SeedableRng, StdRng};
 use jcr_ctx::SolverContext;
-use jcr_graph::{shortest, DiGraph, NodeId};
+use jcr_graph::oracle::DEFAULT_DENSE_MAX;
+use jcr_graph::{shortest, DiGraph, DistanceOracle, NodeId};
 
 const CASES: u64 = 256;
 
@@ -59,7 +60,7 @@ fn paths_are_valid_and_cost_consistent() {
         let src = NodeId::new(0);
         let tree = shortest::dijkstra_filtered(&g, src, &costs, |_| true);
         for v in g.nodes() {
-            if let Some(path) = tree.path(v) {
+            if let Some(path) = tree.path(&g, v) {
                 assert!(path.is_valid(&g));
                 if !path.is_empty() {
                     assert_eq!(path.source(&g), Some(src));
@@ -71,19 +72,21 @@ fn paths_are_valid_and_cost_consistent() {
     }
 }
 
-/// Triangle inequality of the all-pairs matrix.
+/// Triangle inequality of the all-pairs oracle's rows.
 #[test]
 fn all_pairs_triangle_inequality() {
+    let ctx = SolverContext::new();
     for case in 0..CASES {
         let mut rng = StdRng::seed_from_u64(0x6170_7370 + case);
         let (n, edges, costs) = random_graph(&mut rng);
         let g = build(n, &edges);
-        let d = shortest::all_pairs_with_context(&g, &costs, &SolverContext::new());
+        let oracle = DistanceOracle::with_config(&g, &costs, DEFAULT_DENSE_MAX, &ctx);
+        let d = |a: usize, b: usize| oracle.dist(NodeId::new(a), NodeId::new(b));
         for a in 0..n {
             for b in 0..n {
                 for c in 0..n {
-                    if d[a][b].is_finite() && d[b][c].is_finite() {
-                        assert!(d[a][c] <= d[a][b] + d[b][c] + 1e-6, "case {case}");
+                    if d(a, b).is_finite() && d(b, c).is_finite() {
+                        assert!(d(a, c) <= d(a, b) + d(b, c) + 1e-6, "case {case}");
                     }
                 }
             }
@@ -110,7 +113,7 @@ fn yen_invariants() {
                 "case {case}"
             );
         } else {
-            assert!(!tree.is_reachable(dst) || src == dst, "case {case}");
+            assert!(!tree.dist(dst).is_finite() || src == dst, "case {case}");
         }
         for w in paths.windows(2) {
             assert!(w[0].cost(&costs) <= w[1].cost(&costs) + 1e-9);
@@ -520,7 +523,7 @@ fn yen_matches_pre_refactor_reference() {
             return Vec::new();
         }
         let tree = shortest::dijkstra_filtered(g, src, cost, |_| true);
-        let Some(first) = tree.path(dst) else {
+        let Some(first) = tree.path(g, dst) else {
             return Vec::new();
         };
         let mut result: Vec<Path> = vec![first];
@@ -546,9 +549,9 @@ fn yen_matches_pre_refactor_reference() {
                         && !banned_nodes[g.src(e).index()]
                         && !banned_nodes[g.dst(e).index()]
                 });
-                if let Some(spur_path) = spur_tree.path_to(dst) {
+                if let Some(spur_path) = spur_tree.path(g, dst) {
                     let mut edges = root_edges.to_vec();
-                    edges.extend(spur_path);
+                    edges.extend(spur_path.into_edges());
                     let total = Path::new(edges);
                     if total.has_repeated_node(g) {
                         continue;
@@ -614,6 +617,53 @@ fn oracle_on_demand_matches_dense_bitwise() {
             let d = lazy.row(s);
             let expect = dense.row(s);
             assert_eq!(d.dists(), expect.dists(), "case {case}, row {s:?}");
+        }
+    }
+}
+
+/// A single-source Dijkstra tree and the oracle's row for the same
+/// source are one value: every distance bit and every target's path
+/// edges agree, for rows filled at construction and rows filled on
+/// demand. Costs are integers 0–2, so zero-cost edges and equal-cost
+/// paths make the tie-break visible.
+#[test]
+fn dijkstra_tree_equals_oracle_row() {
+    let ctx = SolverContext::new().with_workers(1);
+    let (mut tree_path, mut row_path) = (Vec::new(), Vec::new());
+    for case in 0..CASES {
+        let mut rng = StdRng::seed_from_u64(0x726f_7773 + case);
+        let n = rng.gen_range(2..30usize);
+        let m = rng.gen_range(1..5 * n);
+        let edges: Vec<(usize, usize)> = (0..m)
+            .map(|_| (rng.gen_range(0..n), rng.gen_range(0..n)))
+            .collect();
+        let costs: Vec<f64> = (0..m).map(|_| rng.gen_range(0..3u32) as f64).collect();
+        let g = build(n, &edges);
+        let lazy = DistanceOracle::with_config(&g, &costs, 0, &ctx);
+        let eager = DistanceOracle::with_config(&g, &costs, usize::MAX, &ctx);
+        assert!(!lazy.is_dense() && eager.is_dense());
+        for s in g.nodes() {
+            let tree = shortest::dijkstra_filtered(&g, s, &costs, |_| true);
+            for (oracle, what) in [(&lazy, "lazy"), (&eager, "eager")] {
+                let row = oracle.row(s);
+                let bits = |d: &[f64]| d.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(
+                    bits(tree.dists()),
+                    bits(row.dists()),
+                    "case {case}, {what} row {s:?}: dists"
+                );
+                for t in g.nodes() {
+                    assert_eq!(
+                        tree.path_into(&g, t, &mut tree_path),
+                        row.path_into(&g, t, &mut row_path),
+                        "case {case}, {what} {s:?}->{t:?}: reachability"
+                    );
+                    assert_eq!(
+                        tree_path, row_path,
+                        "case {case}, {what} {s:?}->{t:?}: path"
+                    );
+                }
+            }
         }
     }
 }

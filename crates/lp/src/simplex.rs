@@ -35,7 +35,7 @@
 use std::fmt;
 use std::time::Instant;
 
-use jcr_ctx::{BudgetExceeded, Counter, ScratchArena, SolverContext};
+use jcr_ctx::{BudgetExceeded, Counter, SolverContext};
 
 use crate::basis::{Basis, SnapStatus};
 use crate::factor::{EtaFile, LuFactors};
@@ -403,7 +403,7 @@ impl Simplex {
         self.n_struct += 1;
         if v0 != 0.0 {
             // New nonbasic mass changes the basic values.
-            self.recompute_basic_values(&ScratchArena::default());
+            self.recompute_basic_values();
         }
     }
 
@@ -424,7 +424,7 @@ impl Simplex {
             self.run(Phase::Two, ctx)?;
         }
         self.refine(ctx);
-        Ok(self.extract(ctx.scratch()))
+        Ok(self.extract())
     }
 
     /// Re-solves after external modifications (e.g. new columns) under an
@@ -509,7 +509,7 @@ impl Simplex {
                 self.etas.clear();
                 self.pivots_since_refactor = 0;
                 self.set_nonbasic_values();
-                self.recompute_basic_values(&ScratchArena::default());
+                self.recompute_basic_values();
                 true
             }
             None => {
@@ -539,7 +539,7 @@ impl Simplex {
         self.etas.clear();
         self.pivots_since_refactor = 0;
         self.set_nonbasic_values();
-        self.recompute_basic_values(&ScratchArena::default());
+        self.recompute_basic_values();
     }
 
     // ----- core machinery -------------------------------------------------
@@ -721,12 +721,11 @@ impl Simplex {
         }
     }
 
-    /// Recomputes basic values `x_B = B⁻¹(0 − N·x_N)` from scratch; the
-    /// m-length working vectors come from the arena.
-    fn recompute_basic_values(&mut self, scratch: &ScratchArena) {
+    /// Recomputes basic values `x_B = B⁻¹(0 − N·x_N)` from scratch.
+    fn recompute_basic_values(&mut self) {
         let m = self.m;
         let ncols = self.n_struct + m;
-        let mut rhs = scratch.take_f64(m, 0.0);
+        let mut rhs = vec![0.0; m];
         for j in 0..ncols {
             if self.status[j] != ColStatus::Basic {
                 let v = self.xval[j];
@@ -735,19 +734,17 @@ impl Simplex {
                 }
             }
         }
-        let mut xb = scratch.take_f64(m, 0.0);
+        let mut xb = vec![0.0; m];
         self.apply_basis_inverse(&rhs, &mut xb);
         for i in 0..m {
             self.xval[self.basis[i]] = xb[i];
         }
-        scratch.put_f64(xb);
-        scratch.put_f64(rhs);
     }
 
     /// Rebuilds the LU factors from the current basis columns and clears
     /// the eta file (the Bartels–Golub-style fallback of the product-form
     /// update scheme).
-    fn refactorize(&mut self, scratch: &ScratchArena) -> Result<(), LpError> {
+    fn refactorize(&mut self) -> Result<(), LpError> {
         let lu = self
             .factor_basis()
             .ok_or_else(|| LpError::Numerical("singular basis".into()))?;
@@ -755,7 +752,7 @@ impl Simplex {
         self.etas.clear();
         self.pivots_since_refactor = 0;
         self.set_nonbasic_values();
-        self.recompute_basic_values(scratch);
+        self.recompute_basic_values();
         Ok(())
     }
 
@@ -773,12 +770,12 @@ impl Simplex {
     /// form every row of `A·x` (structural columns plus `−1` slacks) must
     /// be zero, so any mass left over is drift accumulated by the
     /// eta-file updates. One pass over the nonzeros.
-    fn basis_residual(&self, scratch: &ScratchArena) -> f64 {
+    fn basis_residual(&self) -> f64 {
         let m = self.m;
         if m == 0 {
             return 0.0;
         }
-        let mut res = scratch.take_f64(m, 0.0);
+        let mut res = vec![0.0; m];
         let ncols = self.n_struct + m;
         for j in 0..ncols {
             let v = self.xval[j];
@@ -787,7 +784,6 @@ impl Simplex {
             }
         }
         let norm = res.iter().fold(0.0f64, |acc, r| acc.max(r.abs()));
-        scratch.put_f64(res);
         let scale = self
             .basis
             .iter()
@@ -812,7 +808,7 @@ impl Simplex {
         if !probe_due {
             return Ok(());
         }
-        let res = self.basis_residual(ctx.scratch());
+        let res = self.basis_residual();
         ctx.metric_value(BASIS_RESIDUAL_BITS, jcr_ctx::cert::residual_bits(res));
         if !periodic_due && res <= RESIDUAL_REFRESH {
             return Ok(());
@@ -822,11 +818,11 @@ impl Simplex {
         }
         {
             let _s = ctx.span("lp.refactor");
-            self.refactorize(ctx.scratch())?;
+            self.refactorize()?;
         }
         ctx.count(Counter::Refactorizations, 1);
         ctx.metric_value(LU_FILL, self.lu.fill() as u64);
-        let fresh = self.basis_residual(ctx.scratch());
+        let fresh = self.basis_residual();
         if fresh > RESIDUAL_FAIL {
             return Err(LpError::NumericalBreakdown(format!(
                 "basis residual {fresh:.3e} exceeds {RESIDUAL_FAIL:.1e} after refactorization"
@@ -846,9 +842,8 @@ impl Simplex {
         if m == 0 {
             return;
         }
-        let scratch = ctx.scratch();
-        let mut r = scratch.take_f64(m, 0.0);
-        let mut comp = scratch.take_f64(m, 0.0);
+        let mut r = vec![0.0; m];
+        let mut comp = vec![0.0; m];
         let ncols = self.n_struct + m;
         for j in 0..ncols {
             let v = self.xval[j];
@@ -863,7 +858,7 @@ impl Simplex {
         for (ri, ci) in r.iter_mut().zip(comp.iter()) {
             *ri += ci;
         }
-        let mut delta = scratch.take_f64(m, 0.0);
+        let mut delta = vec![0.0; m];
         self.apply_basis_inverse(&r, &mut delta);
         let mut delta_max = 0.0f64;
         for i in 0..m {
@@ -873,9 +868,6 @@ impl Simplex {
                 delta_max = delta_max.max(d.abs());
             }
         }
-        scratch.put_f64(delta);
-        scratch.put_f64(comp);
-        scratch.put_f64(r);
         ctx.obs().add_counter(REFINE_ROUNDS, 1);
         ctx.metric_value(REFINE_DELTA_BITS, jcr_ctx::cert::residual_bits(delta_max));
     }
@@ -973,8 +965,8 @@ impl Simplex {
     }
 
     /// One simplex phase. The four m-length work vectors (basic costs,
-    /// duals, pivot column, Devex pivot row) come from the context's
-    /// scratch arena so thousands of pivots reuse the same allocations.
+    /// duals, pivot column, Devex pivot row) are allocated once per phase
+    /// and reused by every pivot.
     fn run(&mut self, phase: Phase, ctx: &SolverContext) -> Result<(), LpError> {
         // Fresh Devex reference framework per phase: every nonbasic
         // column starts at weight one.
@@ -990,17 +982,11 @@ impl Simplex {
         self.elig.clear();
         self.in_elig.clear();
         self.in_elig.resize(ncols, false);
-        let scratch = ctx.scratch();
-        let mut cb = scratch.take_f64(self.m, 0.0);
-        let mut y = scratch.take_f64(self.m, 0.0);
-        let mut alpha = scratch.take_f64(self.m, 0.0);
-        let mut rho = scratch.take_f64(self.m, 0.0);
-        let out = self.run_inner(phase, ctx, &mut cb, &mut y, &mut alpha, &mut rho);
-        scratch.put_f64(rho);
-        scratch.put_f64(alpha);
-        scratch.put_f64(y);
-        scratch.put_f64(cb);
-        out
+        let mut cb = vec![0.0; self.m];
+        let mut y = vec![0.0; self.m];
+        let mut alpha = vec![0.0; self.m];
+        let mut rho = vec![0.0; self.m];
+        self.run_inner(phase, ctx, &mut cb, &mut y, &mut alpha, &mut rho)
     }
 
     fn run_inner(
@@ -1297,14 +1283,13 @@ impl Simplex {
         Err(LpError::Numerical("iteration limit exceeded".into()))
     }
 
-    fn extract(&mut self, scratch: &ScratchArena) -> Solution {
+    fn extract(&mut self) -> Solution {
         let x: Vec<f64> = (0..self.n_struct).map(|j| self.xval[j]).collect();
         let obj_min: f64 = (0..self.n_struct).map(|j| self.c[j] * self.xval[j]).sum();
-        let mut cb = scratch.take_f64(self.m, 0.0);
+        let mut cb = vec![0.0; self.m];
         self.basic_cost_into(Phase::Two, &mut cb);
         let mut y = vec![0.0; self.m];
         self.btran_into(&cb, &mut y);
-        scratch.put_f64(cb);
         let (objective, duals) = if self.maximize {
             (-obj_min, y.iter().map(|v| -v).collect())
         } else {

@@ -318,7 +318,7 @@ impl FaultInjector {
         let tree = shortest::dijkstra_filtered(&base.graph, origin, &base.link_cost, |e| {
             cap[e.index()] > 0.0 && !kill.contains(&e)
         });
-        base.requests.iter().all(|r| tree.path(r.node).is_some())
+        base.requests.iter().all(|r| tree.dist(r.node).is_finite())
     }
 }
 
@@ -351,7 +351,7 @@ fn augment_origin_paths(
         if demand <= 0.0 {
             continue;
         }
-        if let Some(path) = tree.path(v) {
+        if let Some(path) = tree.path(&base.graph, v) {
             for e in path.edges() {
                 if cap[e.index()].is_finite() {
                     cap[e.index()] += demand;
@@ -423,7 +423,9 @@ mod tests {
                 fi.link_cap[e.index()] > 0.0
             });
             for r in &fi.requests {
-                let path = tree.path(r.node).expect("requester cut off from origin");
+                let path = tree
+                    .path(&fi.graph, r.node)
+                    .expect("requester cut off from origin");
                 // The augmented origin path carries the full demand.
                 for e in path.edges() {
                     assert!(

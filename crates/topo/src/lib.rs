@@ -613,17 +613,6 @@ impl Topology {
             mean_origin_edge_cost: mean_origin_edge,
         }
     }
-
-    /// Total demand-weighted least cost of serving everything from the
-    /// origin (a simple upper-bound reference for experiments).
-    pub fn origin_only_cost(&self, demand: &[f64]) -> f64 {
-        let tree = shortest::dijkstra_filtered(&self.graph, self.origin, &self.cost, |_| true);
-        self.edge_nodes
-            .iter()
-            .zip(demand)
-            .map(|(&v, d)| tree.dist(v) * d)
-            .sum()
-    }
 }
 
 /// Structural statistics of a topology (see [`Topology::stats`]).
@@ -863,12 +852,5 @@ link 1 2 5 6 2.5
         assert_eq!(dot.matches("shape=").count(), 23);
         assert_eq!(dot.matches(" -- ").count(), 31);
         assert_eq!(dot.matches("doublecircle").count(), 1);
-    }
-
-    #[test]
-    fn origin_only_cost_is_positive() {
-        let t = Topology::generate(TopologyKind::Tinet, 2).unwrap();
-        let demand = vec![1.0; t.edge_nodes.len()];
-        assert!(t.origin_only_cost(&demand) > 100.0);
     }
 }

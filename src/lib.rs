@@ -10,7 +10,7 @@
 //!
 //! * [`ctx`] — solver context threaded through every solver: budgets
 //!   (deadlines, per-phase iteration caps), instrumentation counters/timers,
-//!   reusable scratch arenas, and the in-tree seeded PRNG.
+//!   and the in-tree seeded PRNG.
 //! * [`graph`] — directed-graph substrate (Dijkstra, Yen's k-shortest paths).
 //! * [`lp`] — revised-simplex linear-programming solver with bounded
 //!   variables and incremental columns (for column generation).

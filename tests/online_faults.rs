@@ -78,7 +78,7 @@ fn expendable_loaded_link(base: &Instance, solution: &Solution) -> EdgeId {
                 &base.link_cost,
                 |f| f != e && base.link_cap[f.index()] > 0.0,
             );
-            base.requests.iter().all(|r| tree.path(r.node).is_some())
+            base.requests.iter().all(|r| tree.dist(r.node).is_finite())
         })
         .expect("some loaded link is expendable")
 }

@@ -10,7 +10,8 @@ use jcr::core::prelude::*;
 use jcr::core::validate::validate_solution;
 use jcr::ctx::{Budget, Counter, Phase, SolverContext};
 use jcr::flow::multicommodity::{min_cost_multicommodity_with_context, Commodity};
-use jcr::graph::{shortest, DiGraph, NodeId};
+use jcr::graph::oracle::DEFAULT_DENSE_MAX;
+use jcr::graph::{DiGraph, DistanceOracle, NodeId};
 use jcr::topo::{Topology, TopologyKind};
 
 use jcr_bench::exp::{evaluate, Algo, ExpConfig, Metrics};
@@ -52,12 +53,15 @@ fn all_pairs_costs_bit_identical_across_worker_counts() {
     let inst = capped_instance(9);
     let g = &inst.graph;
     let cost = &inst.link_cost;
-    let baseline = shortest::all_pairs_with_context(g, cost, &SolverContext::new().with_workers(1));
+    let serial = SolverContext::new().with_workers(1);
+    let baseline = DistanceOracle::with_config(g, cost, DEFAULT_DENSE_MAX, &serial);
     for workers in WORKER_COUNTS {
         let ctx = SolverContext::new().with_workers(workers);
-        let rows = shortest::all_pairs_with_context(g, cost, &ctx);
-        assert_eq!(rows.len(), baseline.len());
-        for (row, expect) in rows.iter().zip(&baseline) {
+        let oracle = DistanceOracle::with_config(g, cost, DEFAULT_DENSE_MAX, &ctx);
+        assert!(oracle.is_dense());
+        for s in g.nodes() {
+            let (row, expect) = (oracle.row(s).dists(), baseline.row(s).dists());
+            assert_eq!(row.len(), expect.len());
             for (a, b) in row.iter().zip(expect) {
                 assert_eq!(a.to_bits(), b.to_bits(), "workers = {workers}");
             }

@@ -17,7 +17,8 @@ use jcr::core::prelude::*;
 use jcr::ctx::rng::{Rng, SeedableRng, StdRng};
 use jcr::ctx::{Counter, SolverContext};
 use jcr::flow::multicommodity::{min_cost_multicommodity_with_context, Commodity};
-use jcr::graph::{shortest, DiGraph, NodeId};
+use jcr::graph::oracle::DEFAULT_DENSE_MAX;
+use jcr::graph::{DiGraph, DistanceOracle, NodeId};
 use jcr::lp::{ConId, Model, Sense};
 use jcr_bench::exp::{evaluate_in, Algo, ExpConfig};
 use jcr_bench::Scenario;
@@ -55,8 +56,11 @@ fn seeded_graph(n: usize, chords_per_node: usize, seed: u64) -> (DiGraph, Vec<f6
 fn all_pairs_is_pinned() {
     let (g, cost) = seeded_graph(350, 4, 11);
     assert_pinned("eb011531ed991277", [0, 0, 350, 0, 0, 0], |ctx| {
-        let rows = shortest::all_pairs_with_context(&g, &cost, ctx);
-        checksum(rows.iter().flatten().copied())
+        let oracle = DistanceOracle::with_config(&g, &cost, DEFAULT_DENSE_MAX, ctx);
+        checksum(
+            g.nodes()
+                .flat_map(|s| oracle.row(s).dists().iter().copied()),
+        )
     });
 }
 
